@@ -6,66 +6,13 @@ scale), the fitted predictor and its threshold policy, the observable
 distributions before and after deployment, discrimination/calibration
 metrics, harm classification, the grid experiment, and a seeded Monte
 Carlo cross-check.
+
+The package exports ScenarioParams, OutcomePolarity and evaluate_scenario;
+every other name is imported from its module (opmdeploy.sweep,
+opmdeploy.mc, ...).
 """
 
 __version__ = "0.1.0"
 
-from .classify import (
-    CheckResult,
-    CheckStatus,
-    HarmAssessment,
-    SubcaseRow,
-    Verdict,
-    assess_harm,
-    check_calibration_preservation,
-    check_uniform_effect_rule,
-    classify_shift_subcase,
-    direct_verdict,
-    verdict_from_signs,
-)
-from .errors import (
-    ConfigError,
-    ConstantPolicy,
-    DegenerateOutcome,
-    DegenerateScenario,
-    InsufficientCases,
-    OpmDeployError,
-    PolicyMismatch,
-)
-from .mc import EmpiricalMetrics, McConfig, empirical_metrics, sample
-from .metrics import (
-    CalibrationLevel,
-    CalibrationReport,
-    DiscriminationMetrics,
-    auc_delta,
-    auc_shift_sign,
-    calibration,
-    discrimination,
-    is_self_fulfilling,
-)
-from .report import DeploymentReport, evaluate_scenario
-from .scenario import (
-    EPS_EQ,
-    ObservedDistribution,
-    Opm,
-    OutcomePolarity,
-    Policy,
-    PotentialOutcomes,
-    ScenarioParams,
-    derive_policy,
-    fit_opm,
-    historic_policy,
-    logistic,
-    observed_distribution,
-    potential_outcomes,
-)
-from .sweep import (
-    GridSpec,
-    ScenarioRecord,
-    aggregate_harm_table,
-    aggregate_sign_table,
-    default_grid,
-    expand_and_filter,
-    filter_avg_beneficial,
-    run_sweep,
-)
+from .report import evaluate_scenario
+from .scenario import OutcomePolarity, ScenarioParams

@@ -8,13 +8,15 @@ are deterministic given their inputs (plus the seed, for simulate).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, figures, mc, sweep
-from .classify import CheckResult, SubcaseRow
+from .classify import CheckResult
 from .errors import (
     ConfigError,
     ConstantPolicy,
@@ -29,7 +31,8 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
-_CONFIG_KEYS = ("p_x", "pi0", "beta0", "beta_x", "beta_t", "beta_xt", "polarity")
+_CONFIG_KEYS = tuple(f.name for f in fields(ScenarioParams))
+_GRID_KEYS = tuple(f.name for f in fields(sweep.GridSpec))
 
 
 def _tool_stamp() -> dict:
@@ -44,10 +47,14 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _scenario_from_args(args) -> tuple[ScenarioParams, float | None, dict]:
@@ -58,10 +65,10 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float | None, dict]:
             raise ConfigError([f"{args.config}: expected a JSON object"])
         raw.update(loaded)
     for key in _CONFIG_KEYS:
-        v = getattr(args, key, None)
+        v = getattr(args, key)
         if v is not None:
             raw[key] = v
-    if getattr(args, "lam", None) is not None:
+    if args.lam is not None:
         raw["lambda"] = args.lam
 
     missing = [k for k in _CONFIG_KEYS if k not in raw]
@@ -71,15 +78,9 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float | None, dict]:
     if unknown:
         raise ConfigError([f"{k}: unknown config key" for k in unknown])
 
-    params = ScenarioParams(
-        p_x=raw["p_x"],
-        pi0=raw["pi0"],
-        beta0=raw["beta0"],
-        beta_x=raw["beta_x"],
-        beta_t=raw["beta_t"],
-        beta_xt=raw["beta_xt"],
-        polarity=parse_polarity(raw["polarity"]),
-    )
+    values = {k: raw[k] for k in _CONFIG_KEYS}
+    values["polarity"] = parse_polarity(raw["polarity"])
+    params = ScenarioParams(**values)
     lam = raw.get("lambda")
     if lam is not None and not isinstance(lam, (int, float)):
         raise ConfigError([f"lambda: must be a real number, got {lam!r}"])
@@ -92,49 +93,28 @@ def _load_grid(source: str) -> sweep.GridSpec:
     raw = _load_json(source)
     if not isinstance(raw, dict):
         raise ConfigError([f"{source}: expected a JSON object"])
-    expected = {
-        "p_x_values", "pi0_values", "beta0_values", "beta_x_values",
-        "beta_t_values", "beta_xt_values", "polarities",
-    }
-    missing = sorted(expected - set(raw))
+    missing = sorted(set(_GRID_KEYS) - set(raw))
     if missing:
         raise ConfigError([f"{k}: missing" for k in missing])
-    try:
-        polarities = tuple(parse_polarity(p) for p in raw["polarities"])
-    except TypeError:
-        raise ConfigError(["polarities: expected a list"]) from None
-    return sweep.GridSpec(
-        p_x_values=raw["p_x_values"],
-        pi0_values=raw["pi0_values"],
-        beta0_values=raw["beta0_values"],
-        beta_x_values=raw["beta_x_values"],
-        beta_t_values=raw["beta_t_values"],
-        beta_xt_values=raw["beta_xt_values"],
-        polarities=polarities,
-    )
+    not_lists = [k for k in _GRID_KEYS if not isinstance(raw[k], list)]
+    if not_lists:
+        raise ConfigError([f"{k}: expected a list" for k in not_lists])
+    values = {k: raw[k] for k in _GRID_KEYS}
+    values["polarities"] = [parse_polarity(p) for p in raw["polarities"]]
+    return sweep.GridSpec(**values)
 
 
 def _grid_echo(grid: sweep.GridSpec) -> dict:
-    return {
-        "p_x_values": list(grid.p_x_values),
-        "pi0_values": list(grid.pi0_values),
-        "beta0_values": list(grid.beta0_values),
-        "beta_x_values": list(grid.beta_x_values),
-        "beta_t_values": list(grid.beta_t_values),
-        "beta_xt_values": list(grid.beta_xt_values),
-        "polarities": [p.value for p in grid.polarities],
-    }
+    echo = {k: list(getattr(grid, k)) for k in _GRID_KEYS}
+    echo["polarities"] = [p.value for p in grid.polarities]
+    return echo
 
 
 def _records_from_args(args) -> tuple[list[sweep.ScenarioRecord], dict]:
-    if getattr(args, "csv", None):
-        records = sweep.read_records_csv(args.csv)
-        source = {"csv": str(args.csv)}
-    else:
-        grid = _load_grid(args.grid)
-        records = sweep.run_sweep(grid)
-        source = {"grid": _grid_echo(grid)}
-    return records, source
+    if args.csv:
+        return sweep.read_records_csv(args.csv), {"csv": str(args.csv)}
+    grid = _load_grid(args.grid)
+    return sweep.run_sweep(grid), {"grid": _grid_echo(grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +124,7 @@ def _records_from_args(args) -> tuple[list[sweep.ScenarioRecord], dict]:
 def _check_to_json(check) -> dict:
     if isinstance(check, CheckResult):
         return {"status": check.status.value, "detail": check.detail}
-    if isinstance(check, SubcaseRow):
-        return {
-            "changed_group": check.changed_group,
-            "pi0": check.pi0,
-            "direction": check.direction,
-            "expected_self_fulfilling": check.expected_self_fulfilling,
-            "observed_self_fulfilling": check.observed_self_fulfilling,
-            "consistent": check.consistent,
-        }
-    raise TypeError(type(check))
+    return {**vars(check), "consistent": check.consistent}
 
 
 def _dist_block(report: DeploymentReport, which: str) -> dict:
@@ -171,14 +142,7 @@ def _dist_block(report: DeploymentReport, which: str) -> dict:
 
 
 def _calibration_block(calib) -> dict:
-    return {
-        "levels": [
-            {"alpha": l.alpha, "conditional_mean": l.conditional_mean, "mass": l.mass}
-            for l in calib.levels
-        ],
-        "max_gap": calib.max_gap,
-        "is_calibrated": calib.is_calibrated,
-    }
+    return {**vars(calib), "levels": [dict(vars(l)) for l in calib.levels]}
 
 
 def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
@@ -203,12 +167,7 @@ def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
             "pre": _calibration_block(report.calibration_pre),
             "post": _calibration_block(report.calibration_post),
         },
-        "harm": {
-            "outcome_shift": list(report.harm.outcome_shift),
-            "changed_group": report.harm.changed_group,
-            "harmful_group": list(report.harm.harmful_group),
-            "harmful_marginal": report.harm.harmful_marginal,
-        },
+        "harm": dict(vars(report.harm)),
         "verdict": report.verdict.value,
         "sign_verdict": report.sign_verdict.value,
         "checks": {name: _check_to_json(c) for name, c in report.checks().items()},
@@ -270,10 +229,7 @@ def cmd_eval(args) -> int:
     report = evaluate_scenario(params, lam)
     _print_report(report)
     if args.out:
-        payload = report_to_json(report, raw)
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, report_to_json(report, raw))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -282,35 +238,27 @@ def cmd_eval(args) -> int:
 # sweep
 
 
-def _sweep_manifest(grid: sweep.GridSpec, records) -> dict:
-    removed = grid.cardinality - len(records)
-    sign_table = sweep.aggregate_sign_table(records)
-    return {
-        "tool": _tool_stamp(),
-        "grid": _grid_echo(grid),
-        "counts": {
-            "cardinality": grid.cardinality,
-            "removed_degenerate": removed,
-            "retained": len(records),
-        },
-        "reference_delta": sweep.reference_delta(sign_table, len(records)),
-        "timestamp": _timestamp(),
-    }
-
-
 def cmd_sweep(args) -> int:
     grid = _load_grid(args.grid)
     records = sweep.run_sweep(grid)
     sweep.write_records_csv(records, args.out)
-    manifest = _sweep_manifest(grid, records)
+    counts = {
+        "cardinality": grid.cardinality,
+        "removed_degenerate": grid.cardinality - len(records),
+        "retained": len(records),
+    }
+    sign_table = sweep.aggregate_sign_table(records)
     manifest_path = str(args.out) + ".manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    c = manifest["counts"]
+    _write_json(manifest_path, {
+        "tool": _tool_stamp(),
+        "grid": _grid_echo(grid),
+        "counts": counts,
+        "reference_delta": sweep.reference_delta(sign_table, len(records)),
+        "timestamp": _timestamp(),
+    })
     print(
-        f"grid settings: {c['cardinality']}  removed: {c['removed_degenerate']}  "
-        f"retained: {c['retained']}"
+        f"grid settings: {counts['cardinality']}  removed: "
+        f"{counts['removed_degenerate']}  retained: {counts['retained']}"
     )
     print(f"wrote {args.out}")
     print(f"wrote {manifest_path}")
@@ -320,80 +268,68 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-
-def _sign_table_lines(table) -> list[str]:
-    lines = ["sign(beta_t)  sign(beta_t+beta_xt)  self_fulfilling(N)  not_self_fulfilling(N)"]
-    for (sbt, sbtx), (sf, nsf) in table.items():
-        lines.append(f"{sbt:>11d}  {sbtx:>20d}  {sf:>18d}  {nsf:>22d}")
-    return lines
-
-
-def _harm_table_lines(table) -> list[str]:
-    polarity_word = {
-        OutcomePolarity.UNDESIRABLE: "worse",
-        OutcomePolarity.DESIRABLE: "better",
-    }
-    lines = ["higher_y_is  pi0  self_fulfilling  n     harmful_fraction"]
-    for (pol, pi0, sf), (harmed, total) in table.items():
-        frac = "" if total == 0 else repr(harmed / total)
-        lines.append(
-            f"{polarity_word[pol]:<11s}  {pi0:<3d}  {str(sf).lower():<15s}  "
-            f"{total:<4d}  {frac}"
-        )
-    return lines
-
-
-def _delta_lines(delta: dict) -> list[str]:
-    lines = [
-        "reference tabulation cross-check:",
-        f"  retained here: {delta['retained']}   reference total: "
-        f"{delta['reference_total']}   count delta: {delta['count_delta']}",
-        f"  cell count differences after orientation swap: "
-        f"{delta['cell_deltas_after_orientation_swap'] or 'none'}",
-        f"  note: {delta['orientation_note']}",
-    ]
-    return lines
+# Per table: CSV file name, CSV columns, text header, text row format. Both
+# writers render the same rows.
+_SIGN_TABLE = (
+    "sign_table.csv",
+    ("sign_bt", "sign_bt_plus_bxt", "self_fulfilling_n", "not_self_fulfilling_n"),
+    "sign(beta_t)  sign(beta_t+beta_xt)  self_fulfilling(N)  not_self_fulfilling(N)",
+    "{:>11d}  {:>20d}  {:>18d}  {:>22d}",
+)
+_HARM_TABLE = (
+    "harm_table.csv",
+    ("higher_y_is", "pi0", "self_fulfilling", "n", "harmful_fraction"),
+    "higher_y_is  pi0  self_fulfilling  n     harmful_fraction",
+    "{:<11s}  {:<3d}  {:<15s}  {:<4d}  {}",
+)
+_POLARITY_WORD = {
+    OutcomePolarity.UNDESIRABLE: "worse",
+    OutcomePolarity.DESIRABLE: "better",
+}
 
 
 def cmd_tables(args) -> int:
     records, source = _records_from_args(args)
     sign_table = sweep.aggregate_sign_table(records)
-    harm_table = sweep.aggregate_harm_table(records)
     delta = sweep.reference_delta(sign_table, len(records))
+    tables = (
+        (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
+        (_HARM_TABLE, [
+            (_POLARITY_WORD[pol], pi0, str(sf).lower(), total,
+             "" if total == 0 else repr(harmed / total))
+            for (pol, pi0, sf), (harmed, total)
+            in sweep.aggregate_harm_table(records).items()
+        ]),
+    )
 
-    print("\n".join(_sign_table_lines(sign_table)))
-    print()
-    print("\n".join(_harm_table_lines(harm_table)))
-    print()
-    print("\n".join(_delta_lines(delta)))
+    for (_, _, header, row_format), rows in tables:
+        print("\n".join([header] + [row_format.format(*row) for row in rows]))
+        print()
+    print("reference tabulation cross-check:")
+    print(
+        f"  retained here: {delta['retained']}   reference total: "
+        f"{delta['reference_total']}   count delta: {delta['count_delta']}"
+    )
+    print(
+        f"  cell count differences after orientation swap: "
+        f"{delta['cell_deltas_after_orientation_swap'] or 'none'}"
+    )
+    print(f"  note: {delta['orientation_note']}")
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sign_table.csv", "w", newline="") as fh:
-            fh.write("sign_bt,sign_bt_plus_bxt,self_fulfilling_n,not_self_fulfilling_n\n")
-            for (sbt, sbtx), (sf, nsf) in sign_table.items():
-                fh.write(f"{sbt},{sbtx},{sf},{nsf}\n")
-        polarity_word = {
-            OutcomePolarity.UNDESIRABLE: "worse",
-            OutcomePolarity.DESIRABLE: "better",
-        }
-        with open(out / "harm_table.csv", "w", newline="") as fh:
-            fh.write("higher_y_is,pi0,self_fulfilling,n,harmful_fraction\n")
-            for (pol, pi0, sf), (harmed, total) in harm_table.items():
-                frac = "" if total == 0 else repr(harmed / total)
-                fh.write(
-                    f"{polarity_word[pol]},{pi0},{str(sf).lower()},{total},{frac}\n"
-                )
-        manifest = {
+        for (name, columns, _, _), rows in tables:
+            with open(out / name, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(rows)
+        _write_json(out / "tables_manifest.json", {
             "tool": _tool_stamp(),
             "source": source,
             "reference_delta": delta,
             "timestamp": _timestamp(),
-        }
-        with open(out / "tables_manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        })
         print(f"\nwrote {out / 'sign_table.csv'}, {out / 'harm_table.csv'}, "
               f"{out / 'tables_manifest.json'}")
     return EXIT_OK
@@ -402,75 +338,47 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------------------
 # plot
 
+# Per figure: file name, whether it is restricted to the avg-beneficial
+# subset, title, and for the odds-ratio figures (x field, color field, x
+# label, color label); None marks the pre-AUC figure.
+_FIGURES = (
+    ("fig-bt-vs-diff.svg", True,
+     "AUC change after deployment (treatment beneficial on average)",
+     ("beta_t", "beta_xt", "treatment odds ratio exp(beta_t)", "exp(beta_xt)")),
+    ("fig-bt-vs-diff-all.svg", False,
+     "AUC change after deployment (all settings)",
+     ("beta_t", "beta_xt", "treatment odds ratio exp(beta_t)", "exp(beta_xt)")),
+    ("fig-bxt-vs-diff.svg", True,
+     "AUC change vs effect heterogeneity (treatment beneficial on average)",
+     ("beta_xt", "beta_t", "interaction odds ratio exp(beta_xt)", "exp(beta_t)")),
+    ("fig-auc-pre-vs-diff.svg", False,
+     "Discrimination before deployment vs change after", None),
+)
+
 
 def cmd_plot(args) -> int:
     records, source = _records_from_args(args)
     if args.subset == "avg-beneficial":
         records = sweep.filter_avg_beneficial(records)
+    beneficial = sweep.filter_avg_beneficial(records)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def manifest(name: str, subset: str) -> dict:
-        return {
+    for name, restricted, title, axes in _FIGURES:
+        recs = beneficial if restricted else records
+        manifest = {
             "tool": _tool_stamp(),
             "figure": name,
             "source": source,
-            "subset": subset,
-            "points": None,  # filled per figure below
+            "subset": "avg-beneficial" if restricted else args.subset,
+            "points": len(recs),
         }
-
-    beneficial = sweep.filter_avg_beneficial(records)
-    jobs = [
-        (
-            "fig-bt-vs-diff.svg",
-            beneficial,
-            "beta_t",
-            "beta_xt",
-            "treatment odds ratio exp(beta_t)",
-            "exp(beta_xt)",
-            "AUC change after deployment (treatment beneficial on average)",
-        ),
-        (
-            "fig-bt-vs-diff-all.svg",
-            records,
-            "beta_t",
-            "beta_xt",
-            "treatment odds ratio exp(beta_t)",
-            "exp(beta_xt)",
-            "AUC change after deployment (all settings)",
-        ),
-        (
-            "fig-bxt-vs-diff.svg",
-            beneficial,
-            "beta_xt",
-            "beta_t",
-            "interaction odds ratio exp(beta_xt)",
-            "exp(beta_t)",
-            "AUC change vs effect heterogeneity (treatment beneficial on average)",
-        ),
-    ]
-    written = []
-    for name, recs, x_field, c_field, x_label, c_label, title in jobs:
-        m = manifest(name, "avg-beneficial" if recs is beneficial else args.subset)
-        m["points"] = len(recs)
-        svg = figures.odds_ratio_panels(
-            recs, x_field, c_field, x_label, c_label, title, m
-        )
+        if axes is None:
+            svg = figures.auc_pre_panel(recs, title, manifest)
+        else:
+            svg = figures.odds_ratio_panels(recs, *axes, title, manifest)
         with open(out / name, "w") as fh:
             fh.write(svg)
-        written.append(name)
-
-    m = manifest("fig-auc-pre-vs-diff.svg", args.subset)
-    m["points"] = len(records)
-    svg = figures.auc_pre_panel(
-        records, "Discrimination before deployment vs change after", m
-    )
-    with open(out / "fig-auc-pre-vs-diff.svg", "w") as fh:
-        fh.write(svg)
-    written.append("fig-auc-pre-vs-diff.svg")
-
-    for name in written:
         print(f"wrote {out / name}")
     return EXIT_OK
 
@@ -505,58 +413,41 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
         scenario_index=args.scenario_index,
     )
+    mc_echo = dict(vars(cfg))
     blocks = {}
-    for which, policy, dist, disc in (
-        ("pre", report.policy_pre, report.pre, report.discrimination_pre),
-        ("post", report.policy_post, report.post, report.discrimination_post),
-    ):
+    for which, policy in (("pre", report.policy_pre), ("post", report.policy_post)):
         table = mc.sample(params, policy, cfg)
-        emp = mc.empirical_metrics(table, report.opm)
+        emp = _empirical_block(mc.empirical_metrics(table, report.opm))
         if args.dump_samples:
             path = f"{args.dump_samples}.{which}.csv"
             mc.write_sample_csv(table, path)
             print(f"wrote {path}")
-            dump_manifest = {
+            _write_json(f"{args.dump_samples}.{which}.manifest.json", {
                 "tool": _tool_stamp(),
                 "config": raw,
                 "policy": list(policy.assign),
-                "mc": {
-                    "n_samples": cfg.n_samples,
-                    "master_seed": cfg.master_seed,
-                    "scenario_index": cfg.scenario_index,
-                },
-            }
-            with open(f"{args.dump_samples}.{which}.manifest.json", "w") as fh:
-                json.dump(dump_manifest, fh, indent=2)
-                fh.write("\n")
+                "mc": mc_echo,
+            })
+        closed = _dist_block(report, which)
         blocks[which] = {
-            "closed_form": {
-                "mu": list(dist.mu),
-                "p_y1": dist.p_y1,
-                "sens": disc.sens,
-                "spec": disc.spec,
-                "auc": disc.auc,
-            },
-            "empirical": _empirical_block(emp),
+            "closed_form": closed,
+            "empirical": emp,
             "agreement": {
-                "mu0_abs_err": _abs_err(emp.mu_hat[0], dist.mu[0]),
-                "mu1_abs_err": _abs_err(emp.mu_hat[1], dist.mu[1]),
-                "sens_abs_err": _abs_err(emp.sens_hat, disc.sens),
-                "spec_abs_err": _abs_err(emp.spec_hat, disc.spec),
-                "auc_abs_err": _abs_err(emp.auc_hat, disc.auc),
+                "mu0_abs_err": _abs_err(emp["mu_hat"][0], closed["mu"][0]),
+                "mu1_abs_err": _abs_err(emp["mu_hat"][1], closed["mu"][1]),
+                **{
+                    f"{k}_abs_err": _abs_err(emp[f"{k}_hat"], closed[k])
+                    for k in ("sens", "spec", "auc")
+                },
             },
         }
 
     auc_hats = (blocks["pre"]["empirical"]["auc_hat"],
                 blocks["post"]["empirical"]["auc_hat"])
-    payload = {
+    text = json.dumps({
         "tool": _tool_stamp(),
         "config": raw,
-        "mc": {
-            "n_samples": cfg.n_samples,
-            "master_seed": cfg.master_seed,
-            "scenario_index": cfg.scenario_index,
-        },
+        "mc": mc_echo,
         "pre": blocks["pre"],
         "post": blocks["post"],
         "auc_delta": {
@@ -567,8 +458,7 @@ def cmd_simulate(args) -> int:
         },
         "self_fulfilling": report.self_fulfilling,
         "harmful_marginal": report.harm.harmful_marginal,
-    }
-    text = json.dumps(payload, indent=2)
+    }, indent=2)
     print(text)
     for which in ("pre", "post"):
         if blocks[which]["empirical"]["insufficient_cases"]:
@@ -579,8 +469,7 @@ def cmd_simulate(args) -> int:
             )
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+            fh.write(text + "\n")
     return EXIT_OK
 
 
@@ -601,6 +490,13 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lambda", dest="lam", type=float,
         help="decision threshold override (default: midpoint of fitted values)",
+    )
+
+
+def _add_records_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--csv", help="existing sweep CSV (otherwise runs the grid)")
+    parser.add_argument(
+        "--grid", default="default", help="'default' or a JSON grid path"
     )
 
 
@@ -628,14 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tables", help="aggregate sign and harm tables")
-    p.add_argument("--csv", help="existing sweep CSV (otherwise runs the grid)")
-    p.add_argument("--grid", default="default", help="'default' or a JSON grid path")
+    _add_records_arguments(p)
     p.add_argument("--out", help="directory for table CSVs and manifest")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("plot", help="emit SVG figures from sweep records")
-    p.add_argument("--csv", help="existing sweep CSV (otherwise runs the grid)")
-    p.add_argument("--grid", default="default", help="'default' or a JSON grid path")
+    _add_records_arguments(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--subset", choices=("all", "avg-beneficial"), default="all",

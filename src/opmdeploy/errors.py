@@ -36,8 +36,3 @@ class DegenerateOutcome(OpmDeployError):
 class PolicyMismatch(OpmDeployError):
     """More than one group's assignment changed between the two policies,
     which the constant-historic-policy setting rules out."""
-
-
-class InsufficientCases(OpmDeployError):
-    """A Monte Carlo sample is missing one outcome class entirely; rank
-    metrics are undefined. Signaled, not fatal: callers report it."""

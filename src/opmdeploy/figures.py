@@ -147,7 +147,8 @@ def odds_ratio_panels(
     xs = [math.exp(getattr(r, x_field)) for r in records]
     cs = [getattr(r, color_field) for r in records]
     ys = [r.auc_delta for r in records]
-    x_lo, x_hi = min(xs) / 1.12, max(xs) * 1.12
+    # Without points the x-range is fixed around an odds ratio of 1.
+    x_lo, x_hi = min(xs, default=1.0) / 1.12, max(xs, default=1.0) * 1.12
     y_amp = max(max((abs(y) for y in ys), default=0.1), 1e-3) * 1.1
     c_amp = max(max((abs(c) for c in cs), default=1.0), 1e-9)
 

@@ -48,9 +48,7 @@ class CalibrationReport:
     is_calibrated: bool
 
 
-def discrimination(
-    opm: Opm, dist: ObservedDistribution, p_x: float
-) -> DiscriminationMetrics:
+def discrimination(opm: Opm, dist: ObservedDistribution) -> DiscriminationMetrics:
     """Sens/spec/AUC of the (fixed) predictor against a distribution.
 
     The operating point is tau = max_x f(x): predictions at or above tau are
@@ -78,11 +76,6 @@ def discrimination(
         auc=0.5 * (sens + spec),
         operating_threshold=max(opm.f),
     )
-
-
-def auc_delta(pre: DiscriminationMetrics, post: DiscriminationMetrics) -> float:
-    """Post-deployment AUC minus pre-deployment AUC (same predictor)."""
-    return post.auc - pre.auc
 
 
 def is_self_fulfilling(delta: float) -> bool:

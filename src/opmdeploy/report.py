@@ -60,14 +60,14 @@ def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> Deplo
     """
     po = potential_outcomes(params)
     policy_pre = historic_policy(params.pi0)
-    pre = observed_distribution(po, policy_pre, params.p_x, label="historic")
+    pre = observed_distribution(po, policy_pre, params.p_x)
     opm = fit_opm(pre, lam)
     policy_post = derive_policy(opm)
-    post = observed_distribution(po, policy_post, params.p_x, label="deployed")
+    post = observed_distribution(po, policy_post, params.p_x)
 
-    disc_pre = metrics.discrimination(opm, pre, params.p_x)
-    disc_post = metrics.discrimination(opm, post, params.p_x)
-    delta = metrics.auc_delta(disc_pre, disc_post)
+    disc_pre = metrics.discrimination(opm, pre)
+    disc_post = metrics.discrimination(opm, post)
+    delta = disc_post.auc - disc_pre.auc
     sign = metrics.auc_shift_sign(delta)
 
     harm = classify.assess_harm(

@@ -162,7 +162,6 @@ class ObservedDistribution:
     mu: tuple[float, float]
     p_y1: float
     joint: tuple[tuple[float, float], tuple[float, float]]
-    label: str
 
 
 def potential_outcomes(params: ScenarioParams) -> PotentialOutcomes:
@@ -183,7 +182,7 @@ def potential_outcomes(params: ScenarioParams) -> PotentialOutcomes:
 
 
 def observed_distribution(
-    po: PotentialOutcomes, policy: Policy, p_x: float, label: str = ""
+    po: PotentialOutcomes, policy: Policy, p_x: float
 ) -> ObservedDistribution:
     """Distribution of (X, Y) when treatment is assigned by `policy`.
 
@@ -201,7 +200,7 @@ def observed_distribution(
         ((1.0 - p_x) * (1.0 - mu[0]), (1.0 - p_x) * mu[0]),
         (p_x * (1.0 - mu[1]), p_x * mu[1]),
     )
-    return ObservedDistribution(mu=mu, p_y1=p_y1, joint=joint, label=label)
+    return ObservedDistribution(mu=mu, p_y1=p_y1, joint=joint)
 
 
 def fit_opm(historic: ObservedDistribution, lam: float | None = None) -> Opm:

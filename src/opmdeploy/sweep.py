@@ -341,7 +341,7 @@ _INT_FIELDS = {"pi0", "sign_bt", "sign_bt_plus_bxt"}
 def _parse_value(column: str, text: str):
     if column in _BOOL_FIELDS:
         if text not in ("true", "false"):
-            raise ConfigError([f"{column}: expected true/false, got {text!r}"])
+            raise ValueError(f"expected true/false, got {text!r}")
         return text == "true"
     if column in _INT_FIELDS:
         return int(text)
@@ -353,14 +353,27 @@ def _parse_value(column: str, text: str):
 
 
 def read_records_csv(path) -> list[ScenarioRecord]:
+    """Parse a sweep CSV; a bad header, row width or cell raises ConfigError
+    naming the file, the line and (for a cell) the column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(CSV_COLUMNS):
             raise ConfigError([f"unexpected CSV header: {header!r}"])
-        return [
-            ScenarioRecord(
-                **{c: _parse_value(c, cell) for c, cell in zip(CSV_COLUMNS, row)}
-            )
-            for row in reader
-        ]
+        records = []
+        for row in reader:
+            if len(row) != len(CSV_COLUMNS):
+                raise ConfigError([
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{len(CSV_COLUMNS)} cells, got {len(row)}"
+                ])
+            values = {}
+            try:
+                for column, cell in zip(CSV_COLUMNS, row):
+                    values[column] = _parse_value(column, cell)
+            except ValueError as exc:
+                raise ConfigError([
+                    f"{path}: line {reader.line_num}, column {column}: {exc}"
+                ]) from None
+            records.append(ScenarioRecord(**values))
+        return records

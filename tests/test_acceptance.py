@@ -13,23 +13,19 @@ import numpy as np
 import pytest
 
 from conftest import exact_rank_auc, random_params
-from opmdeploy import (
-    DegenerateScenario,
-    McConfig,
-    default_grid,
-    empirical_metrics,
-    evaluate_scenario,
-    expand_and_filter,
-    sample,
-    verdict_from_signs,
-)
+from opmdeploy.classify import verdict_from_signs
 from opmdeploy.cli import main
+from opmdeploy.errors import DegenerateScenario
+from opmdeploy.mc import McConfig, empirical_metrics, sample
 from opmdeploy.metrics import auc_shift_sign
+from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import sign_with_band
 from opmdeploy.sweep import (
     REFERENCE_SIGN_TABLE,
     aggregate_harm_table,
     aggregate_sign_table,
+    default_grid,
+    expand_and_filter,
     record_from_report,
 )
 

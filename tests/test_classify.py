@@ -2,24 +2,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import LN25
-from opmdeploy import (
+from opmdeploy.classify import (
     CheckStatus,
-    DegenerateScenario,
-    OutcomePolarity,
-    Policy,
-    PolicyMismatch,
-    ScenarioParams,
     Verdict,
     assess_harm,
     check_calibration_preservation,
     check_uniform_effect_rule,
     classify_shift_subcase,
     direct_verdict,
-    evaluate_scenario,
+    verdict_from_signs,
+)
+from opmdeploy.errors import DegenerateScenario, PolicyMismatch
+from opmdeploy.report import evaluate_scenario
+from opmdeploy.scenario import (
+    OutcomePolarity,
+    Policy,
+    ScenarioParams,
     historic_policy,
     observed_distribution,
     potential_outcomes,
-    verdict_from_signs,
 )
 from test_scenario import scenario_st
 
@@ -117,7 +118,7 @@ def _harm_condition_oracle(report) -> bool:
 
 class TestHarmConditionEquivalence:
     def test_matches_on_the_default_grid(self):
-        from opmdeploy import default_grid, expand_and_filter
+        from opmdeploy.sweep import default_grid, expand_and_filter
 
         for params in expand_and_filter(default_grid()):
             r = evaluate_scenario(params)

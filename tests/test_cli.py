@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from opmdeploy.cli import main
+from opmdeploy.sweep import default_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RADIOTHERAPY = str(CONFIGS / "radiotherapy.json")
@@ -29,6 +30,22 @@ def write_config(tmp_path, **overrides) -> str:
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def write_grid(tmp_path, **overrides) -> str:
+    """The default grid as a JSON file, with some lists replaced."""
+    g = default_grid()
+    grid = {
+        "p_x_values": list(g.p_x_values), "pi0_values": list(g.pi0_values),
+        "beta0_values": list(g.beta0_values), "beta_x_values": list(g.beta_x_values),
+        "beta_t_values": list(g.beta_t_values),
+        "beta_xt_values": list(g.beta_xt_values),
+        "polarities": [p.value for p in g.polarities],
+    }
+    grid.update(overrides)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
     return str(path)
 
 
@@ -120,6 +137,15 @@ class TestSweep:
         assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "x.csv")]) == 2
         assert "beta_t_values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("polarities", "desirable"),
+        ("beta_t_values", 0.5),
+    ])
+    def test_non_list_grid_value_exits_2(self, tmp_path, capsys, key, value):
+        grid = write_grid(tmp_path, **{key: value})
+        assert main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{key}: expected a list" in capsys.readouterr().err
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         out = tmp_path / "nosuchdir" / "sweep.csv"
         assert main(["sweep", "--out", str(out)]) == 4
@@ -167,6 +193,17 @@ class TestTables:
         fresh = capsys.readouterr().out
         assert from_csv == fresh
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.2,0,-0.5", "line 3: expected 19 cells, got 3"),
+        ("abc" + ",0" * 18, "line 3, column p_x: could not convert"),
+    ], ids=["short-row", "non-numeric-p_x"])
+    def test_malformed_csv_exits_2(self, sweep_csv, tmp_path, capsys, bad_row, message):
+        header, first = sweep_csv.read_text().splitlines()[:2]
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"{header}\n{first}\n{bad_row}\n")
+        assert main(["tables", "--csv", str(csv_path)]) == 2
+        assert f"{csv_path}: {message}" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def sweep_csv(tmp_path_factory):
@@ -213,6 +250,25 @@ class TestPlot:
         assert main(["plot", "--csv", str(sweep_csv), "--out", str(out2)]) == 0
         for name in ("fig-bt-vs-diff.svg", "fig-auc-pre-vs-diff.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_header_only_csv_renders_empty_panels(self, sweep_csv, tmp_path):
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text(sweep_csv.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "figs"
+        assert main(["plot", "--csv", str(csv_path), "--out", str(out)]) == 0
+        bodies = [p.read_text() for p in out.glob("*.svg")]
+        assert len(bodies) == 4
+        assert all('r="2.4"' not in body for body in bodies)
+
+    def test_grid_without_avg_beneficial_settings(self, tmp_path):
+        grid = write_grid(
+            tmp_path, beta_t_values=[-0.5], beta_xt_values=[0.0],
+            polarities=["desirable"],
+        )
+        out = tmp_path / "figs"
+        assert main(["plot", "--grid", grid, "--out", str(out)]) == 0
+        assert 'r="2.4"' not in (out / "fig-bt-vs-diff.svg").read_text()
+        assert 'r="2.4"' in (out / "fig-bt-vs-diff-all.svg").read_text()
 
     def test_subset_flag_restricts_all_figures(self, sweep_csv, tmp_path):
         out_all = tmp_path / "all"

@@ -1,8 +1,15 @@
 import pytest
 
-from opmdeploy import OutcomePolarity, Verdict, default_grid, run_sweep, verdict_from_signs
-from opmdeploy.figures import _harmful_auc_sign, auc_pre_panel, diverging_color, odds_ratio_panels
+from opmdeploy.classify import Verdict, verdict_from_signs
+from opmdeploy.figures import (
+    _harmful_auc_sign,
+    auc_pre_panel,
+    diverging_color,
+    odds_ratio_panels,
+)
 from opmdeploy.metrics import auc_shift_sign
+from opmdeploy.scenario import OutcomePolarity
+from opmdeploy.sweep import default_grid, run_sweep
 
 
 @pytest.fixture(scope="module")

@@ -5,21 +5,11 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from conftest import LN25, random_params
-from opmdeploy import (
-    ConfigError,
-    DegenerateScenario,
-    McConfig,
-    Opm,
-    OutcomePolarity,
-    ScenarioParams,
-    default_grid,
-    empirical_metrics,
-    evaluate_scenario,
-    expand_and_filter,
-    historic_policy,
-    sample,
-)
-from opmdeploy.mc import write_sample_csv
+from opmdeploy.errors import ConfigError, DegenerateScenario
+from opmdeploy.mc import McConfig, empirical_metrics, sample, write_sample_csv
+from opmdeploy.report import evaluate_scenario
+from opmdeploy.scenario import Opm, OutcomePolarity, ScenarioParams, historic_policy
+from opmdeploy.sweep import default_grid, expand_and_filter
 
 BASE = ScenarioParams(
     p_x=0.5, pi0=0, beta0=-0.5, beta_x=LN25, beta_t=LN25, beta_xt=0.0,

@@ -2,21 +2,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import LN25, exact_rank_auc
-from opmdeploy import (
-    DegenerateOutcome,
-    DegenerateScenario,
+from opmdeploy.errors import DegenerateOutcome, DegenerateScenario
+from opmdeploy.metrics import (
+    auc_shift_sign,
+    calibration,
+    discrimination,
+    is_self_fulfilling,
+)
+from opmdeploy.report import evaluate_scenario
+from opmdeploy.scenario import (
     ObservedDistribution,
     Opm,
     OutcomePolarity,
     ScenarioParams,
-    auc_delta,
-    auc_shift_sign,
-    calibration,
-    discrimination,
-    evaluate_scenario,
     fit_opm,
     historic_policy,
-    is_self_fulfilling,
     observed_distribution,
     potential_outcomes,
 )
@@ -67,17 +67,17 @@ class TestDiscrimination:
 
     def test_constant_predictor_rejected(self):
         dist = ObservedDistribution(
-            mu=(0.4, 0.6), p_y1=0.5, joint=((0.3, 0.2), (0.2, 0.3)), label="t"
+            mu=(0.4, 0.6), p_y1=0.5, joint=((0.3, 0.2), (0.2, 0.3))
         )
         with pytest.raises(DegenerateScenario):
-            discrimination(Opm(f=(0.4, 0.4), lam=0.4), dist, 0.5)
+            discrimination(Opm(f=(0.4, 0.4), lam=0.4), dist)
 
     def test_degenerate_outcome_rejected(self):
         dist = ObservedDistribution(
-            mu=(1.0, 1.0), p_y1=1.0, joint=((0.0, 0.5), (0.0, 0.5)), label="t"
+            mu=(1.0, 1.0), p_y1=1.0, joint=((0.0, 0.5), (0.0, 0.5))
         )
         with pytest.raises(DegenerateOutcome):
-            discrimination(Opm(f=(0.4, 0.6), lam=0.5), dist, 0.5)
+            discrimination(Opm(f=(0.4, 0.6), lam=0.5), dist)
 
     @given(scenario_st)
     def test_rank_oracle_equivalence(self, params):
@@ -87,7 +87,7 @@ class TestDiscrimination:
             opm = fit_opm(pre)
         except DegenerateScenario:
             return
-        d = discrimination(opm, pre, params.p_x)
+        d = discrimination(opm, pre)
         assert d.auc == pytest.approx(
             exact_rank_auc(params.p_x, pre.mu, opm.f), abs=1e-12
         )
@@ -100,7 +100,7 @@ class TestDiscrimination:
             opm = fit_opm(pre)
         except DegenerateScenario:
             return
-        d = discrimination(opm, pre, params.p_x)
+        d = discrimination(opm, pre)
         # trapezoids under (0,0) -> (1-spec, sens) -> (1,1)
         x1, y1 = 1.0 - d.spec, d.sens
         area = 0.5 * x1 * y1 + 0.5 * (1.0 - x1) * (y1 + 1.0)
@@ -114,7 +114,7 @@ class TestDiscrimination:
             opm = fit_opm(pre)
         except DegenerateScenario:
             return
-        assert discrimination(opm, pre, params.p_x).auc >= 0.5 - 1e-12
+        assert discrimination(opm, pre).auc >= 0.5 - 1e-12
 
 
 class TestAucDelta:
@@ -129,9 +129,7 @@ class TestAucDelta:
 
     def test_delta_is_post_minus_pre(self):
         r = _example(0.3)
-        assert auc_delta(r.discrimination_pre, r.discrimination_post) == (
-            r.discrimination_post.auc - r.discrimination_pre.auc
-        )
+        assert r.auc_delta == r.discrimination_post.auc - r.discrimination_pre.auc
 
 
 class TestSelfFulfilling:
@@ -173,7 +171,7 @@ class TestCalibration:
 
     def test_constant_predictor_single_level(self):
         dist = ObservedDistribution(
-            mu=(0.3, 0.5), p_y1=0.4, joint=((0.35, 0.15), (0.25, 0.25)), label="t"
+            mu=(0.3, 0.5), p_y1=0.4, joint=((0.35, 0.15), (0.25, 0.25))
         )
         report = calibration(Opm(f=(0.4, 0.4), lam=0.4), dist, 0.5)
         assert len(report.levels) == 1

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import LN25, random_params
-from opmdeploy import (
-    ConfigError,
-    ConstantPolicy,
-    DegenerateScenario,
+from opmdeploy.errors import ConfigError, ConstantPolicy, DegenerateScenario
+from opmdeploy.scenario import (
     ObservedDistribution,
     Opm,
     OutcomePolarity,
@@ -144,20 +142,20 @@ class TestFitOpm:
 
     def test_midpoint_of_symmetric_predictions(self):
         dist = ObservedDistribution(
-            mu=(0.2, 0.8), p_y1=0.5, joint=((0.4, 0.1), (0.1, 0.4)), label="t"
+            mu=(0.2, 0.8), p_y1=0.5, joint=((0.4, 0.1), (0.1, 0.4))
         )
         assert fit_opm(dist).lam == 0.5
 
     def test_equal_conditionals_degenerate(self):
         dist = ObservedDistribution(
-            mu=(0.3, 0.3), p_y1=0.3, joint=((0.35, 0.15), (0.35, 0.15)), label="t"
+            mu=(0.3, 0.3), p_y1=0.3, joint=((0.35, 0.15), (0.35, 0.15))
         )
         with pytest.raises(DegenerateScenario):
             fit_opm(dist)
 
     def test_explicit_threshold_override(self):
         dist = ObservedDistribution(
-            mu=(0.2, 0.8), p_y1=0.5, joint=((0.4, 0.1), (0.1, 0.4)), label="t"
+            mu=(0.2, 0.8), p_y1=0.5, joint=((0.4, 0.1), (0.1, 0.4))
         )
         assert fit_opm(dist, lam=0.9).lam == 0.9
 

@@ -2,25 +2,23 @@ import math
 
 import pytest
 
-from opmdeploy import (
-    ConfigError,
+from opmdeploy.classify import Verdict
+from opmdeploy.errors import ConfigError
+from opmdeploy.scenario import OutcomePolarity
+from opmdeploy.sweep import (
     GridSpec,
-    OutcomePolarity,
-    Verdict,
+    REFERENCE_SIGN_TABLE,
+    REFERENCE_SIGN_TOTAL,
     aggregate_harm_table,
     aggregate_sign_table,
     default_grid,
     expand_and_filter,
     filter_avg_beneficial,
-    run_sweep,
-)
-from opmdeploy.sweep import (
-    REFERENCE_SIGN_TABLE,
-    REFERENCE_SIGN_TOTAL,
     is_degenerate,
     read_records_csv,
     records_to_csv_rows,
     reference_delta,
+    run_sweep,
     write_records_csv,
 )
 
@@ -126,7 +124,7 @@ class TestRunSweep:
             assert r.auc_delta == r.auc_post - r.auc_pre
 
     def test_verdict_lookup_consistency_everywhere(self, default_records):
-        from opmdeploy import verdict_from_signs
+        from opmdeploy.classify import verdict_from_signs
         from opmdeploy.metrics import auc_shift_sign
 
         for r in default_records:
