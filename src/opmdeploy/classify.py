@@ -1,9 +1,10 @@
 """Harm classification, the verdict lookup, and consistency checkers.
 
-Sign conventions live in one place: `favorable_shift` applies the outcome
-polarity to a raw probability shift, so "the inequality signs reverse" for
-undesirable outcomes is implemented exactly once and shared by the harm
-assessment and every checker.
+Sign conventions live in one place: `verdict_from_signs` maps (polarity,
+historic policy, sign of the changed group's log-odds effect) to a verdict,
+so "the inequality signs reverse" for undesirable outcomes is implemented
+exactly once. The harm flags follow from that verdict, and the checkers
+read the same coefficient signs.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import PolicyMismatch
-from .metrics import EPS_CAL
-from .scenario import (
-    ObservedDistribution,
-    OutcomePolarity,
-    Policy,
-    PotentialOutcomes,
-    sign_with_band,
-)
+from .scenario import ObservedDistribution, OutcomePolarity, effect_sign
 
 if TYPE_CHECKING:  # pragma: no cover
     from .report import DeploymentReport
@@ -48,69 +41,43 @@ class CheckResult:
 class HarmAssessment:
     """Per-group and marginal harm of a policy change.
 
-    outcome_shift[x] = mu_post(x) - mu_pre(x). Exactly one group's
-    assignment changes in this setting (or none, when the policies agree),
-    so marginal harm coincides with harm for the changed group.
+    outcome_shift[x] = mu_post(x) - mu_pre(x). A constant historic policy
+    and a nonconstant deployed one differ in exactly one group, so marginal
+    harm coincides with harm for the changed group.
     """
 
     outcome_shift: tuple[float, float]
-    changed_group: int | None
+    changed_group: int
     harmful_group: tuple[bool, bool]
     harmful_marginal: bool
-
-
-def favorable_shift(shift: float, polarity: OutcomePolarity) -> float:
-    """Outcome shift signed so that positive always means improvement."""
-    return polarity.favorable_sign * shift
 
 
 def assess_harm(
     pre: ObservedDistribution,
     post: ObservedDistribution,
-    polarity: OutcomePolarity,
-    policies: tuple[Policy, Policy],
+    changed: int,
+    verdict: Verdict,
 ) -> HarmAssessment:
     """Classify a deployment's effect on each group and on average.
 
-    A group is harmed iff its polarity-signed outcome shift is strictly
-    negative. Raises PolicyMismatch when both groups' assignments changed,
-    which the constant-historic-policy setting rules out.
+    Only the changed group's outcome moves, so it alone can be harmed, and
+    it is harmed iff the verdict is harmful.
     """
-    pol_pre, pol_post = policies
-    changed = [x for x in (0, 1) if pol_pre.assign[x] != pol_post.assign[x]]
-    if len(changed) > 1:
-        raise PolicyMismatch(
-            f"assignments changed for both groups: {pol_pre.assign} -> {pol_post.assign}"
-        )
-    shift = (post.mu[0] - pre.mu[0], post.mu[1] - pre.mu[1])
-    harmful = tuple(
-        sign_with_band(favorable_shift(shift[x], polarity)) < 0 for x in (0, 1)
-    )
+    harmful = verdict is Verdict.HARMFUL
     return HarmAssessment(
-        outcome_shift=shift,
-        changed_group=changed[0] if changed else None,
-        harmful_group=harmful,
-        harmful_marginal=any(harmful),
+        outcome_shift=(post.mu[0] - pre.mu[0], post.mu[1] - pre.mu[1]),
+        changed_group=changed,
+        harmful_group=(harmful and changed == 0, harmful and changed == 1),
+        harmful_marginal=harmful,
     )
-
-
-def direct_verdict(harm: HarmAssessment, polarity: OutcomePolarity) -> Verdict:
-    """Verdict read straight off the changed group's outcome shift."""
-    if harm.changed_group is None:
-        return Verdict.NO_CHANGE
-    signed = sign_with_band(
-        favorable_shift(harm.outcome_shift[harm.changed_group], polarity)
-    )
-    if signed == 0:
-        return Verdict.NO_CHANGE
-    return Verdict.HARMFUL if signed < 0 else Verdict.BENEFICIAL
 
 
 # Verdict by (polarity, historic assignment, sign of the AUC change). The
 # mechanism: a fitted OPM treats the higher-predicted group, so under
 # "treat no one" the changed group is the one the model can see improving
 # (AUC up <=> outcome up), while under "treat everyone" it is the
-# lower-predicted group (AUC up <=> outcome down).
+# lower-predicted group (AUC up <=> outcome down). Either way the AUC sign
+# is the sign of the changed group's log-odds treatment effect.
 _VERDICT_BY_SIGNS = {
     (OutcomePolarity.UNDESIRABLE, 0, +1): Verdict.HARMFUL,
     (OutcomePolarity.UNDESIRABLE, 0, -1): Verdict.BENEFICIAL,
@@ -133,13 +100,11 @@ def verdict_from_signs(
     return _VERDICT_BY_SIGNS[(polarity, pi0, auc_sign)]
 
 
-def check_uniform_effect_rule(
-    po: PotentialOutcomes, report: "DeploymentReport"
-) -> CheckResult:
+def check_uniform_effect_rule(report: "DeploymentReport") -> CheckResult:
     """Sufficient-condition check: treatment effects that never point down
     force a self-fulfilling deployment, effects that always point down
     (strictly) forbid one. Mixed signs are out of the rule's scope."""
-    signs = [sign_with_band(c) for c in po.cate]
+    signs = [effect_sign(report.params, x) for x in (0, 1)]
     if all(s >= 0 for s in signs):
         expected = True
     elif all(s < 0 for s in signs):
@@ -166,7 +131,7 @@ class SubcaseRow:
     assignment changed, the direction of its outcome shift, and whether that
     subcase is self-fulfilling."""
 
-    changed_group: int | None
+    changed_group: int
     pi0: int
     direction: str  # '=', '<', '>'
     expected_self_fulfilling: bool
@@ -188,20 +153,19 @@ def classify_shift_subcase(report: "DeploymentReport") -> SubcaseRow:
     down => AUC up); the '=' subcases change nothing and are trivially
     self-fulfilling.
     """
-    harm = report.harm
+    changed = report.harm.changed_group
     pi0 = report.params.pi0
-    if harm.changed_group is None:
+    # Granting treatment (pi0=0) moves the outcome with the effect,
+    # withdrawing it (pi0=1) against the effect.
+    s = effect_sign(report.params, changed) * (1 - 2 * pi0)
+    if s == 0:
         direction, expected = "=", True
+    elif s > 0:
+        direction, expected = ">", pi0 == 0
     else:
-        s = sign_with_band(harm.outcome_shift[harm.changed_group])
-        if s == 0:
-            direction, expected = "=", True
-        elif s > 0:
-            direction, expected = ">", pi0 == 0
-        else:
-            direction, expected = "<", pi0 == 1
+        direction, expected = "<", pi0 == 1
     return SubcaseRow(
-        changed_group=harm.changed_group,
+        changed_group=changed,
         pi0=pi0,
         direction=direction,
         expected_self_fulfilling=expected,
@@ -212,12 +176,12 @@ def classify_shift_subcase(report: "DeploymentReport") -> SubcaseRow:
 def check_calibration_preservation(report: "DeploymentReport") -> CheckResult:
     """Equivalence check: a predictor fitted on historic data stays
     calibrated after deployment iff, for every group, the assignment did
-    not change or the group's treatment effect is zero (within EPS_CAL) —
-    i.e. iff the deployment changed nothing consequential."""
+    not change or the group's treatment effect is zero — i.e. iff the
+    deployment changed nothing consequential."""
     policies = (report.policy_pre, report.policy_post)
     condition = all(
         policies[0].assign[x] == policies[1].assign[x]
-        or abs(report.po.cate[x]) <= EPS_CAL
+        or effect_sign(report.params, x) == 0
         for x in (0, 1)
     )
     calibrated_both = (

@@ -20,6 +20,7 @@ from .classify import CheckResult
 from .errors import (
     ConfigError,
     ConstantPolicy,
+    DegenerateOutcome,
     DegenerateScenario,
     OpmDeployError,
 )
@@ -564,7 +565,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DegenerateScenario, ConstantPolicy) as exc:
+    except (DegenerateScenario, DegenerateOutcome, ConstantPolicy) as exc:
         print(f"degenerate scenario: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except OSError as exc:

@@ -20,7 +20,7 @@ class ConfigError(OpmDeployError):
 
 
 class DegenerateScenario(OpmDeployError):
-    """The historic conditionals coincide: f(0)=f(1), so no nonconstant
+    """The historic log-odds step is zero, so f(0)=f(1): no nonconstant
     threshold policy exists and the scenario carries no usable model."""
 
 
@@ -30,9 +30,5 @@ class ConstantPolicy(OpmDeployError):
 
 
 class DegenerateOutcome(OpmDeployError):
-    """p(Y=1) is 0 or 1, so sensitivity/specificity are undefined."""
-
-
-class PolicyMismatch(OpmDeployError):
-    """More than one group's assignment changed between the two policies,
-    which the constant-historic-policy setting rules out."""
+    """p(Y=1) rounds to exactly 0 or 1, so sensitivity/specificity are
+    undefined."""

@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateOutcome, DegenerateScenario
-from .scenario import EPS_EQ, ObservedDistribution, Opm, sign_with_band
-
-# Calibration equality band. Fitted predictors reproduce the historic
-# conditionals bit-for-bit, so gaps are either rounding noise (<1e-15) or
-# a genuine treatment effect (macroscopic); 1e-12 cleanly separates them.
-EPS_CAL = 1e-12
+from .errors import DegenerateOutcome
+from .scenario import ObservedDistribution, Opm
 
 
 @dataclass(frozen=True)
@@ -48,28 +43,27 @@ class CalibrationReport:
     is_calibrated: bool
 
 
-def discrimination(opm: Opm, dist: ObservedDistribution) -> DiscriminationMetrics:
+def discrimination(
+    opm: Opm, dist: ObservedDistribution, top: int
+) -> DiscriminationMetrics:
     """Sens/spec/AUC of the (fixed) predictor against a distribution.
 
     The operating point is tau = max_x f(x): predictions at or above tau are
-    called positive, which selects exactly the higher-predicted group when f
-    is injective. With a = argmax_x f(x):
+    called positive, which selects exactly the higher-predicted group `top`
+    (decided from the log-odds step, so it stands where f(0) and f(1) round
+    to one float):
 
-        sens = p(X=a | Y=1)      spec = p(X=1-a | Y=0)
+        sens = p(X=top | Y=1)      spec = p(X=1-top | Y=0)
 
-    and AUC = (sens + spec) / 2.
+    and AUC = (sens + spec) / 2. Raises DegenerateOutcome when p(Y=1) is
+    exactly 0 or 1, where one of the two divides by zero.
     """
-    if abs(opm.f[0] - opm.f[1]) <= EPS_EQ:
-        raise DegenerateScenario(
-            f"constant predictor f={opm.f!r} has no interior ROC point"
-        )
-    if not EPS_EQ < dist.p_y1 < 1.0 - EPS_EQ:
+    if not 0.0 < dist.p_y1 < 1.0:
         raise DegenerateOutcome(
             f"p(Y=1)={dist.p_y1!r}: sensitivity/specificity undefined"
         )
-    a = 1 if opm.f[1] > opm.f[0] else 0
-    sens = dist.joint[a][1] / dist.p_y1
-    spec = dist.joint[1 - a][0] / (1.0 - dist.p_y1)
+    sens = dist.joint[top][1] / dist.p_y1
+    spec = dist.joint[1 - top][0] / (1.0 - dist.p_y1)
     return DiscriminationMetrics(
         sens=sens,
         spec=spec,
@@ -78,25 +72,17 @@ def discrimination(opm: Opm, dist: ObservedDistribution) -> DiscriminationMetric
     )
 
 
-def is_self_fulfilling(delta: float) -> bool:
-    """Deployment kept or improved discrimination (weak inequality)."""
-    return delta >= -EPS_EQ
-
-
-def auc_shift_sign(delta: float) -> int:
-    """Three-valued sign of the AUC change with a +/-eps zero band, so the
-    no-change case stays separable from genuine shifts."""
-    return sign_with_band(delta)
-
-
-def calibration(opm: Opm, dist: ObservedDistribution, p_x: float) -> CalibrationReport:
+def calibration(
+    opm: Opm, dist: ObservedDistribution, p_x: float, is_calibrated: bool
+) -> CalibrationReport:
     """Per-level calibration of the predictor against a distribution.
 
     One level per distinct predicted value. When f is injective the level at
     f(x) has conditional mean mu(x) and mass p(X=x); a constant predictor
-    has the single level (f, p(Y=1), 1).
+    has the single level (f, p(Y=1), 1). Whether the predictor is calibrated
+    is decided by the caller from coefficient signs; the gaps are reported.
     """
-    if abs(opm.f[0] - opm.f[1]) <= EPS_EQ:
+    if opm.f[0] == opm.f[1]:
         levels = (
             CalibrationLevel(alpha=opm.f[0], conditional_mean=dist.p_y1, mass=1.0),
         )
@@ -109,5 +95,5 @@ def calibration(opm: Opm, dist: ObservedDistribution, p_x: float) -> Calibration
         )
     max_gap = max(level.gap for level in levels)
     return CalibrationReport(
-        levels=levels, max_gap=max_gap, is_calibrated=max_gap <= EPS_CAL
+        levels=levels, max_gap=max_gap, is_calibrated=is_calibrated
     )

@@ -14,10 +14,12 @@ from .scenario import (
     PotentialOutcomes,
     ScenarioParams,
     derive_policy,
+    effect_sign,
     fit_opm,
     historic_policy,
     observed_distribution,
     potential_outcomes,
+    top_group,
 )
 
 
@@ -41,12 +43,12 @@ class DeploymentReport:
     calibration_post: CalibrationReport
     harm: HarmAssessment
     verdict: Verdict
-    sign_verdict: Verdict
+    sign_verdict: Verdict  # the sign lookup that decided `verdict`, so equal to it
 
     def checks(self) -> dict[str, CheckResult | SubcaseRow]:
         """The consistency checkers, run against this report."""
         return {
-            "uniform_effect_rule": classify.check_uniform_effect_rule(self.po, self),
+            "uniform_effect_rule": classify.check_uniform_effect_rule(self),
             "shift_subcase": classify.classify_shift_subcase(self),
             "calibration_preservation": classify.check_calibration_preservation(self),
         }
@@ -55,24 +57,32 @@ class DeploymentReport:
 def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> DeploymentReport:
     """Run the whole closed-form pipeline for one parameterization.
 
-    Raises DegenerateScenario when the historic conditionals coincide and
-    ConstantPolicy when an explicit `lam` yields a constant rule.
+    Every discrete outcome is decided here, once, from log-odds coefficient
+    signs: the deployed policy treats the higher-predicted group `top`; the
+    changed group is `top` under treat no one and the other group under
+    treat everyone; the sign of its treatment effect is the AUC sign, and
+    fixes the verdict, the harm flags and post-deployment calibration. The
+    probabilities are reported, never thresholded.
+
+    Raises DegenerateScenario when the historic conditionals coincide,
+    DegenerateOutcome when p(Y=1) rounds to 0 or 1, and ConstantPolicy when
+    an explicit `lam` yields a constant rule.
     """
+    top = top_group(params)
+    changed = top if params.pi0 == 0 else 1 - top
+    sign = effect_sign(params, changed)
+    verdict = classify.verdict_from_signs(params.polarity, params.pi0, sign)
+
     po = potential_outcomes(params)
     policy_pre = historic_policy(params.pi0)
     pre = observed_distribution(po, policy_pre, params.p_x)
     opm = fit_opm(pre, lam)
-    policy_post = derive_policy(opm)
+    # The default midpoint separates the two groups by construction, also
+    # where f(0) and f(1) round to one float; an explicit one is applied.
+    policy_post = Policy(assign=(1 - top, top)) if lam is None else derive_policy(opm)
     post = observed_distribution(po, policy_post, params.p_x)
-
-    disc_pre = metrics.discrimination(opm, pre)
-    disc_post = metrics.discrimination(opm, post)
-    delta = disc_post.auc - disc_pre.auc
-    sign = metrics.auc_shift_sign(delta)
-
-    harm = classify.assess_harm(
-        pre, post, params.polarity, (policy_pre, policy_post)
-    )
+    disc_pre = metrics.discrimination(opm, pre, top)
+    disc_post = metrics.discrimination(opm, post, top)
     return DeploymentReport(
         params=params,
         po=po,
@@ -83,12 +93,14 @@ def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> Deplo
         post=post,
         discrimination_pre=disc_pre,
         discrimination_post=disc_post,
-        auc_delta=delta,
+        auc_delta=disc_post.auc - disc_pre.auc,
         auc_sign=sign,
-        self_fulfilling=metrics.is_self_fulfilling(delta),
-        calibration_pre=metrics.calibration(opm, pre, params.p_x),
-        calibration_post=metrics.calibration(opm, post, params.p_x),
-        harm=harm,
-        verdict=classify.direct_verdict(harm, params.polarity),
-        sign_verdict=classify.verdict_from_signs(params.polarity, params.pi0, sign),
+        self_fulfilling=sign >= 0,
+        calibration_pre=metrics.calibration(opm, pre, params.p_x, is_calibrated=True),
+        calibration_post=metrics.calibration(
+            opm, post, params.p_x, is_calibrated=sign == 0
+        ),
+        harm=classify.assess_harm(pre, post, changed, verdict),
+        verdict=verdict,
+        sign_verdict=verdict,
     )

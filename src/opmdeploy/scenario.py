@@ -24,10 +24,11 @@ from enum import Enum
 
 from .errors import ConfigError, DegenerateScenario, ConstantPolicy
 
-# Equality band for structurally-zero quantities (fitted values, CATEs,
-# AUC shifts). All closed-form ties in this setting are algebraic, so any
-# band below 1e-9 separates true zeros from real effects; 1e-12 also
-# absorbs float rounding when a tie is produced by non-associative sums.
+# Zero band for log-odds coefficients (historic steps, per-group effects).
+# Every discrete outcome is the sign of such a coefficient; the band absorbs
+# the rounding of sums like ln(v) + ln(1/v), which are structurally zero.
+# The sweep's avg_treatment_beneficial flag also applies it to a
+# probability: that flag only selects the subset the figures plot.
 EPS_EQ = 1e-12
 
 
@@ -39,11 +40,11 @@ def logistic(eta: float) -> float:
     return z / (1.0 + z)
 
 
-def sign_with_band(value: float, eps: float = EPS_EQ) -> int:
-    """Three-valued sign with a +/-eps zero band."""
-    if value > eps:
+def sign_with_band(value: float) -> int:
+    """Three-valued sign with a +/-EPS_EQ zero band."""
+    if value > EPS_EQ:
         return 1
-    if value < -eps:
+    if value < -EPS_EQ:
         return -1
     return 0
 
@@ -94,17 +95,14 @@ class ScenarioParams:
         problems = []
         for name in ("p_x", "beta0", "beta_x", "beta_t", "beta_xt"):
             v = getattr(self, name)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                object.__setattr__(self, name, float(v))
-            else:
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
                 problems.append(f"{name}: must be a real number, got {v!r}")
+            elif not math.isfinite(v):
+                problems.append(f"{name}: must be finite, got {v!r}")
+            else:
+                object.__setattr__(self, name, float(v))
         if not problems and not 0.0 < self.p_x < 1.0:
             problems.append(f"p_x: must lie strictly in (0,1), got {self.p_x!r}")
-        if not problems and not all(
-            math.isfinite(getattr(self, n))
-            for n in ("beta0", "beta_x", "beta_t", "beta_xt")
-        ):
-            problems.append("betas must all be finite")
         if self.pi0 in (0, 1) and not isinstance(self.pi0, bool):
             object.__setattr__(self, "pi0", int(self.pi0))
         else:
@@ -203,21 +201,43 @@ def observed_distribution(
     return ObservedDistribution(mu=mu, p_y1=p_y1, joint=joint)
 
 
+def historic_step_sign(pi0: int, beta_x: float, beta_xt: float) -> int:
+    """Sign of the historic log-odds step from X=0 to X=1: beta_x under
+    treat no one, beta_x + beta_xt under treat everyone. By logistic
+    monotonicity it orders the fitted values f(0) and f(1); 0 means they
+    coincide."""
+    return sign_with_band(beta_x + beta_xt * pi0)
+
+
+def effect_sign(params: ScenarioParams, x: int) -> int:
+    """Sign of group x's treatment effect q[1][x] - q[0][x], read off its
+    log-odds effect beta_t + beta_xt*x (logistic monotonicity)."""
+    return sign_with_band(params.beta_t + params.beta_xt * x)
+
+
+def top_group(params: ScenarioParams) -> int:
+    """The group the fitted predictor ranks higher: the ROC operating point
+    and the group the default threshold treats.
+
+    Raises DegenerateScenario when the historic step is zero: a constant
+    predictor admits no nonconstant threshold policy.
+    """
+    step = historic_step_sign(params.pi0, params.beta_x, params.beta_xt)
+    if step == 0:
+        raise DegenerateScenario(
+            f"historic conditionals coincide: zero log-odds step from X=0 to "
+            f"X=1 under pi0={params.pi0}"
+        )
+    return int(step > 0)
+
+
 def fit_opm(historic: ObservedDistribution, lam: float | None = None) -> Opm:
     """Fit the predictor that perfectly matches the historic conditionals.
 
     f(x) = mu_historic(x). The default threshold is the midpoint of the two
-    fitted values, which yields a nonconstant policy whenever f(0) != f(1);
-    pass `lam` to override.
-
-    Raises DegenerateScenario when the two conditionals coincide: a constant
-    predictor admits no nonconstant threshold policy.
+    fitted values; pass `lam` to override.
     """
     f = (historic.mu[0], historic.mu[1])
-    if abs(f[0] - f[1]) <= EPS_EQ:
-        raise DegenerateScenario(
-            f"historic conditionals coincide: f(0)={f[0]!r}, f(1)={f[1]!r}"
-        )
     if lam is None:
         lam = 0.5 * (f[0] + f[1])
     return Opm(f=f, lam=float(lam))

@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass, fields
 
 from .classify import Verdict
-from .errors import ConfigError, DegenerateScenario
+from .errors import ConfigError, DegenerateOutcome
 from .report import DeploymentReport, evaluate_scenario
 from .scenario import (
-    EPS_EQ,
     OutcomePolarity,
     ScenarioParams,
+    effect_sign,
+    historic_step_sign,
     sign_with_band,
 )
 
@@ -90,13 +91,10 @@ def is_degenerate(pi0: int, beta_x: float, beta_xt: float) -> bool:
     """Historic conditionals coincide: mu0(0) = mu0(1).
 
     Under pi0=0 that is beta_x = 0; under pi0=1 it is beta_x + beta_xt = 0.
-    Checked structurally on the coefficients (with a rounding band) rather
-    than on logistic outputs, so grids built from ln(1/v) floats are still
-    caught.
+    The same step sign that `evaluate_scenario` raises on, so grids built
+    from ln(1/v) floats are still caught.
     """
-    if pi0 == 0:
-        return abs(beta_x) <= EPS_EQ
-    return abs(beta_x + beta_xt) <= EPS_EQ
+    return historic_step_sign(pi0, beta_x, beta_xt) == 0
 
 
 def expand_and_filter(grid: GridSpec) -> list[ScenarioParams]:
@@ -170,10 +168,8 @@ def record_from_report(report: DeploymentReport) -> ScenarioRecord:
         auc_post=report.discrimination_post.auc,
         auc_delta=report.auc_delta,
         self_fulfilling=report.self_fulfilling,
-        # Probability-scale per-group effect signs; by logistic monotonicity
-        # these equal the signs of beta_t and beta_t + beta_xt.
-        sign_bt=sign_with_band(p.beta_t),
-        sign_bt_plus_bxt=sign_with_band(p.beta_t + p.beta_xt),
+        sign_bt=effect_sign(p, 0),
+        sign_bt_plus_bxt=effect_sign(p, 1),
         harmful_marginal=report.harm.harmful_marginal,
         verdict=report.verdict,
         calibrated_post=report.calibration_post.is_calibrated,
@@ -190,15 +186,14 @@ def run_sweep(grid: GridSpec) -> list[ScenarioRecord]:
     Evaluations are independent (pure functions) and could run in parallel;
     the full default grid takes milliseconds sequentially, so this runs
     in-order and the output order is the expansion order by construction.
-    Settings the structural filter keeps but whose fitted values still tie
-    (possible only in hand-built grids with sub-band coefficients) are
-    excluded, never raised.
+    Settings whose p(Y=1) rounds to 0 or 1 (possible only in hand-built
+    grids with saturated log-odds) are excluded, never raised.
     """
     records = []
     for params in expand_and_filter(grid):
         try:
             records.append(record_from_report(evaluate_scenario(params)))
-        except DegenerateScenario:
+        except DegenerateOutcome:
             continue
     return records
 
@@ -359,7 +354,7 @@ def read_records_csv(path) -> list[ScenarioRecord]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(CSV_COLUMNS):
-            raise ConfigError([f"unexpected CSV header: {header!r}"])
+            raise ConfigError([f"{path}: unexpected CSV header: {header!r}"])
         records = []
         for row in reader:
             if len(row) != len(CSV_COLUMNS):

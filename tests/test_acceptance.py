@@ -17,7 +17,6 @@ from opmdeploy.classify import verdict_from_signs
 from opmdeploy.cli import main
 from opmdeploy.errors import DegenerateScenario
 from opmdeploy.mc import McConfig, empirical_metrics, sample
-from opmdeploy.metrics import auc_shift_sign
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import sign_with_band
 from opmdeploy.sweep import (
@@ -87,7 +86,7 @@ def test_criterion_2_verdict_lookup_consistency(grid_reports):
     failures = []
     for r in grid_reports:
         lookup = verdict_from_signs(
-            r.params.polarity, r.params.pi0, auc_shift_sign(r.auc_delta)
+            r.params.polarity, r.params.pi0, sign_with_band(r.auc_delta)
         )
         if lookup is not r.verdict:
             failures.append((r.params, lookup, r.verdict))

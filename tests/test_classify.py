@@ -5,23 +5,14 @@ from conftest import LN25
 from opmdeploy.classify import (
     CheckStatus,
     Verdict,
-    assess_harm,
     check_calibration_preservation,
     check_uniform_effect_rule,
     classify_shift_subcase,
-    direct_verdict,
     verdict_from_signs,
 )
-from opmdeploy.errors import DegenerateScenario, PolicyMismatch
+from opmdeploy.errors import DegenerateScenario
 from opmdeploy.report import evaluate_scenario
-from opmdeploy.scenario import (
-    OutcomePolarity,
-    Policy,
-    ScenarioParams,
-    historic_policy,
-    observed_distribution,
-    potential_outcomes,
-)
+from opmdeploy.scenario import OutcomePolarity, ScenarioParams, sign_with_band
 from test_scenario import scenario_st
 
 DESIRABLE = OutcomePolarity.DESIRABLE
@@ -77,17 +68,6 @@ class TestAssessHarm:
         assert r.harm.harmful_marginal
         assert r.verdict is Verdict.HARMFUL
 
-    def test_double_change_rejected(self):
-        params = ScenarioParams(
-            p_x=0.5, pi0=0, beta0=-0.5, beta_x=LN25, beta_t=0.2, beta_xt=0.0,
-            polarity=DESIRABLE,
-        )
-        po = potential_outcomes(params)
-        pre = observed_distribution(po, historic_policy(0), params.p_x)
-        post = observed_distribution(po, historic_policy(1), params.p_x)
-        with pytest.raises(PolicyMismatch):
-            assess_harm(pre, post, DESIRABLE, (historic_policy(0), historic_policy(1)))
-
     @given(scenario_st)
     def test_unchanged_group_never_harmed_and_marginal_matches_changed(self, params):
         try:
@@ -104,11 +84,12 @@ def _harm_condition_oracle(report) -> bool:
     """Independent restatement of when a deployment harms some group:
     treatment was withdrawn from a group it helped, or granted to a group
     it damages — with 'helps'/'damages' flipped for undesirable outcomes."""
-    sign = report.params.polarity.favorable_sign
+    p = report.params
     for x in (0, 1):
         before = report.policy_pre.assign[x]
         after = report.policy_post.assign[x]
-        effect = sign * report.po.cate[x]
+        # the sign of cate[x], restated by its log-odds effect
+        effect = p.polarity.favorable_sign * (p.beta_t + p.beta_xt * x)
         if before == 1 and after == 0 and effect > 1e-12:
             return True
         if before == 0 and after == 1 and effect < -1e-12:
@@ -131,6 +112,24 @@ class TestHarmConditionEquivalence:
         except DegenerateScenario:
             return
         assert r.harm.harmful_marginal == _harm_condition_oracle(r)
+
+
+def direct_verdict(report) -> Verdict:
+    """Oracle for the lookup: the verdict read straight off the outcome
+    shift of the group whose assignment changed. That shift is
+    +-(q[1][x] - q[0][x]), granted or withdrawn, so its sign is restated by
+    the group's log-odds effect, which carries the zero band."""
+    pre, post = report.policy_pre.assign, report.policy_post.assign
+    changed = [x for x in (0, 1) if pre[x] != post[x]]
+    if not changed:
+        return Verdict.NO_CHANGE
+    x = changed[0]
+    p = report.params
+    shift = (post[x] - pre[x]) * sign_with_band(p.beta_t + p.beta_xt * x)
+    signed = p.polarity.favorable_sign * shift
+    if signed == 0:
+        return Verdict.NO_CHANGE
+    return Verdict.HARMFUL if signed < 0 else Verdict.BENEFICIAL
 
 
 class TestVerdictFromSigns:
@@ -162,7 +161,7 @@ class TestVerdictFromSigns:
         except DegenerateScenario:
             return
         assert r.sign_verdict is r.verdict
-        assert direct_verdict(r.harm, params.polarity) is r.verdict
+        assert direct_verdict(r) is r.verdict
 
 
 class TestUniformEffectRule:
@@ -173,7 +172,7 @@ class TestUniformEffectRule:
         )
         r = evaluate_scenario(params)
         assert r.self_fulfilling
-        assert check_uniform_effect_rule(r.po, r).status is CheckStatus.PASS
+        assert check_uniform_effect_rule(r).status is CheckStatus.PASS
 
     def test_both_effects_down_passes(self):
         params = ScenarioParams(
@@ -182,7 +181,7 @@ class TestUniformEffectRule:
         )
         r = evaluate_scenario(params)
         assert not r.self_fulfilling
-        assert check_uniform_effect_rule(r.po, r).status is CheckStatus.PASS
+        assert check_uniform_effect_rule(r).status is CheckStatus.PASS
 
     def test_mixed_signs_not_applicable(self):
         params = ScenarioParams(
@@ -190,7 +189,7 @@ class TestUniformEffectRule:
             polarity=DESIRABLE,
         )
         r = evaluate_scenario(params)
-        assert check_uniform_effect_rule(r.po, r).status is CheckStatus.NOT_APPLICABLE
+        assert check_uniform_effect_rule(r).status is CheckStatus.NOT_APPLICABLE
 
     @given(scenario_st)
     def test_never_fails(self, params):
@@ -198,7 +197,7 @@ class TestUniformEffectRule:
             r = evaluate_scenario(params)
         except DegenerateScenario:
             return
-        assert check_uniform_effect_rule(r.po, r).status is not CheckStatus.FAIL
+        assert check_uniform_effect_rule(r).status is not CheckStatus.FAIL
 
 
 class TestShiftSubcase:

@@ -104,6 +104,18 @@ class TestEval:
         assert main(["eval", "--config", cfg]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    def test_non_finite_beta_names_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["eval", "--config", cfg, "--beta-t", "inf"]) == 2
+        assert "beta_t: must be finite, got inf" in capsys.readouterr().err
+
+    def test_saturated_outcome_exits_3(self, tmp_path, capsys):
+        # beta0 = 40: every outcome probability rounds to 1, so p(Y=1) = 1
+        # and sensitivity/specificity divide by zero
+        cfg = write_config(tmp_path, beta0=40.0, beta_x=1.0, beta_t=5.0)
+        assert main(["eval", "--config", cfg]) == 3
+        assert "p(Y=1)=1.0" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_default_grid_row_count_and_manifest(self, tmp_path, capsys):
@@ -164,6 +176,25 @@ class TestSweep:
         assert len(out.read_text().splitlines()) == 1 + 24 - 6
 
 
+    @pytest.mark.parametrize("beta0, retained", [(40.0, 0), (30.0, 4)])
+    def test_saturated_grid(self, tmp_path, capsys, beta0, retained):
+        # beta0 = 40 rounds p(Y=1) to 1 everywhere; at beta0 = 30 the fitted
+        # values differ by under 1e-12 but the log-odds steps do not
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "p_x_values": [0.5], "pi0_values": [0, 1], "beta0_values": [beta0],
+            "beta_x_values": [1.0], "beta_t_values": [5.0, 0.5],
+            "beta_xt_values": [0.0], "polarities": ["desirable"],
+        }))
+        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "x.csv")]) == 0
+        assert f"removed: {4 - retained}  retained: {retained}" in capsys.readouterr().out
+
+    def test_non_finite_grid_value_names_the_field(self, tmp_path, capsys):
+        grid = write_grid(tmp_path, beta0_values=[float("nan")])
+        assert main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "beta0: must be finite, got nan" in capsys.readouterr().err
+
+
 class TestTables:
     def test_harm_table_matches_reference_exactly(self, tmp_path, capsys):
         out = tmp_path / "tables"
@@ -203,6 +234,13 @@ class TestTables:
         csv_path.write_text(f"{header}\n{first}\n{bad_row}\n")
         assert main(["tables", "--csv", str(csv_path)]) == 2
         assert f"{csv_path}: {message}" in capsys.readouterr().err
+
+    def test_unexpected_header_names_the_file(self, sweep_csv, tmp_path, capsys):
+        header, first = sweep_csv.read_text().splitlines()[:2]
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"{header.replace('p_x', 'px', 1)}\n{first}\n")
+        assert main(["tables", "--csv", str(csv_path)]) == 2
+        assert f"{csv_path}: unexpected CSV header" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,7 @@ from opmdeploy.figures import (
     diverging_color,
     odds_ratio_panels,
 )
-from opmdeploy.metrics import auc_shift_sign
-from opmdeploy.scenario import OutcomePolarity
+from opmdeploy.scenario import OutcomePolarity, sign_with_band
 from opmdeploy.sweep import default_grid, run_sweep
 
 
@@ -37,9 +36,9 @@ def test_every_point_in_a_shaded_region_is_marginally_harmful(records):
     # harmful flag the CSV exposes
     for r in records:
         side = _harmful_auc_sign(r.polarity, r.pi0)
-        if auc_shift_sign(r.auc_delta) == side:
+        if sign_with_band(r.auc_delta) == side:
             assert r.harmful_marginal
-        elif auc_shift_sign(r.auc_delta) == -side:
+        elif sign_with_band(r.auc_delta) == -side:
             assert not r.harmful_marginal
 
 

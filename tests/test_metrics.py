@@ -3,12 +3,7 @@ from hypothesis import given, strategies as st
 
 from conftest import LN25, exact_rank_auc
 from opmdeploy.errors import DegenerateOutcome, DegenerateScenario
-from opmdeploy.metrics import (
-    auc_shift_sign,
-    calibration,
-    discrimination,
-    is_self_fulfilling,
-)
+from opmdeploy.metrics import calibration, discrimination
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     ObservedDistribution,
@@ -19,6 +14,8 @@ from opmdeploy.scenario import (
     historic_policy,
     observed_distribution,
     potential_outcomes,
+    sign_with_band,
+    top_group,
 )
 from test_scenario import scenario_st
 
@@ -66,28 +63,36 @@ class TestDiscrimination:
         assert r.discrimination_post.auc == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_predictor_rejected(self):
-        dist = ObservedDistribution(
-            mu=(0.4, 0.6), p_y1=0.5, joint=((0.3, 0.2), (0.2, 0.3))
-        )
+        # a zero historic log-odds step fits a constant predictor, which has
+        # no interior ROC point
         with pytest.raises(DegenerateScenario):
-            discrimination(Opm(f=(0.4, 0.4), lam=0.4), dist)
+            evaluate_scenario(ScenarioParams(
+                p_x=0.5, pi0=0, beta0=-0.5, beta_x=0.0, beta_t=0.3,
+                beta_xt=0.2, polarity=OutcomePolarity.DESIRABLE,
+            ))
+        with pytest.raises(DegenerateScenario):
+            evaluate_scenario(ScenarioParams(
+                p_x=0.5, pi0=1, beta0=-0.5, beta_x=0.4, beta_t=0.3,
+                beta_xt=-0.4, polarity=OutcomePolarity.DESIRABLE,
+            ))
 
     def test_degenerate_outcome_rejected(self):
         dist = ObservedDistribution(
             mu=(1.0, 1.0), p_y1=1.0, joint=((0.0, 0.5), (0.0, 0.5))
         )
         with pytest.raises(DegenerateOutcome):
-            discrimination(Opm(f=(0.4, 0.6), lam=0.5), dist)
+            discrimination(Opm(f=(0.4, 0.6), lam=0.5), dist, 1)
 
     @given(scenario_st)
     def test_rank_oracle_equivalence(self, params):
         po = potential_outcomes(params)
         pre = observed_distribution(po, historic_policy(params.pi0), params.p_x)
         try:
-            opm = fit_opm(pre)
+            top = top_group(params)
         except DegenerateScenario:
             return
-        d = discrimination(opm, pre)
+        opm = fit_opm(pre)
+        d = discrimination(opm, pre, top)
         assert d.auc == pytest.approx(
             exact_rank_auc(params.p_x, pre.mu, opm.f), abs=1e-12
         )
@@ -97,10 +102,11 @@ class TestDiscrimination:
         po = potential_outcomes(params)
         pre = observed_distribution(po, historic_policy(params.pi0), params.p_x)
         try:
-            opm = fit_opm(pre)
+            top = top_group(params)
         except DegenerateScenario:
             return
-        d = discrimination(opm, pre)
+        opm = fit_opm(pre)
+        d = discrimination(opm, pre, top)
         # trapezoids under (0,0) -> (1-spec, sens) -> (1,1)
         x1, y1 = 1.0 - d.spec, d.sens
         area = 0.5 * x1 * y1 + 0.5 * (1.0 - x1) * (y1 + 1.0)
@@ -111,17 +117,17 @@ class TestDiscrimination:
         po = potential_outcomes(params)
         pre = observed_distribution(po, historic_policy(params.pi0), params.p_x)
         try:
-            opm = fit_opm(pre)
+            top = top_group(params)
         except DegenerateScenario:
             return
-        assert discrimination(opm, pre).auc >= 0.5 - 1e-12
+        assert discrimination(fit_opm(pre), pre, top).auc >= 0.5 - 1e-12
 
 
 class TestAucDelta:
     def test_no_distribution_change_gives_zero(self):
         r = _example(0.0)
         assert r.auc_delta == 0.0
-        assert auc_shift_sign(r.auc_delta) == 0
+        assert sign_with_band(r.auc_delta) == 0
 
     def test_positive_and_negative_shifts(self):
         assert _example(LN25).auc_delta == pytest.approx(DELTA_UP, abs=1e-12)
@@ -134,14 +140,17 @@ class TestAucDelta:
 
 class TestSelfFulfilling:
     def test_weak_inequality(self):
-        assert is_self_fulfilling(DELTA_UP)
-        assert is_self_fulfilling(0.0)
-        assert not is_self_fulfilling(DELTA_DOWN)
+        assert _example(LN25).self_fulfilling
+        assert _example(0.0).self_fulfilling
+        assert not _example(-LN25).self_fulfilling
 
     def test_sign_band_separates_no_change(self):
-        assert auc_shift_sign(1e-15) == 0
-        assert auc_shift_sign(1e-9) == 1
-        assert auc_shift_sign(-1e-9) == -1
+        # the zero band sits on the changed group's log-odds effect
+        assert _example(1e-15).auc_sign == 0
+        assert _example(1e-15).self_fulfilling
+        assert _example(1e-9).auc_sign == 1
+        assert _example(-1e-9).auc_sign == -1
+        assert not _example(-1e-9).self_fulfilling
 
 
 class TestCalibration:
@@ -173,7 +182,7 @@ class TestCalibration:
         dist = ObservedDistribution(
             mu=(0.3, 0.5), p_y1=0.4, joint=((0.35, 0.15), (0.25, 0.25))
         )
-        report = calibration(Opm(f=(0.4, 0.4), lam=0.4), dist, 0.5)
+        report = calibration(Opm(f=(0.4, 0.4), lam=0.4), dist, 0.5, is_calibrated=True)
         assert len(report.levels) == 1
         assert report.levels[0].conditional_mean == dist.p_y1
         assert report.levels[0].mass == 1.0
@@ -186,8 +195,12 @@ class TestCalibration:
             r = evaluate_scenario(params)
         except DegenerateScenario:
             return
+        # the deployed distribution matches the fit where the group's
+        # conditional is unchanged or its log-odds effect is zero
         matches = all(
-            abs(r.post.mu[x] - r.opm.f[x]) <= 1e-12 for x in (0, 1)
+            r.post.mu[x] == r.opm.f[x]
+            or abs(params.beta_t + params.beta_xt * x) <= 1e-12
+            for x in (0, 1)
         )
         assert r.calibration_post.is_calibrated == matches
         assert pre.mu == r.opm.f

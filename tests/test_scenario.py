@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import LN25, random_params
 from opmdeploy.errors import ConfigError, ConstantPolicy, DegenerateScenario
+from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     ObservedDistribution,
     Opm,
@@ -16,6 +17,7 @@ from opmdeploy.scenario import (
     logistic,
     observed_distribution,
     potential_outcomes,
+    top_group,
 )
 
 # Frozen oracle values (high-precision logistic, 40 digits, rounded to double).
@@ -147,11 +149,13 @@ class TestFitOpm:
         assert fit_opm(dist).lam == 0.5
 
     def test_equal_conditionals_degenerate(self):
-        dist = ObservedDistribution(
-            mu=(0.3, 0.3), p_y1=0.3, joint=((0.35, 0.15), (0.35, 0.15))
-        )
+        # the historic conditionals coincide iff the historic log-odds step
+        # is zero: beta_x under treat no one, beta_x + beta_xt under treat
+        # everyone
         with pytest.raises(DegenerateScenario):
-            fit_opm(dist)
+            evaluate_scenario(params_with(beta_x=0.0, beta_xt=0.6))
+        with pytest.raises(DegenerateScenario):
+            evaluate_scenario(params_with(pi0=1, beta_x=0.6, beta_xt=-0.6))
 
     def test_explicit_threshold_override(self):
         dist = ObservedDistribution(
@@ -174,10 +178,10 @@ class TestDerivePolicy:
         po = potential_outcomes(params)
         dist = observed_distribution(po, historic_policy(params.pi0), params.p_x)
         try:
-            opm = fit_opm(dist)
+            top_group(params)
         except DegenerateScenario:
             return
-        policy = derive_policy(opm)
+        policy = derive_policy(fit_opm(dist))
         assert policy == derive_policy(fit_opm(dist))
         assert not policy.is_constant
 

@@ -125,10 +125,10 @@ class TestRunSweep:
 
     def test_verdict_lookup_consistency_everywhere(self, default_records):
         from opmdeploy.classify import verdict_from_signs
-        from opmdeploy.metrics import auc_shift_sign
+        from opmdeploy.scenario import sign_with_band
 
         for r in default_records:
-            lookup = verdict_from_signs(r.polarity, r.pi0, auc_shift_sign(r.auc_delta))
+            lookup = verdict_from_signs(r.polarity, r.pi0, sign_with_band(r.auc_delta))
             assert lookup is r.verdict
 
     def test_determinism_byte_identical(self, default_records, tmp_path):
@@ -144,9 +144,9 @@ class TestRunSweep:
         run_sweep(default_grid())
         assert time.perf_counter() - t0 < 1.0
 
-    def test_sub_band_tie_excluded_not_raised(self):
-        # beta_x above the structural band but with fitted values closer
-        # than the tie tolerance: skipped, not an error
+    def test_sub_band_fitted_tie_retained(self):
+        # beta_x above the log-odds zero band, with fitted values closer
+        # than 1e-12: the step sign decides, so the setting is kept
         grid = GridSpec(
             p_x_values=(0.5,), pi0_values=(0,), beta0_values=(-0.5,),
             beta_x_values=(2e-12, 0.5), beta_t_values=(0.3,),
@@ -154,8 +154,8 @@ class TestRunSweep:
         )
         assert len(expand_and_filter(grid)) == 2
         records = run_sweep(grid)
-        assert len(records) == 1
-        assert records[0].beta_x == 0.5
+        assert [r.beta_x for r in records] == [2e-12, 0.5]
+        assert records[0].verdict is Verdict.BENEFICIAL
 
 
 class TestSignTable:
