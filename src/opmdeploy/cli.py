@@ -111,11 +111,18 @@ def _grid_echo(grid: sweep.GridSpec) -> dict:
     return echo
 
 
-def _records_from_args(args) -> tuple[list[sweep.ScenarioRecord], dict]:
+def _records_from_args(args) -> tuple[list[sweep.ScenarioRecord], dict, bool]:
+    """The records, their source echo, and whether they are the default
+    grid's (the only records the reference cross-check applies to)."""
     if args.csv:
-        return sweep.read_records_csv(args.csv), {"csv": str(args.csv)}
+        records = sweep.read_records_csv(args.csv)
+        return records, {"csv": str(args.csv)}, sweep.is_default_grid(records)
     grid = _load_grid(args.grid)
-    return sweep.run_sweep(grid), {"grid": _grid_echo(grid)}
+    return (
+        sweep.run_sweep(grid),
+        {"grid": _grid_echo(grid)},
+        grid == sweep.default_grid(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +177,7 @@ def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
         },
         "harm": dict(vars(report.harm)),
         "verdict": report.verdict.value,
-        "sign_verdict": report.sign_verdict.value,
+        "sign_verdict": report.verdict.value,
         "checks": {name: _check_to_json(c) for name, c in report.checks().items()},
     }
 
@@ -213,7 +220,7 @@ def _print_report(report: DeploymentReport) -> None:
         f"changed_group={harm.changed_group}  harmful_group={list(harm.harmful_group)}  "
         f"marginal={str(harm.harmful_marginal).lower()}"
     )
-    print(f"verdict: {report.verdict.value}  (sign lookup: {report.sign_verdict.value})")
+    print(f"verdict: {report.verdict.value}  (sign lookup: {report.verdict.value})")
     for name, check in report.checks().items():
         if isinstance(check, CheckResult):
             print(f"check {name}: {check.status.value}  {check.detail}")
@@ -248,15 +255,14 @@ def cmd_sweep(args) -> int:
         "removed_degenerate": grid.cardinality - len(records),
         "retained": len(records),
     }
-    sign_table = sweep.aggregate_sign_table(records)
+    manifest = {"tool": _tool_stamp(), "grid": _grid_echo(grid), "counts": counts}
+    if grid == sweep.default_grid():
+        manifest["reference_delta"] = sweep.reference_delta(
+            sweep.aggregate_sign_table(records), len(records)
+        )
+    manifest["timestamp"] = _timestamp()
     manifest_path = str(args.out) + ".manifest.json"
-    _write_json(manifest_path, {
-        "tool": _tool_stamp(),
-        "grid": _grid_echo(grid),
-        "counts": counts,
-        "reference_delta": sweep.reference_delta(sign_table, len(records)),
-        "timestamp": _timestamp(),
-    })
+    _write_json(manifest_path, manifest)
     print(
         f"grid settings: {counts['cardinality']}  removed: "
         f"{counts['removed_degenerate']}  retained: {counts['retained']}"
@@ -290,9 +296,8 @@ _POLARITY_WORD = {
 
 
 def cmd_tables(args) -> int:
-    records, source = _records_from_args(args)
+    records, source, default = _records_from_args(args)
     sign_table = sweep.aggregate_sign_table(records)
-    delta = sweep.reference_delta(sign_table, len(records))
     tables = (
         (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
         (_HARM_TABLE, [
@@ -306,16 +311,20 @@ def cmd_tables(args) -> int:
     for (_, _, header, row_format), rows in tables:
         print("\n".join([header] + [row_format.format(*row) for row in rows]))
         print()
-    print("reference tabulation cross-check:")
-    print(
-        f"  retained here: {delta['retained']}   reference total: "
-        f"{delta['reference_total']}   count delta: {delta['count_delta']}"
-    )
-    print(
-        f"  cell count differences after orientation swap: "
-        f"{delta['cell_deltas_after_orientation_swap'] or 'none'}"
-    )
-    print(f"  note: {delta['orientation_note']}")
+    reference = {}
+    if default:
+        delta = sweep.reference_delta(sign_table, len(records))
+        reference["reference_delta"] = delta
+        print("reference tabulation cross-check:")
+        print(
+            f"  retained here: {delta['retained']}   reference total: "
+            f"{delta['reference_total']}   count delta: {delta['count_delta']}"
+        )
+        print(
+            f"  cell count differences after orientation swap: "
+            f"{delta['cell_deltas_after_orientation_swap'] or 'none'}"
+        )
+        print(f"  note: {delta['orientation_note']}")
 
     if args.out:
         out = Path(args.out)
@@ -328,7 +337,7 @@ def cmd_tables(args) -> int:
         _write_json(out / "tables_manifest.json", {
             "tool": _tool_stamp(),
             "source": source,
-            "reference_delta": delta,
+            **reference,
             "timestamp": _timestamp(),
         })
         print(f"\nwrote {out / 'sign_table.csv'}, {out / 'harm_table.csv'}, "
@@ -358,7 +367,7 @@ _FIGURES = (
 
 
 def cmd_plot(args) -> int:
-    records, source = _records_from_args(args)
+    records, source, _ = _records_from_args(args)
     if args.subset == "avg-beneficial":
         records = sweep.filter_avg_beneficial(records)
     beneficial = sweep.filter_avg_beneficial(records)
@@ -418,7 +427,7 @@ def cmd_simulate(args) -> int:
     blocks = {}
     for which, policy in (("pre", report.policy_pre), ("post", report.policy_post)):
         table = mc.sample(params, policy, cfg)
-        emp = _empirical_block(mc.empirical_metrics(table, report.opm))
+        emp = _empirical_block(mc.empirical_metrics(table, report.top))
         if args.dump_samples:
             path = f"{args.dump_samples}.{which}.csv"
             mc.write_sample_csv(table, path)

@@ -12,9 +12,7 @@ class OpmDeployError(Exception):
 class ConfigError(OpmDeployError):
     """A parameter or config file violates its stated invariants."""
 
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
+    def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
@@ -25,8 +23,9 @@ class DegenerateScenario(OpmDeployError):
 
 
 class ConstantPolicy(OpmDeployError):
-    """The chosen threshold puts both groups on the same side, producing a
-    constant policy (only reachable with an explicit threshold override)."""
+    """An explicit threshold does not lie in [f(other), f(top)), so the
+    threshold rule would not treat exactly the higher-predicted group `top`
+    that the deployed policy treats."""
 
 
 class DegenerateOutcome(OpmDeployError):

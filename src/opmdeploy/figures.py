@@ -111,11 +111,9 @@ class _Axis:
 
 
 def _harmful_auc_sign(polarity: OutcomePolarity, pi0: int) -> int:
-    """Which AUC-shift sign the verdict lookup labels harmful in a panel."""
-    for s in (1, -1):
-        if verdict_from_signs(polarity, pi0, s) is Verdict.HARMFUL:
-            return s
-    raise AssertionError("every (polarity, pi0) panel has a harmful side")
+    """Which AUC-shift sign the verdict lookup labels harmful in a panel:
+    the lookup labels one sign harmful and the other beneficial."""
+    return 1 if verdict_from_signs(polarity, pi0, 1) is Verdict.HARMFUL else -1
 
 
 _PANEL_ROWS = (OutcomePolarity.UNDESIRABLE, OutcomePolarity.DESIRABLE)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .scenario import Opm, Policy, ScenarioParams, potential_outcomes
+from .scenario import Policy, ScenarioParams, potential_outcomes
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,15 @@ def sample(params: ScenarioParams, policy: Policy, cfg: McConfig) -> np.ndarray:
     return np.column_stack([x, t, y])
 
 
-def empirical_metrics(table: np.ndarray, opm: Opm) -> EmpiricalMetrics:
+def empirical_metrics(table: np.ndarray, top: int) -> EmpiricalMetrics:
     """Rank-based AUC plus plug-in sens/spec/group means for a sample.
 
-    The predictor takes two values, so the rank statistic reduces to cell
-    counts: with a the higher-predicted group, P(f+ > f-) + P(f+ = f-)/2
-    over positive/negative pairs.
+    The predictor ranks group `top` above the other, so the rank statistic
+    reduces to cell counts: P(f+ > f-) + P(f+ = f-)/2 over
+    positive/negative pairs, where pairs from one group tie.
     """
     x = table[:, 0].astype(np.int64)
     y = table[:, 2].astype(np.int64)
-    a = 1 if opm.f[1] > opm.f[0] else 0
 
     n_x1 = int(x.sum())
     n = len(x)
@@ -111,18 +110,15 @@ def empirical_metrics(table: np.ndarray, opm: Opm) -> EmpiricalMetrics:
             mu_hat=mu_hat, n_pos=n_pos, n_neg=n_neg,
         )
 
-    pos_a, pos_b = counts[(a, 1)], counts[(1 - a, 1)]
-    neg_a, neg_b = counts[(a, 0)], counts[(1 - a, 0)]
-    if opm.f[0] == opm.f[1]:
-        auc_hat = 0.5  # all pairs tie
-    else:
-        auc_hat = (pos_a * neg_b + 0.5 * (pos_a * neg_a + pos_b * neg_b)) / (
-            n_pos * n_neg
-        )
+    pos_top, pos_other = counts[(top, 1)], counts[(1 - top, 1)]
+    neg_top, neg_other = counts[(top, 0)], counts[(1 - top, 0)]
+    auc_hat = (
+        pos_top * neg_other + 0.5 * (pos_top * neg_top + pos_other * neg_other)
+    ) / (n_pos * n_neg)
     return EmpiricalMetrics(
         auc_hat=auc_hat,
-        sens_hat=pos_a / n_pos,
-        spec_hat=neg_b / n_neg,
+        sens_hat=pos_top / n_pos,
+        spec_hat=neg_other / n_neg,
         mu_hat=mu_hat,
         n_pos=n_pos,
         n_neg=n_neg,

@@ -1,9 +1,10 @@
 """Closed-form discrimination and calibration for a two-valued predictor.
 
 With a binary feature the predictor takes at most two values, so the ROC
-curve has a single interior operating point (tau = max f) and the area under
-it is the trapezoid value (sens + spec) / 2. Sensitivity and specificity
-come straight off the four-cell joint by Bayes.
+curve has a single interior operating point (the higher-predicted group
+called positive) and the area under it is the trapezoid value
+(sens + spec) / 2. Sensitivity and specificity come straight off the
+four-cell joint by Bayes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ class DiscriminationMetrics:
     sens: float
     spec: float
     auc: float
-    operating_threshold: float
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,10 @@ class CalibrationReport:
     is_calibrated: bool
 
 
-def discrimination(
-    opm: Opm, dist: ObservedDistribution, top: int
-) -> DiscriminationMetrics:
-    """Sens/spec/AUC of the (fixed) predictor against a distribution.
+def discrimination(dist: ObservedDistribution, top: int) -> DiscriminationMetrics:
+    """Sens/spec/AUC of the fitted predictor against a distribution.
 
-    The operating point is tau = max_x f(x): predictions at or above tau are
-    called positive, which selects exactly the higher-predicted group `top`
+    The operating point calls the higher-predicted group `top` positive
     (decided from the log-odds step, so it stands where f(0) and f(1) round
     to one float):
 
@@ -64,12 +61,7 @@ def discrimination(
         )
     sens = dist.joint[top][1] / dist.p_y1
     spec = dist.joint[1 - top][0] / (1.0 - dist.p_y1)
-    return DiscriminationMetrics(
-        sens=sens,
-        spec=spec,
-        auc=0.5 * (sens + spec),
-        operating_threshold=max(opm.f),
-    )
+    return DiscriminationMetrics(sens=sens, spec=spec, auc=0.5 * (sens + spec))
 
 
 def calibration(

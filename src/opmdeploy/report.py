@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from . import classify, metrics
 from .classify import CheckResult, HarmAssessment, SubcaseRow, Verdict
+from .errors import ConstantPolicy
 from .metrics import CalibrationReport, DiscriminationMetrics
 from .scenario import (
     ObservedDistribution,
@@ -13,7 +14,6 @@ from .scenario import (
     Policy,
     PotentialOutcomes,
     ScenarioParams,
-    derive_policy,
     effect_sign,
     fit_opm,
     historic_policy,
@@ -30,6 +30,7 @@ class DeploymentReport:
     params: ScenarioParams
     po: PotentialOutcomes
     opm: Opm
+    top: int  # the group the predictor ranks higher, and the one it treats
     policy_pre: Policy
     policy_post: Policy
     pre: ObservedDistribution
@@ -43,7 +44,6 @@ class DeploymentReport:
     calibration_post: CalibrationReport
     harm: HarmAssessment
     verdict: Verdict
-    sign_verdict: Verdict  # the sign lookup that decided `verdict`, so equal to it
 
     def checks(self) -> dict[str, CheckResult | SubcaseRow]:
         """The consistency checkers, run against this report."""
@@ -66,7 +66,8 @@ def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> Deplo
 
     Raises DegenerateScenario when the historic conditionals coincide,
     DegenerateOutcome when p(Y=1) rounds to 0 or 1, and ConstantPolicy when
-    an explicit `lam` yields a constant rule.
+    an explicit `lam` does not lie in [f(1-top), f(top)), so that the rule
+    "treat group x iff f(x) > lam" would not treat exactly `top`.
     """
     top = top_group(params)
     changed = top if params.pi0 == 0 else 1 - top
@@ -77,16 +78,24 @@ def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> Deplo
     policy_pre = historic_policy(params.pi0)
     pre = observed_distribution(po, policy_pre, params.p_x)
     opm = fit_opm(pre, lam)
-    # The default midpoint separates the two groups by construction, also
-    # where f(0) and f(1) round to one float; an explicit one is applied.
-    policy_post = Policy(assign=(1 - top, top)) if lam is None else derive_policy(opm)
+    # The threshold is only reported: where f(0) and f(1) round to one
+    # float, or rounding puts them in the wrong order, no threshold
+    # separates them, and the deployed policy still treats `top`. An
+    # explicit one must agree with that policy.
+    if lam is not None and not opm.f[1 - top] <= opm.lam < opm.f[top]:
+        raise ConstantPolicy(
+            f"threshold {opm.lam!r} does not lie in [f({1 - top}), f({top})) = "
+            f"[{opm.f[1 - top]!r}, {opm.f[top]!r})"
+        )
+    policy_post = Policy(assign=(1 - top, top))
     post = observed_distribution(po, policy_post, params.p_x)
-    disc_pre = metrics.discrimination(opm, pre, top)
-    disc_post = metrics.discrimination(opm, post, top)
+    disc_pre = metrics.discrimination(pre, top)
+    disc_post = metrics.discrimination(post, top)
     return DeploymentReport(
         params=params,
         po=po,
         opm=opm,
+        top=top,
         policy_pre=policy_pre,
         policy_post=policy_post,
         pre=pre,
@@ -102,5 +111,4 @@ def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> Deplo
         ),
         harm=classify.assess_harm(pre, post, changed, verdict),
         verdict=verdict,
-        sign_verdict=verdict,
     )

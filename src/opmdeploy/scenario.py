@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, DegenerateScenario, ConstantPolicy
+from .errors import ConfigError, DegenerateScenario
 
 # Zero band for log-odds coefficients (historic steps, per-group effects).
 # Every discrete outcome is the sign of such a coefficient; the band absorbs
@@ -64,8 +64,6 @@ class OutcomePolarity(Enum):
 
 
 def parse_polarity(value) -> OutcomePolarity:
-    if isinstance(value, OutcomePolarity):
-        return value
     try:
         return OutcomePolarity(str(value).strip().lower())
     except ValueError:
@@ -131,10 +129,6 @@ class Policy:
 
     assign: tuple[int, int]
 
-    @property
-    def is_constant(self) -> bool:
-        return self.assign[0] == self.assign[1]
-
 
 def historic_policy(pi0: int) -> Policy:
     return Policy(assign=(pi0, pi0))
@@ -143,7 +137,7 @@ def historic_policy(pi0: int) -> Policy:
 @dataclass(frozen=True)
 class Opm:
     """A fitted predictor: one predicted probability per group, plus the
-    decision threshold used to derive a policy from it."""
+    decision threshold "treat group x iff f(x) > lam" it is deployed with."""
 
     f: tuple[float, float]
     lam: float
@@ -217,7 +211,7 @@ def effect_sign(params: ScenarioParams, x: int) -> int:
 
 def top_group(params: ScenarioParams) -> int:
     """The group the fitted predictor ranks higher: the ROC operating point
-    and the group the default threshold treats.
+    and the group the deployed policy treats.
 
     Raises DegenerateScenario when the historic step is zero: a constant
     predictor admits no nonconstant threshold policy.
@@ -242,18 +236,3 @@ def fit_opm(historic: ObservedDistribution, lam: float | None = None) -> Opm:
         lam = 0.5 * (f[0] + f[1])
     return Opm(f=f, lam=float(lam))
 
-
-def derive_policy(opm: Opm) -> Policy:
-    """Threshold rule: treat group x iff f(x) > lambda.
-
-    The rule is polarity-independent (it reads "treat high predicted risk"
-    or "treat high predicted survival" depending on what Y=1 means).
-    Raises ConstantPolicy when both groups land on the same side.
-    """
-    assign = (int(opm.f[0] > opm.lam), int(opm.f[1] > opm.lam))
-    policy = Policy(assign=assign)
-    if policy.is_constant:
-        raise ConstantPolicy(
-            f"threshold {opm.lam!r} puts both predictions {opm.f!r} on one side"
-        )
-    return policy

@@ -97,11 +97,10 @@ def is_degenerate(pi0: int, beta_x: float, beta_xt: float) -> bool:
     return historic_step_sign(pi0, beta_x, beta_xt) == 0
 
 
-def expand_and_filter(grid: GridSpec) -> list[ScenarioParams]:
+def _retained_settings(grid: GridSpec):
     """Cartesian product in the canonical order of the grid lists, minus
-    degenerate settings."""
-    out = []
-    for p_x, pi0, b0, bx, bt, bxt, pol in itertools.product(
+    degenerate settings, as plain tuples in `ScenarioParams` field order."""
+    for setting in itertools.product(
         grid.p_x_values,
         grid.pi0_values,
         grid.beta0_values,
@@ -110,15 +109,14 @@ def expand_and_filter(grid: GridSpec) -> list[ScenarioParams]:
         grid.beta_xt_values,
         grid.polarities,
     ):
-        if is_degenerate(pi0, bx, bxt):
-            continue
-        out.append(
-            ScenarioParams(
-                p_x=p_x, pi0=pi0, beta0=b0, beta_x=bx, beta_t=bt,
-                beta_xt=bxt, polarity=pol,
-            )
-        )
-    return out
+        _, pi0, _, bx, _, bxt, _ = setting
+        if not is_degenerate(pi0, bx, bxt):
+            yield setting
+
+
+def expand_and_filter(grid: GridSpec) -> list[ScenarioParams]:
+    """The retained settings of `grid`, validated, in canonical order."""
+    return [ScenarioParams(*setting) for setting in _retained_settings(grid)]
 
 
 @dataclass(frozen=True)
@@ -270,6 +268,16 @@ ORIENTATION_NOTE = (
     "follows the definition 'AUC stays equal or rises', under which "
     "uniformly nonnegative treatment effects are always self-fulfilling."
 )
+
+
+def is_default_grid(records: list[ScenarioRecord]) -> bool:
+    """Whether the records hold exactly the default grid's retained
+    settings, in order: the only record set the published reference
+    tabulation describes."""
+    return [
+        (r.p_x, r.pi0, r.beta0, r.beta_x, r.beta_t, r.beta_xt, r.polarity)
+        for r in records
+    ] == list(_retained_settings(default_grid()))
 
 
 def reference_delta(

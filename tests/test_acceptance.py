@@ -193,7 +193,7 @@ def test_criterion_6_closed_form_vs_oracle():
             if abs(disc.auc - oracle) > 1e-12:
                 failures.append(("enumeration", idx, disc.auc, oracle))
             cfg = McConfig(n_samples=n, master_seed=1729, scenario_index=idx)
-            emp = empirical_metrics(sample(params, policy, cfg), r.opm)
+            emp = empirical_metrics(sample(params, policy, cfg), r.top)
             if emp.auc_hat is None or abs(emp.auc_hat - disc.auc) > 0.005:
                 failures.append(("monte carlo", idx, emp.auc_hat, disc.auc))
     elapsed = time.perf_counter() - t0

@@ -160,7 +160,7 @@ class TestVerdictFromSigns:
             r = evaluate_scenario(params)
         except DegenerateScenario:
             return
-        assert r.sign_verdict is r.verdict
+        assert verdict_from_signs(params.polarity, params.pi0, r.auc_sign) is r.verdict
         assert direct_verdict(r) is r.verdict
 
 

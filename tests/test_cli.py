@@ -99,6 +99,21 @@ class TestEval:
         cfg = write_config(tmp_path, beta_x=0.9, **{"lambda": 0.99})
         assert main(["eval", "--config", cfg]) == 3
 
+    def test_lambda_on_the_wrong_side_of_misordered_fits_exits_3(self, capsys):
+        # beta_x + beta_xt = -1.8e-12 puts group 0 on top, but rounding in
+        # the log-odds sums puts f(1) above f(0); the threshold lies between
+        # them and would treat group 1, against the deployed policy
+        scenario = [
+            "--p-x", "0.5", "--pi0", "1", "--beta0", "-26145.68172930212",
+            "--beta-x", "-14483.249621949799", "--beta-t", "26146.519052852815",
+            "--beta-xt", "14483.249621949797", "--polarity", "desirable",
+        ]
+        assert main(["eval", *scenario, "--lambda", "0.6979012255997"]) == 3
+        assert "threshold 0.6979012255997 does not lie in" in capsys.readouterr().err
+        assert main(["eval", *scenario]) == 0
+        text = capsys.readouterr().out
+        assert "deployed=(1, 0)" in text and "changed_group=1" in text
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=1.0)
         assert main(["eval", "--config", cfg]) == 2
@@ -176,6 +191,17 @@ class TestSweep:
         assert len(out.read_text().splitlines()) == 1 + 24 - 6
 
 
+    def test_reference_cross_check_only_for_the_default_grid(self, tmp_path, capsys):
+        manifest = tmp_path / "x.csv.manifest.json"
+        custom = write_grid(tmp_path, beta0_values=[-0.4])
+        assert main(["sweep", "--grid", custom, "--out", str(tmp_path / "x.csv")]) == 0
+        assert "count delta" not in capsys.readouterr().out
+        assert "reference_delta" not in json.loads(manifest.read_text())
+        # the default grid given as a JSON file is still the default grid
+        same = write_grid(tmp_path)
+        assert main(["sweep", "--grid", same, "--out", str(tmp_path / "x.csv")]) == 0
+        assert json.loads(manifest.read_text())["reference_delta"]["count_delta"] == 12
+
     @pytest.mark.parametrize("beta0, retained", [(40.0, 0), (30.0, 4)])
     def test_saturated_grid(self, tmp_path, capsys, beta0, retained):
         # beta0 = 40 rounds p(Y=1) to 1 everywhere; at beta0 = 30 the fitted
@@ -234,6 +260,24 @@ class TestTables:
         csv_path.write_text(f"{header}\n{first}\n{bad_row}\n")
         assert main(["tables", "--csv", str(csv_path)]) == 2
         assert f"{csv_path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [0, 4619], ids=["header-only", "one-row-short"])
+    def test_no_reference_cross_check_off_the_default_grid(
+        self, sweep_csv, tmp_path, capsys, rows
+    ):
+        lines = sweep_csv.read_text().splitlines()
+        csv_path = tmp_path / "part.csv"
+        csv_path.write_text("\n".join(lines[: 1 + rows]) + "\n")
+        out = tmp_path / "tables"
+        assert main(["tables", "--csv", str(csv_path), "--out", str(out)]) == 0
+        assert "count delta" not in capsys.readouterr().out
+        manifest = json.loads((out / "tables_manifest.json").read_text())
+        assert "reference_delta" not in manifest
+
+    def test_custom_grid_has_no_reference_cross_check(self, tmp_path, capsys):
+        grid = write_grid(tmp_path, p_x_values=[0.5])
+        assert main(["tables", "--grid", grid]) == 0
+        assert "count delta" not in capsys.readouterr().out
 
     def test_unexpected_header_names_the_file(self, sweep_csv, tmp_path, capsys):
         header, first = sweep_csv.read_text().splitlines()[:2]
@@ -336,6 +380,18 @@ class TestSimulate:
         assert payload["pre"]["agreement"]["auc_abs_err"] <= 0.01
         assert payload["post"]["agreement"]["auc_abs_err"] <= 0.01
         assert payload["self_fulfilling"] is True
+
+    def test_fitted_values_tied_in_floats_still_rank_top_group(self, capsys):
+        # f(0) and f(1) round to one float, but beta_x = 0.01 puts group 1
+        # on top; the sample's rank statistic uses the same operating point
+        # as the closed form
+        assert main([
+            "simulate", "--p-x", "0.5", "--pi0", "0", "--beta0", "36",
+            "--beta-x", "0.01", "--beta-t", "-30", "--beta-xt", "0",
+            "--polarity", "desirable", "--samples", "100000", "--seed", "3",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["post"]["agreement"]["auc_abs_err"] < 0.005
 
     def test_missing_class_reported_not_fatal(self, tmp_path, capsys):
         # strongly negative intercept: ten draws will almost surely miss Y=1

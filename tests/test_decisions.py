@@ -1,21 +1,23 @@
 """Every discrete outcome follows from log-odds coefficient signs, also with
 |beta| up to 40, where the outcome probabilities saturate.
 
-A scenario is either refused for one of two reasons, or evaluated with no
+A scenario is either refused for one of three reasons, or evaluated with no
 failing check, the verdict the sign lookup gives, and an AUC sign equal to
 the sign of the AUC change computed in 120-digit arithmetic. The refusals:
-a zero historic log-odds step (DegenerateScenario), or p(Y=1) rounding to
-exactly 0 or 1 (DegenerateOutcome). Inside the documented 1e-12 zero band
+a zero historic log-odds step (DegenerateScenario), p(Y=1) rounding to
+exactly 0 or 1 (DegenerateOutcome), or an explicit threshold outside
+[f(other), f(top)) (ConstantPolicy). Inside the documented 1e-12 zero band
 on the changed group's log-odds effect the AUC sign is 0.
 """
 
+import math
 import random
 
 import mpmath
 from hypothesis import given, strategies as st
 
 from opmdeploy.classify import CheckResult, CheckStatus, Verdict, verdict_from_signs
-from opmdeploy.errors import DegenerateOutcome, DegenerateScenario
+from opmdeploy.errors import ConstantPolicy, DegenerateOutcome, DegenerateScenario
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     OutcomePolarity,
@@ -66,10 +68,17 @@ def oracle(params: ScenarioParams) -> int:
     return sign
 
 
-def assert_decided(params: ScenarioParams, with_oracle: bool) -> bool:
+def assert_decided(
+    params: ScenarioParams, with_oracle: bool, lam: float | None = None
+) -> bool:
     """Assert the contract for one scenario; False if it was refused."""
     try:
-        r = evaluate_scenario(params)
+        r = evaluate_scenario(params, lam)
+    except ConstantPolicy:
+        top = int(params.beta_x + params.beta_xt * params.pi0 > 0)
+        f = potential_outcomes(params).q[params.pi0]
+        assert lam is not None and not f[1 - top] <= lam < f[top], (params, lam)
+        return False
     except DegenerateScenario:
         assert abs(params.beta_x + params.beta_xt * params.pi0) <= 1e-12, params
         return False
@@ -82,6 +91,8 @@ def assert_decided(params: ScenarioParams, with_oracle: bool) -> bool:
         }
         assert p_y1 & {0.0, 1.0}, (params, p_y1)
         return False
+    if lam is not None:
+        assert r.opm.f[1 - r.top] <= lam < r.opm.f[r.top], (params, lam)
     checks = r.checks()
     failed = [
         (name, c.detail)
@@ -91,8 +102,13 @@ def assert_decided(params: ScenarioParams, with_oracle: bool) -> bool:
     assert not failed, (params, failed)
     assert checks["shift_subcase"].consistent, params
     lookup = verdict_from_signs(params.polarity, params.pi0, r.auc_sign)
-    assert r.verdict is lookup and r.sign_verdict is lookup, params
+    assert r.verdict is lookup, params
     assert r.harm.harmful_marginal == (r.verdict is Verdict.HARMFUL), params
+    # the deployment changes exactly the group the harm assessment names
+    changed = [
+        x for x in (0, 1) if r.policy_post.assign[x] != r.policy_pre.assign[x]
+    ]
+    assert changed == [r.harm.changed_group], (params, lam)
     if with_oracle:
         assert r.auc_sign == oracle(params), params
     return True
@@ -135,6 +151,22 @@ def test_zero_band_on_changed_effect():
 wide = st.floats(-40.0, 40.0)
 
 
+def thresholds_around(params: ScenarioParams):
+    """No threshold, or one at, between, next to or beyond the two fitted
+    values."""
+    f = potential_outcomes(params).q[params.pi0]
+    lo, hi = min(f), max(f)
+    near = [
+        math.nextafter(v, d) for v in (lo, hi) for d in (-math.inf, math.inf)
+    ]
+    return (
+        st.none()
+        | st.sampled_from([lo, hi, 0.5 * (lo + hi), *near])
+        | st.floats(lo, hi)
+        | st.floats(0.0, 1.0)
+    )
+
+
 @given(
     st.builds(
         ScenarioParams,
@@ -145,7 +177,9 @@ wide = st.floats(-40.0, 40.0)
         beta_t=wide,
         beta_xt=wide,
         polarity=st.sampled_from(POLARITIES),
-    )
+    ),
+    st.data(),
 )
-def test_wide_random_scenarios(params):
-    assert_decided(params, with_oracle=True)
+def test_wide_random_scenarios(params, data):
+    lam = data.draw(thresholds_around(params), label="lam")
+    assert_decided(params, with_oracle=True, lam=lam)

@@ -8,7 +8,7 @@ from conftest import LN25, random_params
 from opmdeploy.errors import ConfigError, DegenerateScenario
 from opmdeploy.mc import McConfig, empirical_metrics, sample, write_sample_csv
 from opmdeploy.report import evaluate_scenario
-from opmdeploy.scenario import Opm, OutcomePolarity, ScenarioParams, historic_policy
+from opmdeploy.scenario import OutcomePolarity, ScenarioParams, historic_policy
 from opmdeploy.sweep import default_grid, expand_and_filter
 
 BASE = ScenarioParams(
@@ -60,7 +60,7 @@ class TestSample:
         cfg = McConfig(n_samples=n, master_seed=11)
         r = evaluate_scenario(BASE)
         table = sample(BASE, r.policy_post, cfg)
-        m = empirical_metrics(table, r.opm)
+        m = empirical_metrics(table, r.top)
         for x in (0, 1):
             n_x = int((table[:, 0] == x).sum())
             se = math.sqrt(r.post.mu[x] * (1 - r.post.mu[x]) / n_x)
@@ -79,18 +79,13 @@ class TestSample:
 class TestEmpiricalMetrics:
     def test_perfect_separation_gives_auc_one(self):
         table = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 1], [1, 0, 1]], dtype=np.uint8)
-        m = empirical_metrics(table, Opm(f=(0.2, 0.8), lam=0.5))
+        m = empirical_metrics(table, 1)
         assert m.auc_hat == 1.0
         assert m.sens_hat == 1.0 and m.spec_hat == 1.0
 
-    def test_constant_predictor_gives_half(self):
-        table = np.array([[0, 0, 1], [1, 0, 0], [0, 0, 0], [1, 0, 1]], dtype=np.uint8)
-        m = empirical_metrics(table, Opm(f=(0.4, 0.4), lam=0.4))
-        assert m.auc_hat == 0.5
-
     def test_missing_class_signaled_not_fatal(self):
         table = np.array([[0, 0, 1], [1, 0, 1]], dtype=np.uint8)
-        m = empirical_metrics(table, Opm(f=(0.2, 0.8), lam=0.5))
+        m = empirical_metrics(table, 1)
         assert m.insufficient_cases
         assert m.auc_hat is None and m.sens_hat is None
 
@@ -101,8 +96,9 @@ class TestEmpiricalMetrics:
         x = (rng.random(n) < 0.4).astype(np.uint8)
         y = (rng.random(n) < 0.3 + 0.3 * x).astype(np.uint8)
         table = np.column_stack([x, np.zeros(n, dtype=np.uint8), y])
-        f = (0.3, 0.7) if seed % 2 == 0 else (0.7, 0.3)
-        m = empirical_metrics(table, Opm(f=f, lam=0.5))
+        top = 1 if seed % 2 == 0 else 0
+        f = (0.3, 0.7) if top == 1 else (0.7, 0.3)
+        m = empirical_metrics(table, top)
         scores = np.where(x == 1, f[1], f[0])
         if y.min() == y.max():
             assert m.insufficient_cases
@@ -116,7 +112,7 @@ class TestOracleAgreement:
         r = evaluate_scenario(BASE)
         cfg = McConfig(n_samples=1_000_000, master_seed=314159)
         table = sample(BASE, r.policy_post, cfg)
-        m = empirical_metrics(table, r.opm)
+        m = empirical_metrics(table, r.top)
         assert abs(m.auc_hat - r.discrimination_post.auc) <= 0.005
 
     def test_classification_agreement_on_grid_scenarios(self):
@@ -131,8 +127,8 @@ class TestOracleAgreement:
             params = retained[idx]
             r = evaluate_scenario(params)
             cfg = McConfig(n_samples=n, master_seed=77, scenario_index=idx)
-            pre = empirical_metrics(sample(params, r.policy_pre, cfg), r.opm)
-            post = empirical_metrics(sample(params, r.policy_post, cfg), r.opm)
+            pre = empirical_metrics(sample(params, r.policy_pre, cfg), r.top)
+            post = empirical_metrics(sample(params, r.policy_post, cfg), r.top)
             if abs(r.auc_delta) > 0.01:
                 emp_delta = post.auc_hat - pre.auc_hat
                 assert (emp_delta > 0) == (r.auc_delta > 0)
@@ -154,5 +150,5 @@ class TestOracleAgreement:
             except DegenerateScenario:
                 continue
             cfg = McConfig(n_samples=n, master_seed=888, scenario_index=i)
-            m = empirical_metrics(sample(params, r.policy_post, cfg), r.opm)
+            m = empirical_metrics(sample(params, r.policy_post, cfg), r.top)
             assert abs(m.auc_hat - r.discrimination_post.auc) <= 6 * 0.5 / math.sqrt(n)

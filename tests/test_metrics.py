@@ -45,7 +45,6 @@ class TestDiscrimination:
         assert d.sens == pytest.approx(PRE_SENS, abs=1e-12)
         assert d.spec == pytest.approx(PRE_SPEC, abs=1e-12)
         assert d.auc == pytest.approx(PRE_AUC, abs=1e-12)
-        assert d.operating_threshold == max(r.opm.f)
 
     def test_post_deployment_value(self):
         r = _example(LN25)
@@ -81,7 +80,7 @@ class TestDiscrimination:
             mu=(1.0, 1.0), p_y1=1.0, joint=((0.0, 0.5), (0.0, 0.5))
         )
         with pytest.raises(DegenerateOutcome):
-            discrimination(Opm(f=(0.4, 0.6), lam=0.5), dist, 1)
+            discrimination(dist, 1)
 
     @given(scenario_st)
     def test_rank_oracle_equivalence(self, params):
@@ -91,10 +90,9 @@ class TestDiscrimination:
             top = top_group(params)
         except DegenerateScenario:
             return
-        opm = fit_opm(pre)
-        d = discrimination(opm, pre, top)
+        d = discrimination(pre, top)
         assert d.auc == pytest.approx(
-            exact_rank_auc(params.p_x, pre.mu, opm.f), abs=1e-12
+            exact_rank_auc(params.p_x, pre.mu, fit_opm(pre).f), abs=1e-12
         )
 
     @given(scenario_st)
@@ -105,8 +103,7 @@ class TestDiscrimination:
             top = top_group(params)
         except DegenerateScenario:
             return
-        opm = fit_opm(pre)
-        d = discrimination(opm, pre, top)
+        d = discrimination(pre, top)
         # trapezoids under (0,0) -> (1-spec, sens) -> (1,1)
         x1, y1 = 1.0 - d.spec, d.sens
         area = 0.5 * x1 * y1 + 0.5 * (1.0 - x1) * (y1 + 1.0)
@@ -120,7 +117,7 @@ class TestDiscrimination:
             top = top_group(params)
         except DegenerateScenario:
             return
-        assert discrimination(fit_opm(pre), pre, top).auc >= 0.5 - 1e-12
+        assert discrimination(pre, top).auc >= 0.5 - 1e-12
 
 
 class TestAucDelta:

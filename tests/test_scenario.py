@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,11 +9,9 @@ from opmdeploy.errors import ConfigError, ConstantPolicy, DegenerateScenario
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     ObservedDistribution,
-    Opm,
     OutcomePolarity,
     Policy,
     ScenarioParams,
-    derive_policy,
     fit_opm,
     historic_policy,
     logistic,
@@ -165,25 +165,36 @@ class TestFitOpm:
 
 
 class TestDerivePolicy:
+    """The deployed policy treats the higher-predicted group `top`; an
+    explicit threshold is only checked against the fitted values."""
+
     def test_treats_group_above_threshold(self):
-        assert derive_policy(Opm(f=(0.38, 0.60), lam=0.49)).assign == (0, 1)
-        assert derive_policy(Opm(f=(0.60, 0.38), lam=0.49)).assign == (1, 0)
+        # f = (0.3775, 0.6026) with group 1 on top, and the mirror image
+        up = evaluate_scenario(params_with(beta_x=LN25), lam=0.49)
+        assert up.top == 1 and up.policy_post.assign == (0, 1)
+        down = evaluate_scenario(params_with(beta0=-0.5 + LN25, beta_x=-LN25), lam=0.49)
+        assert down.top == 0 and down.policy_post.assign == (1, 0)
+        # the lower fitted value itself is a separating threshold
+        low = up.opm.f[0]
+        assert evaluate_scenario(params_with(beta_x=LN25), lam=low).opm.lam == low
 
     def test_constant_policy_rejected(self):
-        with pytest.raises(ConstantPolicy):
-            derive_policy(Opm(f=(0.38, 0.60), lam=0.7))
+        # above both fitted values, at the upper one, and below both: the
+        # rule "treat f(x) > lam" would treat no one or everyone
+        params = params_with(beta_x=LN25)
+        for lam in (0.7, evaluate_scenario(params).opm.f[1], 0.1):
+            with pytest.raises(ConstantPolicy, match=re.escape(repr(lam))):
+                evaluate_scenario(params, lam=lam)
 
     @given(scenario_st)
     def test_deterministic_and_total_on_nondegenerate(self, params):
-        po = potential_outcomes(params)
-        dist = observed_distribution(po, historic_policy(params.pi0), params.p_x)
         try:
-            top_group(params)
+            top = top_group(params)
         except DegenerateScenario:
             return
-        policy = derive_policy(fit_opm(dist))
-        assert policy == derive_policy(fit_opm(dist))
-        assert not policy.is_constant
+        policy = evaluate_scenario(params).policy_post
+        assert policy == evaluate_scenario(params).policy_post
+        assert policy.assign == (1 - top, top)
 
 
 class TestIdentities:
