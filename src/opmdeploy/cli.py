@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -19,21 +18,17 @@ from . import __version__, figures, mc, sweep
 from .classify import CheckResult
 from .errors import (
     ConfigError,
-    ConstantPolicy,
     DegenerateOutcome,
     DegenerateScenario,
     OpmDeployError,
 )
 from .report import DeploymentReport, evaluate_scenario
-from .scenario import OutcomePolarity, ScenarioParams, parse_polarity
+from .scenario import PARAM_FIELDS, OutcomePolarity, ScenarioParams, parse_polarity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
-
-_CONFIG_KEYS = tuple(f.name for f in fields(ScenarioParams))
-_GRID_KEYS = tuple(f.name for f in fields(sweep.GridSpec))
 
 
 def _tool_stamp() -> dict:
@@ -48,7 +43,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable bytes, oversized integers
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
 
 
@@ -58,34 +53,28 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _scenario_from_args(args) -> tuple[ScenarioParams, float | None, dict]:
+def _scenario_from_args(args) -> tuple[ScenarioParams, dict]:
     raw = {}
     if args.config:
         loaded = _load_json(args.config)
         if not isinstance(loaded, dict):
             raise ConfigError([f"{args.config}: expected a JSON object"])
         raw.update(loaded)
-    for key in _CONFIG_KEYS:
+    for key in PARAM_FIELDS:
         v = getattr(args, key)
         if v is not None:
             raw[key] = v
-    if args.lam is not None:
-        raw["lambda"] = args.lam
 
-    missing = [k for k in _CONFIG_KEYS if k not in raw]
+    missing = [k for k in PARAM_FIELDS if k not in raw]
     if missing:
         raise ConfigError([f"{k}: missing" for k in missing])
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS) - {"lambda"})
+    unknown = sorted(set(raw) - set(PARAM_FIELDS))
     if unknown:
         raise ConfigError([f"{k}: unknown config key" for k in unknown])
 
-    values = {k: raw[k] for k in _CONFIG_KEYS}
+    values = {k: raw[k] for k in PARAM_FIELDS}
     values["polarity"] = parse_polarity(raw["polarity"])
-    params = ScenarioParams(**values)
-    lam = raw.get("lambda")
-    if lam is not None and not isinstance(lam, (int, float)):
-        raise ConfigError([f"lambda: must be a real number, got {lam!r}"])
-    return params, (None if lam is None else float(lam)), raw
+    return ScenarioParams(**values), raw
 
 
 def _load_grid(source: str) -> sweep.GridSpec:
@@ -94,19 +83,19 @@ def _load_grid(source: str) -> sweep.GridSpec:
     raw = _load_json(source)
     if not isinstance(raw, dict):
         raise ConfigError([f"{source}: expected a JSON object"])
-    missing = sorted(set(_GRID_KEYS) - set(raw))
+    missing = sorted(set(sweep.GRID_KEYS) - set(raw))
     if missing:
         raise ConfigError([f"{k}: missing" for k in missing])
-    not_lists = [k for k in _GRID_KEYS if not isinstance(raw[k], list)]
+    not_lists = [k for k in sweep.GRID_KEYS if not isinstance(raw[k], list)]
     if not_lists:
         raise ConfigError([f"{k}: expected a list" for k in not_lists])
-    values = {k: raw[k] for k in _GRID_KEYS}
+    values = {k: raw[k] for k in sweep.GRID_KEYS}
     values["polarities"] = [parse_polarity(p) for p in raw["polarities"]]
     return sweep.GridSpec(**values)
 
 
 def _grid_echo(grid: sweep.GridSpec) -> dict:
-    echo = {k: list(getattr(grid, k)) for k in _GRID_KEYS}
+    echo = {k: list(getattr(grid, k)) for k in sweep.GRID_KEYS}
     echo["polarities"] = [p.value for p in grid.polarities]
     return echo
 
@@ -194,7 +183,8 @@ def _print_report(report: DeploymentReport) -> None:
     for t in (0, 1):
         print(f"  t={t}: x=0 {q[t][0]:.6f}   x=1 {q[t][1]:.6f}")
     print(f"  effect per group: x=0 {report.po.cate[0]:+.6f}   x=1 {report.po.cate[1]:+.6f}")
-    print(f"fitted predictor: f=({report.opm.f[0]:.6f}, {report.opm.f[1]:.6f})  lambda={report.opm.lam:.6f}")
+    lam = "none" if report.opm.lam is None else f"{report.opm.lam:.6f}"
+    print(f"fitted predictor: f=({report.opm.f[0]:.6f}, {report.opm.f[1]:.6f})  lambda={lam}")
     print(f"policies: historic={report.policy_pre.assign}  deployed={report.policy_post.assign}")
     for which, dist, disc in (
         ("pre ", report.pre, report.discrimination_pre),
@@ -233,8 +223,8 @@ def _print_report(report: DeploymentReport) -> None:
 
 
 def cmd_eval(args) -> int:
-    params, lam, raw = _scenario_from_args(args)
-    report = evaluate_scenario(params, lam)
+    params, raw = _scenario_from_args(args)
+    report = evaluate_scenario(params)
     _print_report(report)
     if args.out:
         _write_json(args.out, report_to_json(report, raw))
@@ -416,8 +406,8 @@ def _abs_err(a, b):
 
 
 def cmd_simulate(args) -> int:
-    params, lam, raw = _scenario_from_args(args)
-    report = evaluate_scenario(params, lam)
+    params, raw = _scenario_from_args(args)
+    report = evaluate_scenario(params)
     cfg = mc.McConfig(
         n_samples=args.samples,
         master_seed=args.seed,
@@ -497,10 +487,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "--beta-xt", dest="beta_xt", type=float, help="log-odds for the X:T interaction"
     )
     parser.add_argument("--polarity", help="desirable | undesirable")
-    parser.add_argument(
-        "--lambda", dest="lam", type=float,
-        help="decision threshold override (default: midpoint of fitted values)",
-    )
 
 
 def _add_records_arguments(parser: argparse.ArgumentParser) -> None:
@@ -574,7 +560,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DegenerateScenario, DegenerateOutcome, ConstantPolicy) as exc:
+    except (DegenerateScenario, DegenerateOutcome) as exc:
         print(f"degenerate scenario: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except OSError as exc:

@@ -22,12 +22,6 @@ class DegenerateScenario(OpmDeployError):
     threshold policy exists and the scenario carries no usable model."""
 
 
-class ConstantPolicy(OpmDeployError):
-    """An explicit threshold does not lie in [f(other), f(top)), so the
-    threshold rule would not treat exactly the higher-predicted group `top`
-    that the deployed policy treats."""
-
-
 class DegenerateOutcome(OpmDeployError):
     """p(Y=1) rounds to exactly 0 or 1, so sensitivity/specificity are
     undefined."""

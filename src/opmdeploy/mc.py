@@ -65,18 +65,12 @@ def sample(params: ScenarioParams, policy: Policy, cfg: McConfig) -> np.ndarray:
     Uniform draws happen in a fixed order (all x, then all y), so a given
     config replays the same patients under any policy.
     """
-    q = potential_outcomes(params).q
+    q = np.array(potential_outcomes(params).q)
     rng = cfg.rng()
     n = cfg.n_samples
     x = (rng.random(n) < params.p_x).astype(np.uint8)
-    assign = np.array(policy.assign, dtype=np.uint8)
-    t = assign[x]
-    p_y = np.where(
-        x == 0,
-        np.where(t == 0, q[0][0], q[1][0]),
-        np.where(t == 0, q[0][1], q[1][1]),
-    )
-    y = (rng.random(n) < p_y).astype(np.uint8)
+    t = np.array(policy.assign, dtype=np.uint8)[x]
+    y = (rng.random(n) < q[t, x]).astype(np.uint8)
     return np.column_stack([x, t, y])
 
 
@@ -87,22 +81,16 @@ def empirical_metrics(table: np.ndarray, top: int) -> EmpiricalMetrics:
     reduces to cell counts: P(f+ > f-) + P(f+ = f-)/2 over
     positive/negative pairs, where pairs from one group tie.
     """
-    x = table[:, 0].astype(np.int64)
-    y = table[:, 2].astype(np.int64)
-
-    n_x1 = int(x.sum())
-    n = len(x)
-    counts = {
-        (xv, yv): int(((x == xv) & (y == yv)).sum())
-        for xv in (0, 1)
-        for yv in (0, 1)
-    }
-    n_pos = counts[(0, 1)] + counts[(1, 1)]
+    # counts[2*x + y]: patients with X=x and Y=y, in one pass
+    counts = np.bincount(2 * table[:, 0] + table[:, 2], minlength=4).tolist()
+    n = len(table)
+    n_x1 = counts[2] + counts[3]
+    n_pos = counts[1] + counts[3]
     n_neg = n - n_pos
 
     mu_hat = (
-        counts[(0, 1)] / (n - n_x1) if n - n_x1 > 0 else None,
-        counts[(1, 1)] / n_x1 if n_x1 > 0 else None,
+        counts[1] / (n - n_x1) if n - n_x1 > 0 else None,
+        counts[3] / n_x1 if n_x1 > 0 else None,
     )
     if n_pos == 0 or n_neg == 0:
         return EmpiricalMetrics(
@@ -110,8 +98,8 @@ def empirical_metrics(table: np.ndarray, top: int) -> EmpiricalMetrics:
             mu_hat=mu_hat, n_pos=n_pos, n_neg=n_neg,
         )
 
-    pos_top, pos_other = counts[(top, 1)], counts[(1 - top, 1)]
-    neg_top, neg_other = counts[(top, 0)], counts[(1 - top, 0)]
+    pos_top, pos_other = counts[2 * top + 1], counts[3 - 2 * top]
+    neg_top, neg_other = counts[2 * top], counts[2 - 2 * top]
     auc_hat = (
         pos_top * neg_other + 0.5 * (pos_top * neg_top + pos_other * neg_other)
     ) / (n_pos * n_neg)

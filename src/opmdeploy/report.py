@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from . import classify, metrics
 from .classify import CheckResult, HarmAssessment, SubcaseRow, Verdict
-from .errors import ConstantPolicy
 from .metrics import CalibrationReport, DiscriminationMetrics
 from .scenario import (
     ObservedDistribution,
@@ -54,7 +53,7 @@ class DeploymentReport:
         }
 
 
-def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> DeploymentReport:
+def evaluate_scenario(params: ScenarioParams) -> DeploymentReport:
     """Run the whole closed-form pipeline for one parameterization.
 
     Every discrete outcome is decided here, once, from log-odds coefficient
@@ -64,10 +63,8 @@ def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> Deplo
     fixes the verdict, the harm flags and post-deployment calibration. The
     probabilities are reported, never thresholded.
 
-    Raises DegenerateScenario when the historic conditionals coincide,
-    DegenerateOutcome when p(Y=1) rounds to 0 or 1, and ConstantPolicy when
-    an explicit `lam` does not lie in [f(1-top), f(top)), so that the rule
-    "treat group x iff f(x) > lam" would not treat exactly `top`.
+    Raises DegenerateScenario when the historic conditionals coincide and
+    DegenerateOutcome when p(Y=1) rounds to 0 or 1.
     """
     top = top_group(params)
     changed = top if params.pi0 == 0 else 1 - top
@@ -77,16 +74,7 @@ def evaluate_scenario(params: ScenarioParams, lam: float | None = None) -> Deplo
     po = potential_outcomes(params)
     policy_pre = historic_policy(params.pi0)
     pre = observed_distribution(po, policy_pre, params.p_x)
-    opm = fit_opm(pre, lam)
-    # The threshold is only reported: where f(0) and f(1) round to one
-    # float, or rounding puts them in the wrong order, no threshold
-    # separates them, and the deployed policy still treats `top`. An
-    # explicit one must agree with that policy.
-    if lam is not None and not opm.f[1 - top] <= opm.lam < opm.f[top]:
-        raise ConstantPolicy(
-            f"threshold {opm.lam!r} does not lie in [f({1 - top}), f({top})) = "
-            f"[{opm.f[1 - top]!r}, {opm.f[top]!r})"
-        )
+    opm = fit_opm(pre, top)
     policy_post = Policy(assign=(1 - top, top))
     post = observed_distribution(po, policy_post, params.p_x)
     disc_pre = metrics.discrimination(pre, top)

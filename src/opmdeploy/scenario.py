@@ -19,7 +19,9 @@ function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+import sys
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ConfigError, DegenerateScenario
@@ -90,25 +92,44 @@ class ScenarioParams:
     polarity: OutcomePolarity
 
     def __post_init__(self):
-        problems = []
-        for name in ("p_x", "beta0", "beta_x", "beta_t", "beta_xt"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                problems.append(f"{name}: must be a real number, got {v!r}")
-            elif not math.isfinite(v):
-                problems.append(f"{name}: must be finite, got {v!r}")
-            else:
-                object.__setattr__(self, name, float(v))
-        if not problems and not 0.0 < self.p_x < 1.0:
-            problems.append(f"p_x: must lie strictly in (0,1), got {self.p_x!r}")
-        if self.pi0 in (0, 1) and not isinstance(self.pi0, bool):
-            object.__setattr__(self, "pi0", int(self.pi0))
-        else:
-            problems.append(f"pi0: must be 0 or 1, got {self.pi0!r}")
-        if not isinstance(self.polarity, OutcomePolarity):
-            problems.append(f"polarity: got {self.polarity!r}")
+        problems = field_problems(zip(PARAM_FIELDS, param_values(self)))
         if problems:
             raise ConfigError(problems)
+        # coerce only what needs it: a frozen field write costs about as
+        # much as checking every field
+        for name in ("p_x", "beta0", "beta_x", "beta_t", "beta_xt"):
+            v = getattr(self, name)
+            if type(v) is not float:
+                object.__setattr__(self, name, float(v))
+        if type(self.pi0) is not int:
+            object.__setattr__(self, "pi0", int(self.pi0))
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(ScenarioParams))
+# The PARAM_FIELDS values of a scenario, or of anything with those fields.
+param_values = operator.attrgetter(*PARAM_FIELDS)
+_FLOAT_MAX = sys.float_info.max
+
+
+def field_problems(pairs) -> list[str]:
+    """Why each (field name, value) pair cannot be that `ScenarioParams`
+    field; empty when every one can. Type is checked before value, so no
+    arithmetic ever reads a bad input."""
+    problems = []
+    for name, value in pairs:
+        if name == "pi0":
+            if value not in (0, 1) or isinstance(value, bool):
+                problems.append(f"pi0: must be 0 or 1, got {value!r}")
+        elif name == "polarity":
+            if not isinstance(value, OutcomePolarity):
+                problems.append(f"polarity: got {value!r}")
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            problems.append(f"{name}: must be a real number, got {value!r}")
+        elif not abs(value) <= _FLOAT_MAX:  # NaN, inf, ints too large for a float
+            problems.append(f"{name}: must be finite, got {value!r}")
+        elif name == "p_x" and not 0.0 < value < 1.0:
+            problems.append(f"p_x: must lie strictly in (0,1), got {value!r}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -137,10 +158,11 @@ def historic_policy(pi0: int) -> Policy:
 @dataclass(frozen=True)
 class Opm:
     """A fitted predictor: one predicted probability per group, plus the
-    decision threshold "treat group x iff f(x) > lam" it is deployed with."""
+    decision threshold "treat group x iff f(x) > lam" that deploys it, or
+    None where rounding leaves the midpoint of f outside [f(other), f(top))."""
 
     f: tuple[float, float]
-    lam: float
+    lam: float | None
 
 
 @dataclass(frozen=True)
@@ -225,14 +247,16 @@ def top_group(params: ScenarioParams) -> int:
     return int(step > 0)
 
 
-def fit_opm(historic: ObservedDistribution, lam: float | None = None) -> Opm:
+def fit_opm(historic: ObservedDistribution, top: int) -> Opm:
     """Fit the predictor that perfectly matches the historic conditionals.
 
-    f(x) = mu_historic(x). The default threshold is the midpoint of the two
-    fitted values; pass `lam` to override.
+    f(x) = mu_historic(x). The threshold is only reported: the midpoint of
+    the two fitted values where it lies in [f(1-top), f(top)), so that
+    "treat f(x) > lam" treats exactly `top`; None where rounding ties f(0)
+    and f(1), swaps their order or puts the midpoint on f(top). The
+    deployed policy treats `top` either way.
     """
     f = (historic.mu[0], historic.mu[1])
-    if lam is None:
-        lam = 0.5 * (f[0] + f[1])
-    return Opm(f=f, lam=float(lam))
+    lam = 0.5 * (f[0] + f[1])
+    return Opm(f=f, lam=lam if f[1 - top] <= lam < f[top] else None)
 

@@ -18,15 +18,19 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .classify import Verdict
 from .errors import ConfigError, DegenerateOutcome
 from .report import DeploymentReport, evaluate_scenario
 from .scenario import (
+    PARAM_FIELDS,
     OutcomePolarity,
     ScenarioParams,
     effect_sign,
+    field_problems,
     historic_step_sign,
+    param_values,
     sign_with_band,
 )
 
@@ -44,6 +48,9 @@ def _symmetric_log_odds() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """One list of values per `ScenarioParams` field, in field order; every
+    value is checked as that field before any arithmetic reads it."""
+
     p_x_values: tuple[float, ...]
     pi0_values: tuple[int, ...]
     beta0_values: tuple[float, ...]
@@ -54,25 +61,29 @@ class GridSpec:
 
     def __post_init__(self):
         problems = []
-        for f in fields(self):
-            values = getattr(self, f.name)
-            object.__setattr__(self, f.name, tuple(values))
-            if len(getattr(self, f.name)) == 0:
-                problems.append(f"{f.name}: must be nonempty")
+        for key, name in zip(GRID_KEYS, PARAM_FIELDS):
+            values = tuple(getattr(self, key))
+            object.__setattr__(self, key, values)
+            if not values:
+                problems.append(f"{key}: must be nonempty")
+            problems += [
+                f"{key}[{i}]: {problem}"
+                for i, v in enumerate(values)
+                for problem in field_problems([(name, v)])
+            ]
         if problems:
             raise ConfigError(problems)
 
+    def lists(self) -> tuple[tuple, ...]:
+        """The value lists, in `ScenarioParams` field order."""
+        return tuple(getattr(self, key) for key in GRID_KEYS)
+
     @property
     def cardinality(self) -> int:
-        return (
-            len(self.p_x_values)
-            * len(self.pi0_values)
-            * len(self.beta0_values)
-            * len(self.beta_x_values)
-            * len(self.beta_t_values)
-            * len(self.beta_xt_values)
-            * len(self.polarities)
-        )
+        return math.prod(map(len, self.lists()))
+
+
+GRID_KEYS = tuple(f.name for f in fields(GridSpec))
 
 
 def default_grid() -> GridSpec:
@@ -100,15 +111,7 @@ def is_degenerate(pi0: int, beta_x: float, beta_xt: float) -> bool:
 def _retained_settings(grid: GridSpec):
     """Cartesian product in the canonical order of the grid lists, minus
     degenerate settings, as plain tuples in `ScenarioParams` field order."""
-    for setting in itertools.product(
-        grid.p_x_values,
-        grid.pi0_values,
-        grid.beta0_values,
-        grid.beta_x_values,
-        grid.beta_t_values,
-        grid.beta_xt_values,
-        grid.polarities,
-    ):
+    for setting in itertools.product(*grid.lists()):
         _, pi0, _, bx, _, bxt, _ = setting
         if not is_degenerate(pi0, bx, bxt):
             yield setting
@@ -274,10 +277,9 @@ def is_default_grid(records: list[ScenarioRecord]) -> bool:
     """Whether the records hold exactly the default grid's retained
     settings, in order: the only record set the published reference
     tabulation describes."""
-    return [
-        (r.p_x, r.pi0, r.beta0, r.beta_x, r.beta_t, r.beta_xt, r.polarity)
-        for r in records
-    ] == list(_retained_settings(default_grid()))
+    return list(map(param_values, records)) == list(
+        _retained_settings(default_grid())
+    )
 
 
 def reference_delta(
@@ -336,29 +338,25 @@ def write_records_csv(records: list[ScenarioRecord], path) -> None:
         writer.writerows(records_to_csv_rows(records))
 
 
-_BOOL_FIELDS = {"self_fulfilling", "harmful_marginal", "calibrated_post",
-                "avg_treatment_beneficial"}
-_INT_FIELDS = {"pi0", "sign_bt", "sign_bt_plus_bxt"}
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text == "true"
 
 
-def _parse_value(column: str, text: str):
-    if column in _BOOL_FIELDS:
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {text!r}")
-        return text == "true"
-    if column in _INT_FIELDS:
-        return int(text)
-    if column == "polarity":
-        return OutcomePolarity(text)
-    if column == "verdict":
-        return Verdict(text)
-    return float(text)
+# One parser per CSV column, from the field's type: the type itself parses
+# its cell (int, float and the two enums by value), except bool.
+_CELL_PARSERS = tuple(
+    _parse_bool if t is bool else t
+    for t in map(get_type_hints(ScenarioRecord).get, CSV_COLUMNS)
+)
 
 
 def read_records_csv(path) -> list[ScenarioRecord]:
     """Parse a sweep CSV; a bad header, row width or cell raises ConfigError
-    naming the file, the line and (for a cell) the column."""
-    with open(path, newline="") as fh:
+    naming the file, the line and (for a cell) the column. Undecodable bytes
+    become U+FFFD, which no header or cell accepts."""
+    with open(path, newline="", errors="replace") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(CSV_COLUMNS):
@@ -370,13 +368,13 @@ def read_records_csv(path) -> list[ScenarioRecord]:
                     f"{path}: line {reader.line_num}: expected "
                     f"{len(CSV_COLUMNS)} cells, got {len(row)}"
                 ])
-            values = {}
+            values = []
             try:
-                for column, cell in zip(CSV_COLUMNS, row):
-                    values[column] = _parse_value(column, cell)
+                for column, parse, cell in zip(CSV_COLUMNS, _CELL_PARSERS, row):
+                    values.append(parse(cell))
             except ValueError as exc:
                 raise ConfigError([
                     f"{path}: line {reader.line_num}, column {column}: {exc}"
                 ]) from None
-            records.append(ScenarioRecord(**values))
+            records.append(ScenarioRecord(*values))
         return records

@@ -95,24 +95,38 @@ class TestEval:
         assert main(["eval", "--config", cfg]) == 3
         assert "degenerate" in capsys.readouterr().err
 
-    def test_constant_policy_from_lambda_override_exits_3(self, tmp_path, capsys):
+    def test_lambda_config_key_exits_2(self, tmp_path, capsys):
+        # the threshold is reported, never set
         cfg = write_config(tmp_path, beta_x=0.9, **{"lambda": 0.99})
-        assert main(["eval", "--config", cfg]) == 3
+        assert main(["eval", "--config", cfg]) == 2
+        assert "config error: lambda: unknown config key" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", ZERO_EFFECT, "--lambda", "0.5"])
+        assert exc.value.code == 2
 
-    def test_lambda_on_the_wrong_side_of_misordered_fits_exits_3(self, capsys):
+    def test_misordered_fits_report_no_threshold(self, tmp_path, capsys):
         # beta_x + beta_xt = -1.8e-12 puts group 0 on top, but rounding in
-        # the log-odds sums puts f(1) above f(0); the threshold lies between
-        # them and would treat group 1, against the deployed policy
-        scenario = [
-            "--p-x", "0.5", "--pi0", "1", "--beta0", "-26145.68172930212",
+        # the log-odds sums puts f(1) above f(0); their midpoint would treat
+        # group 1, against the deployed policy, so no threshold is reported
+        out = tmp_path / "report.json"
+        assert main([
+            "eval", "--p-x", "0.5", "--pi0", "1", "--beta0", "-26145.68172930212",
             "--beta-x", "-14483.249621949799", "--beta-t", "26146.519052852815",
             "--beta-xt", "14483.249621949797", "--polarity", "desirable",
-        ]
-        assert main(["eval", *scenario, "--lambda", "0.6979012255997"]) == 3
-        assert "threshold 0.6979012255997 does not lie in" in capsys.readouterr().err
-        assert main(["eval", *scenario]) == 0
+            "--out", str(out),
+        ]) == 0
         text = capsys.readouterr().out
+        assert "lambda=none" in text
         assert "deployed=(1, 0)" in text and "changed_group=1" in text
+        payload = json.loads(out.read_text())
+        assert payload["opm"]["lambda"] is None
+        assert payload["opm"]["f"][1] > payload["opm"]["f"][0]
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff{")
+        assert main(["eval", "--config", str(path)]) == 2
+        assert f"{path}: not valid JSON" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=1.0)
@@ -220,6 +234,21 @@ class TestSweep:
         assert main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
         assert "beta0: must be finite, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, values, message", [
+        ("beta_x_values", ["a"], "beta_x_values[0]: beta_x: must be a real number, got 'a'"),
+        ("beta_x_values", [0.5, None], "beta_x_values[1]: beta_x: must be a real number, got None"),
+        ("pi0_values", [[0]], "pi0_values[0]: pi0: must be 0 or 1, got [0]"),
+        # once read as a zero historic step and dropped as degenerate
+        ("beta_x_values", [float("nan")], "beta_x_values[0]: beta_x: must be finite, got nan"),
+    ], ids=["string", "null", "list", "nan-beta_x"])
+    def test_grid_value_that_is_not_a_number_exits_2(
+        self, tmp_path, capsys, key, values, message
+    ):
+        # checked before the degeneracy filter does arithmetic on it
+        grid = write_grid(tmp_path, **{key: values})
+        assert main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+
 
 class TestTables:
     def test_harm_table_matches_reference_exactly(self, tmp_path, capsys):
@@ -278,6 +307,13 @@ class TestTables:
         grid = write_grid(tmp_path, p_x_values=[0.5])
         assert main(["tables", "--grid", grid]) == 0
         assert "count delta" not in capsys.readouterr().out
+
+    def test_undecodable_cell_exits_2(self, sweep_csv, tmp_path, capsys):
+        header, first = sweep_csv.read_text().splitlines()[:2]
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(f"{header}\n{first}\n".encode() + b"\xff" + first.encode())
+        assert main(["tables", "--csv", str(csv_path)]) == 2
+        assert f"{csv_path}: line 3, column p_x: could not convert" in capsys.readouterr().err
 
     def test_unexpected_header_names_the_file(self, sweep_csv, tmp_path, capsys):
         header, first = sweep_csv.read_text().splitlines()[:2]

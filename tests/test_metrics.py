@@ -92,7 +92,7 @@ class TestDiscrimination:
             return
         d = discrimination(pre, top)
         assert d.auc == pytest.approx(
-            exact_rank_auc(params.p_x, pre.mu, fit_opm(pre).f), abs=1e-12
+            exact_rank_auc(params.p_x, pre.mu, fit_opm(pre, top).f), abs=1e-12
         )
 
     @given(scenario_st)

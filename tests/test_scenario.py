@@ -1,11 +1,11 @@
-import re
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import LN25, random_params
-from opmdeploy.errors import ConfigError, ConstantPolicy, DegenerateScenario
+from opmdeploy.errors import ConfigError, DegenerateScenario
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     ObservedDistribution,
@@ -138,7 +138,7 @@ class TestFitOpm:
     def test_fits_historic_conditionals_with_midpoint_threshold(self):
         po = potential_outcomes(params_with(beta_x=LN25))
         dist = observed_distribution(po, historic_policy(0), 0.5)
-        opm = fit_opm(dist)
+        opm = fit_opm(dist, 1)
         assert opm.f == dist.mu
         assert opm.lam == pytest.approx(0.4900679917828027, abs=1e-15)
 
@@ -146,7 +146,7 @@ class TestFitOpm:
         dist = ObservedDistribution(
             mu=(0.2, 0.8), p_y1=0.5, joint=((0.4, 0.1), (0.1, 0.4))
         )
-        assert fit_opm(dist).lam == 0.5
+        assert fit_opm(dist, 1).lam == 0.5
 
     def test_equal_conditionals_degenerate(self):
         # the historic conditionals coincide iff the historic log-odds step
@@ -157,34 +157,28 @@ class TestFitOpm:
         with pytest.raises(DegenerateScenario):
             evaluate_scenario(params_with(pi0=1, beta_x=0.6, beta_xt=-0.6))
 
-    def test_explicit_threshold_override(self):
-        dist = ObservedDistribution(
-            mu=(0.2, 0.8), p_y1=0.5, joint=((0.4, 0.1), (0.1, 0.4))
-        )
-        assert fit_opm(dist, lam=0.9).lam == 0.9
+    @pytest.mark.parametrize("mu, top", [
+        ((0.2, 0.8), 0),  # rounding swapped the order of the fitted values
+        ((0.4, 0.4), 1),  # rounding tied them
+        ((0.3, math.nextafter(0.3, 1.0)), 1),  # the midpoint rounds onto f(top)
+    ], ids=["swapped", "tied", "neighbours"])
+    def test_no_threshold_where_the_midpoint_does_not_separate(self, mu, top):
+        dist = ObservedDistribution(mu=mu, p_y1=0.5, joint=((0.25, 0.25), (0.25, 0.25)))
+        opm = fit_opm(dist, top)
+        assert opm.f == mu and opm.lam is None
 
 
 class TestDerivePolicy:
-    """The deployed policy treats the higher-predicted group `top`; an
-    explicit threshold is only checked against the fitted values."""
+    """The deployed policy treats the higher-predicted group `top`."""
 
     def test_treats_group_above_threshold(self):
         # f = (0.3775, 0.6026) with group 1 on top, and the mirror image
-        up = evaluate_scenario(params_with(beta_x=LN25), lam=0.49)
+        up = evaluate_scenario(params_with(beta_x=LN25))
         assert up.top == 1 and up.policy_post.assign == (0, 1)
-        down = evaluate_scenario(params_with(beta0=-0.5 + LN25, beta_x=-LN25), lam=0.49)
+        down = evaluate_scenario(params_with(beta0=-0.5 + LN25, beta_x=-LN25))
         assert down.top == 0 and down.policy_post.assign == (1, 0)
-        # the lower fitted value itself is a separating threshold
-        low = up.opm.f[0]
-        assert evaluate_scenario(params_with(beta_x=LN25), lam=low).opm.lam == low
-
-    def test_constant_policy_rejected(self):
-        # above both fitted values, at the upper one, and below both: the
-        # rule "treat f(x) > lam" would treat no one or everyone
-        params = params_with(beta_x=LN25)
-        for lam in (0.7, evaluate_scenario(params).opm.f[1], 0.1):
-            with pytest.raises(ConstantPolicy, match=re.escape(repr(lam))):
-                evaluate_scenario(params, lam=lam)
+        for r in (up, down):
+            assert r.opm.lam == 0.5 * (r.opm.f[0] + r.opm.f[1])
 
     @given(scenario_st)
     def test_deterministic_and_total_on_nondegenerate(self, params):
