@@ -53,6 +53,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _check_keys(raw: dict, keys: tuple[str, ...]) -> None:
+    """Every key present, and no other."""
+    problems = [f"{k}: missing" for k in keys if k not in raw]
+    problems += [f"{k}: unknown config key" for k in sorted(set(raw) - set(keys))]
+    if problems:
+        raise ConfigError(problems)
+
+
 def _scenario_from_args(args) -> tuple[ScenarioParams, dict]:
     raw = {}
     if args.config:
@@ -65,13 +73,7 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, dict]:
         if v is not None:
             raw[key] = v
 
-    missing = [k for k in PARAM_FIELDS if k not in raw]
-    if missing:
-        raise ConfigError([f"{k}: missing" for k in missing])
-    unknown = sorted(set(raw) - set(PARAM_FIELDS))
-    if unknown:
-        raise ConfigError([f"{k}: unknown config key" for k in unknown])
-
+    _check_keys(raw, PARAM_FIELDS)
     values = {k: raw[k] for k in PARAM_FIELDS}
     values["polarity"] = parse_polarity(raw["polarity"])
     return ScenarioParams(**values), raw
@@ -83,9 +85,7 @@ def _load_grid(source: str) -> sweep.GridSpec:
     raw = _load_json(source)
     if not isinstance(raw, dict):
         raise ConfigError([f"{source}: expected a JSON object"])
-    missing = sorted(set(sweep.GRID_KEYS) - set(raw))
-    if missing:
-        raise ConfigError([f"{k}: missing" for k in missing])
+    _check_keys(raw, sweep.GRID_KEYS)
     not_lists = [k for k in sweep.GRID_KEYS if not isinstance(raw[k], list)]
     if not_lists:
         raise ConfigError([f"{k}: expected a list" for k in not_lists])
@@ -100,7 +100,7 @@ def _grid_echo(grid: sweep.GridSpec) -> dict:
     return echo
 
 
-def _records_from_args(args) -> tuple[list[sweep.ScenarioRecord], dict, bool]:
+def _records_from_args(args) -> tuple[sweep.Records | sweep.GridRecords, dict, bool]:
     """The records, their source echo, and whether they are the default
     grid's (the only records the reference cross-check applies to)."""
     if args.csv:
@@ -108,7 +108,7 @@ def _records_from_args(args) -> tuple[list[sweep.ScenarioRecord], dict, bool]:
         return records, {"csv": str(args.csv)}, sweep.is_default_grid(records)
     grid = _load_grid(args.grid)
     return (
-        sweep.run_sweep(grid),
+        sweep.GridRecords(grid),
         {"grid": _grid_echo(grid)},
         grid == sweep.default_grid(),
     )
@@ -238,17 +238,23 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _load_grid(args.grid)
-    records = sweep.run_sweep(grid)
+    records = sweep.GridRecords(grid)
     sweep.write_records_csv(records, args.out)
+    retained = len(records)
     counts = {
         "cardinality": grid.cardinality,
-        "removed_degenerate": grid.cardinality - len(records),
-        "retained": len(records),
+        "removed_degenerate": grid.cardinality - retained,
+        "retained": retained,
     }
-    manifest = {"tool": _tool_stamp(), "grid": _grid_echo(grid), "counts": counts}
+    manifest = {
+        "tool": _tool_stamp(),
+        "grid": _grid_echo(grid),
+        "counts": counts,
+        "exclusions": records.exclusions,
+    }
     if grid == sweep.default_grid():
         manifest["reference_delta"] = sweep.reference_delta(
-            sweep.aggregate_sign_table(records), len(records)
+            sweep.aggregate_sign_table(records), retained
         )
     manifest["timestamp"] = _timestamp()
     manifest_path = str(args.out) + ".manifest.json"
@@ -358,6 +364,7 @@ _FIGURES = (
 
 def cmd_plot(args) -> int:
     records, source, _ = _records_from_args(args)
+    records = list(records)  # each figure reads the rows more than once
     if args.subset == "avg-beneficial":
         records = sweep.filter_avg_beneficial(records)
     beneficial = sweep.filter_avg_beneficial(records)

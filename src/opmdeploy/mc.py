@@ -18,6 +18,12 @@ from .errors import ConfigError
 from .scenario import Policy, ScenarioParams, potential_outcomes
 
 
+# Patients per draw at most. Drawing and counting peak near 20 bytes per
+# patient, so this keeps a run near 2 GB; larger counts are refused before
+# any array is allocated (numpy raised ValueError or MemoryError on them).
+MAX_SAMPLES = 10**8
+
+
 @dataclass(frozen=True)
 class McConfig:
     n_samples: int
@@ -26,8 +32,10 @@ class McConfig:
 
     def __post_init__(self):
         problems = []
-        if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
-            problems.append(f"n_samples: must be a positive integer, got {self.n_samples!r}")
+        if not (isinstance(self.n_samples, int) and 1 <= self.n_samples <= MAX_SAMPLES):
+            problems.append(
+                f"n_samples: must be an integer from 1 to {MAX_SAMPLES}, got {self.n_samples!r}"
+            )
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
             problems.append(f"master_seed: must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if not (isinstance(self.scenario_index, int) and self.scenario_index >= 0):

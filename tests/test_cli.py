@@ -162,6 +162,12 @@ class TestSweep:
         assert manifest["reference_delta"]["count_delta"] == 12
         assert "timestamp" in manifest
 
+    def test_manifest_counts_exclusions_by_reason(self, tmp_path):
+        assert main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["exclusions"] == {"structural": 220, "unrepresentable": 0}
+        assert sum(manifest["exclusions"].values()) == manifest["counts"]["removed_degenerate"]
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", "--out", str(a)]) == 0
@@ -228,6 +234,30 @@ class TestSweep:
         }))
         assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "x.csv")]) == 0
         assert f"removed: {4 - retained}  retained: {retained}" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["exclusions"] == {"structural": 0, "unrepresentable": 4 - retained}
+        assert sum(manifest["exclusions"].values()) == manifest["counts"]["removed_degenerate"]
+
+    def test_integer_grid_values_are_filtered_as_floats(self, tmp_path, capsys):
+        # beta_x + beta_xt is 1 in integers but 0.0 in the floats the
+        # evaluation reads: a structural exclusion, not a degenerate exit
+        grid = write_grid(
+            tmp_path, p_x_values=[0.5], pi0_values=[1], beta0_values=[0],
+            beta_x_values=[100000000000000001], beta_t_values=[1],
+            beta_xt_values=[-100000000000000000], polarities=["desirable"],
+        )
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 0
+        assert "removed: 1  retained: 0" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["exclusions"] == {"structural": 1, "unrepresentable": 0}
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_unknown_grid_key_exits_2(self, tmp_path, capsys):
+        grid = write_grid(tmp_path, beta0_value=[3.0])
+        assert main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: beta0_value: unknown config key\n" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_non_finite_grid_value_names_the_field(self, tmp_path, capsys):
         grid = write_grid(tmp_path, beta0_values=[float("nan")])

@@ -8,12 +8,12 @@ from opmdeploy.figures import (
     odds_ratio_panels,
 )
 from opmdeploy.scenario import OutcomePolarity, sign_with_band
-from opmdeploy.sweep import default_grid, run_sweep
+from opmdeploy.sweep import GridRecords, default_grid
 
 
 @pytest.fixture(scope="module")
 def records():
-    return run_sweep(default_grid())
+    return list(GridRecords(default_grid()))
 
 
 def test_color_map_endpoints_and_midpoint():

@@ -1,12 +1,14 @@
 """The input boundary never leaks a traceback: whatever a config file, a
-grid file or a sweep CSV holds, `main` returns one of the documented exit
-codes (0 ok, 2 validation, 3 degenerate scenario, 4 I/O)."""
+grid file, a sweep CSV or the command line holds, `main` returns one of the
+documented exit codes (0 ok, 2 validation, 3 degenerate scenario, 4 I/O)."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from opmdeploy.cli import main
 from opmdeploy.scenario import PARAM_FIELDS
@@ -105,3 +107,95 @@ row = (
 @given(st.lists(st.sampled_from([header, row]) | st.binary(max_size=30), max_size=4))
 def test_any_sweep_csv_maps_to_an_exit_code(lines):
     run(lambda path, d: ["tables", "--csv", path, "--out", f"{d}/tables"], b"\n".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# argv: every subcommand's options, each left out, given once or given
+# twice, with numbers, NaN, infinities, huge integers, empty strings and
+# paths to good, bad and missing files. argparse's own refusal (SystemExit
+# with code 2) counts as exit 2.
+
+GOOD_CONFIG = {
+    "p_x": 0.3, "pi0": 1, "beta0": 0.5, "beta_x": -1.5, "beta_t": 0.0,
+    "beta_xt": 1.0, "polarity": "desirable",
+}
+SMALL_GRID = {
+    "p_x_values": [0.3], "pi0_values": [0, 1], "beta0_values": [-0.5],
+    "beta_x_values": [0.5], "beta_t_values": [-0.4, 0.4],
+    "beta_xt_values": [-0.5, 0.0], "polarities": ["desirable"],
+}
+argv_text = st.text(st.characters(blacklist_characters="\x00"), max_size=6)
+number = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr),  # also nan, inf, -inf
+    st.sampled_from(["nan", "inf", "-inf", "1e400", str(10**30), str(-(2**64)), ""]),
+    argv_text,
+)
+path = st.sampled_from(
+    ["config.json", "grid.json", "sweep.csv", "missing.json", "", ".", "nodir/out"]
+) | argv_text
+
+
+def option(*good, bad=number):
+    """A value the option accepts about five draws in six, else `bad`."""
+    return one_in(6).flatmap(lambda rare: bad if rare else st.sampled_from(good))
+
+
+SCENARIO_OPTIONS = {
+    "--config": option("config.json", bad=path),
+    **{flag: option("0.3", "-1.5", "0") for flag in ("--p-x", "--beta0", "--beta-x", "--beta-t", "--beta-xt")},
+    "--pi0": option("0", "1"),
+    "--polarity": option("desirable", "undesirable", bad=number | path),
+}
+OUT = option("out", "out.json", bad=path)
+RECORDS_OPTIONS = {"--csv": option("sweep.csv", bad=path), "--grid": option("grid.json", bad=path)}
+OPTIONS = {
+    "eval": {**SCENARIO_OPTIONS, "--out": OUT},
+    "sweep": {"--grid": option("grid.json", "default", bad=path), "--out": OUT},
+    "tables": {**RECORDS_OPTIONS, "--out": OUT},
+    "plot": {**RECORDS_OPTIONS, "--out": OUT, "--subset": option("all", "avg-beneficial")},
+    "simulate": {
+        **SCENARIO_OPTIONS,
+        "--seed": option("7", str(2**64 - 1), bad=number | st.integers(-(2**70), 2**70).map(str)),
+        # past MAX_SAMPLES a count is refused before any draw; a count
+        # between a few hundred and that cap would allocate up to gigabytes
+        "--samples": option("1", "50", "300", str(10**8 + 1), str(10**30)),
+        "--scenario-index": option("0", "3", str(2**70)),
+        "--out": OUT,
+        "--dump-samples": option("dump", bad=path),
+    },
+}
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(option(*OPTIONS, bad=argv_text))
+    argv = [command]
+    for flag, values in OPTIONS.get(command, {}).items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):  # missing, once, twice
+            argv += [flag, draw(values)]
+    if draw(one_in(20)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(argv_text))
+    return argv
+
+
+def run_argv(argv: list[str]) -> int:
+    with tempfile.TemporaryDirectory() as d, contextlib.chdir(d):
+        Path("config.json").write_text(json.dumps(GOOD_CONFIG))
+        Path("grid.json").write_text(json.dumps(SMALL_GRID))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            main(["sweep", "--grid", "grid.json", "--out", "sweep.csv"])
+            try:
+                return main(argv)
+            except SystemExit as exc:  # argparse: usage errors, --help
+                return exc.code
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+# sample counts numpy refused with ValueError and MemoryError tracebacks
+@example(["simulate", "--config", "config.json", "--samples", str(10**30)])
+@example(["simulate", "--config", "config.json", "--samples", str(10**13)])
+def test_any_argv_maps_to_an_exit_code(argv):
+    assert run_argv(argv) in EXIT_CODES

@@ -6,7 +6,7 @@ from scipy.stats import mannwhitneyu
 
 from conftest import LN25, random_params
 from opmdeploy.errors import ConfigError, DegenerateScenario
-from opmdeploy.mc import McConfig, empirical_metrics, sample, write_sample_csv
+from opmdeploy.mc import MAX_SAMPLES, McConfig, empirical_metrics, sample, write_sample_csv
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import OutcomePolarity, ScenarioParams, historic_policy
 from opmdeploy.sweep import default_grid, expand_and_filter
@@ -21,6 +21,13 @@ class TestConfig:
     def test_rejects_nonpositive_sample_count(self):
         with pytest.raises(ConfigError):
             McConfig(n_samples=0, master_seed=1)
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10**20])
+    def test_rejects_a_sample_count_past_the_cap(self, n):
+        # refused before any array is allocated (10**20 raised ValueError
+        # from numpy, 10**13 MemoryError)
+        with pytest.raises(ConfigError, match=f"n_samples: must be an integer from 1 to {MAX_SAMPLES}"):
+            McConfig(n_samples=n, master_seed=1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError):

@@ -1,11 +1,21 @@
+import csv
+import io
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opmdeploy import sweep
 from opmdeploy.classify import Verdict
-from opmdeploy.errors import ConfigError
+from opmdeploy.errors import ConfigError, DegenerateOutcome
+from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import OutcomePolarity
 from opmdeploy.sweep import (
+    CSV_COLUMNS,
+    GridRecords,
     GridSpec,
     REFERENCE_SIGN_TABLE,
     REFERENCE_SIGN_TOTAL,
@@ -16,9 +26,9 @@ from opmdeploy.sweep import (
     filter_avg_beneficial,
     is_degenerate,
     read_records_csv,
-    records_to_csv_rows,
+    record_columns,
+    record_from_report,
     reference_delta,
-    run_sweep,
     write_records_csv,
 )
 
@@ -53,7 +63,8 @@ POLARITY_WORD = {
 
 @pytest.fixture(scope="module")
 def default_records():
-    return run_sweep(default_grid())
+    records, _, _ = record_columns(default_grid())
+    return records
 
 
 class TestDefaultGrid:
@@ -134,14 +145,14 @@ class TestRunSweep:
     def test_determinism_byte_identical(self, default_records, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(default_records, a)
-        write_records_csv(run_sweep(default_grid()), b)
+        write_records_csv(GridRecords(default_grid()), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_runtime_well_under_a_second(self):
         import time
 
         t0 = time.perf_counter()
-        run_sweep(default_grid())
+        assert len(GridRecords(default_grid())) == 4620
         assert time.perf_counter() - t0 < 1.0
 
     def test_sub_band_fitted_tie_retained(self):
@@ -153,7 +164,7 @@ class TestRunSweep:
             beta_xt_values=(0.0,), polarities=(OutcomePolarity.DESIRABLE,),
         )
         assert len(expand_and_filter(grid)) == 2
-        records = run_sweep(grid)
+        records = list(GridRecords(grid))
         assert [r.beta_x for r in records] == [2e-12, 0.5]
         assert records[0].verdict is Verdict.BENEFICIAL
 
@@ -237,17 +248,42 @@ class TestAvgBeneficialFilter:
 
 
 class TestCsvRoundTrip:
-    def test_header_and_row_count(self, default_records):
-        rows = list(records_to_csv_rows(default_records))
-        assert rows[0][:7] == [
+    def test_header_and_row_count(self, default_records, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(default_records, path)
+        rows = path.read_text().splitlines()
+        assert rows[0].split(",")[:7] == [
             "p_x", "pi0", "beta0", "beta_x", "beta_t", "beta_xt", "polarity",
         ]
         assert len(rows) == 4621
 
     def test_round_trip_identity(self, default_records, tmp_path):
+        path, again = tmp_path / "records.csv", tmp_path / "again.csv"
+        write_records_csv(default_records, path)
+        records = read_records_csv(path)
+        assert list(records) == list(default_records)
+        write_records_csv(records, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("column, cell, message", [
+        ("pi0", "2", "expected one of (0, 1), got '2'"),
+        ("sign_bt", "5", "expected one of (-1, 0, 1), got '5'"),
+        ("verdict", "maybe", "'maybe' is not a valid Verdict"),
+    ])
+    def test_out_of_range_cell_names_line_and_column(
+        self, default_records, tmp_path, column, cell, message
+    ):
         path = tmp_path / "records.csv"
         write_records_csv(default_records, path)
-        assert read_records_csv(path) == default_records
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        lines[3] = ",".join(cells)
+        lines[5] = "short,row"  # a later fault: the first one is reported
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as err:
+            read_records_csv(path)
+        assert err.value.problems == [f"{path}: line 4, column {column}: {message}"]
 
     def test_value_rendering(self, default_records, tmp_path):
         path = tmp_path / "records.csv"
@@ -255,3 +291,127 @@ class TestCsvRoundTrip:
         text = path.read_text().splitlines()
         assert "true" in text[1] or "false" in text[1]
         assert "desirable" in text[1] or "undesirable" in text[1]
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the per-scenario object path, which stays as its
+# oracle: record_from_report(evaluate_scenario(p)) for every retained
+# setting, written cell by cell through csv.writer.
+
+
+def oracle(grid: GridSpec):
+    """(rows, structural exclusions, unrepresentable exclusions)."""
+    expanded = expand_and_filter(grid)
+    rows = []
+    for params in expanded:
+        try:
+            rows.append(record_from_report(evaluate_scenario(params)))
+        except DegenerateOutcome:
+            continue
+    return rows, grid.cardinality - len(expanded), len(expanded) - len(rows)
+
+
+def oracle_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (OutcomePolarity, Verdict)):
+        return value.value
+    return str(value)
+
+
+def oracle_csv(rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([oracle_cell(getattr(r, c)) for c in CSV_COLUMNS] for r in rows)
+    return out.getvalue().encode()
+
+
+def cells(rows) -> list[tuple[str, ...]]:
+    """Each row as the reprs of its cells: -0.0 and 0.0 differ."""
+    return [tuple(repr(getattr(r, c)) for c in CSV_COLUMNS) for r in rows]
+
+
+def assert_kernel_matches_oracle(grid: GridSpec, path) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails
+        records, structural, unrepresentable = record_columns(grid)
+        streamed = GridRecords(grid)
+        write_records_csv(streamed, path)
+    rows, want_structural, want_unrepresentable = oracle(grid)
+    assert (structural, unrepresentable) == (want_structural, want_unrepresentable)
+    assert streamed.exclusions == {
+        "structural": structural, "unrepresentable": unrepresentable,
+    }
+    assert len(records) == len(streamed) == len(rows)
+    assert cells(records) == cells(rows)
+    assert path.read_bytes() == oracle_csv(rows)
+
+
+HUGE = (1e308, -1e308, 1.7976931348623157e308, -8.98846567431158e307)
+beta = (
+    st.floats(-40.0, 40.0)
+    | st.integers(-40, 40)
+    | st.sampled_from([0.0, -0.0])
+    | st.sampled_from(HUGE)
+)
+
+
+def value_lists(element):
+    # [0.0, -0.0] puts both zeros in one list
+    return st.lists(element, min_size=1, max_size=2) | st.just([0.0, -0.0])
+
+
+@st.composite
+def grids(draw) -> GridSpec:
+    return GridSpec(
+        p_x_values=draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2)),
+        pi0_values=draw(st.sampled_from([[0], [1], [0, 1], [1, 0]])),
+        beta0_values=draw(value_lists(beta | st.sampled_from([40.0, -40.0, 745.0]))),
+        beta_x_values=draw(value_lists(beta)),
+        beta_t_values=draw(value_lists(beta)),
+        beta_xt_values=draw(value_lists(beta)),
+        polarities=draw(st.lists(st.sampled_from(list(OutcomePolarity)), min_size=1, max_size=2)),
+    )
+
+
+def one_grid(**lists) -> GridSpec:
+    base = dict(
+        p_x_values=[0.5], pi0_values=[0, 1], beta0_values=[-0.5],
+        beta_x_values=[1.0], beta_t_values=[0.5], beta_xt_values=[0.0],
+        polarities=list(OutcomePolarity),
+    )
+    return GridSpec(**{**base, **lists})
+
+
+class TestKernelMatchesOracle:
+    def test_default_grid(self, tmp_path):
+        assert_kernel_matches_oracle(default_grid(), tmp_path / "sweep.csv")
+
+    @pytest.mark.parametrize("grid", [
+        one_grid(beta_t_values=[0.0, -0.0, 2], beta_xt_values=[-1, 0, -0.0, 3]),
+        one_grid(beta0_values=[40.0], beta_t_values=[5.0, 0.5]),  # saturated
+        one_grid(beta_x_values=list(HUGE), beta_t_values=list(HUGE),
+                 beta_xt_values=[-1e308, 1e308, 0.0]),
+        # integer values that differ as integers but not as floats
+        one_grid(beta_x_values=[10**17 + 1], beta_xt_values=[-(10**17)]),
+    ], ids=["signed-zeros-and-ints", "saturated-beta0", "near-float-max", "big-ints"])
+    def test_edge_grids(self, grid, tmp_path):
+        assert_kernel_matches_oracle(grid, tmp_path / "sweep.csv")
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_random_grids(self, grid):
+        with tempfile.TemporaryDirectory() as d:
+            assert_kernel_matches_oracle(grid, Path(d) / "sweep.csv")
+
+    def test_chunks_join_to_one_pass(self, monkeypatch, tmp_path):
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        write_records_csv(GridRecords(default_grid()), whole)
+        monkeypatch.setattr(sweep, "CHUNK", 97)  # chunk edges inside runs of settings
+        records = GridRecords(default_grid())
+        write_records_csv(records, chunked)
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert records.exclusions == {"structural": 220, "unrepresentable": 0}
