@@ -395,15 +395,7 @@ def cmd_plot(args) -> int:
 
 
 def _empirical_block(m: mc.EmpiricalMetrics) -> dict:
-    return {
-        "mu_hat": list(m.mu_hat),
-        "sens_hat": m.sens_hat,
-        "spec_hat": m.spec_hat,
-        "auc_hat": m.auc_hat,
-        "n_pos": m.n_pos,
-        "n_neg": m.n_neg,
-        "insufficient_cases": m.insufficient_cases,
-    }
+    return {**vars(m), "insufficient_cases": m.insufficient_cases}
 
 
 def _abs_err(a, b):

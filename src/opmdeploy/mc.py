@@ -54,10 +54,10 @@ class EmpiricalMetrics:
     rank statistic (ties count one half), evaluated at the same operating
     point as the closed form; None when a class is empty."""
 
-    auc_hat: float | None
+    mu_hat: tuple[float | None, float | None]
     sens_hat: float | None
     spec_hat: float | None
-    mu_hat: tuple[float | None, float | None]
+    auc_hat: float | None
     n_pos: int
     n_neg: int
 

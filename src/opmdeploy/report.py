@@ -13,12 +13,12 @@ from .scenario import (
     Policy,
     PotentialOutcomes,
     ScenarioParams,
-    effect_sign,
+    deployment_signs,
     fit_opm,
     historic_policy,
     observed_distribution,
     potential_outcomes,
-    top_group,
+    zero_step_error,
 )
 
 
@@ -56,19 +56,19 @@ class DeploymentReport:
 def evaluate_scenario(params: ScenarioParams) -> DeploymentReport:
     """Run the whole closed-form pipeline for one parameterization.
 
-    Every discrete outcome is decided here, once, from log-odds coefficient
-    signs: the deployed policy treats the higher-predicted group `top`; the
-    changed group is `top` under treat no one and the other group under
-    treat everyone; the sign of its treatment effect is the AUC sign, and
-    fixes the verdict, the harm flags and post-deployment calibration. The
+    Every discrete outcome follows from `deployment_signs`, the log-odds
+    coefficient signs the sweep kernel decides on columns: the deployed
+    policy treats the higher-predicted group `top`, and the sign of the
+    changed group's treatment effect is the AUC sign, and fixes the
+    verdict, the harm flags and post-deployment calibration. The
     probabilities are reported, never thresholded.
 
     Raises DegenerateScenario when the historic conditionals coincide and
     DegenerateOutcome when p(Y=1) rounds to 0 or 1.
     """
-    top = top_group(params)
-    changed = top if params.pi0 == 0 else 1 - top
-    sign = effect_sign(params, changed)
+    step, top, changed, sign = deployment_signs(params)
+    if step == 0:
+        raise zero_step_error(params)
     verdict = classify.verdict_from_signs(params.polarity, params.pi0, sign)
 
     po = potential_outcomes(params)

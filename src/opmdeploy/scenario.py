@@ -26,11 +26,10 @@ from enum import Enum
 
 from .errors import ConfigError, DegenerateScenario
 
-# Zero band for log-odds coefficients (historic steps, per-group effects).
-# Every discrete outcome is the sign of such a coefficient; the band absorbs
-# the rounding of sums like ln(v) + ln(1/v), which are structurally zero.
-# The sweep's avg_treatment_beneficial flag also applies it to a
-# probability: that flag only selects the subset the figures plot.
+# Zero band for log-odds coefficients (historic steps, per-group effects),
+# and for nothing else. Every discrete outcome is the sign of such a
+# coefficient; the band absorbs the rounding of sums like ln(v) + ln(1/v),
+# which are structurally zero.
 EPS_EQ = 1e-12
 
 
@@ -42,13 +41,10 @@ def logistic(eta: float) -> float:
     return z / (1.0 + z)
 
 
-def sign_with_band(value: float) -> int:
-    """Three-valued sign with a +/-EPS_EQ zero band."""
-    if value > EPS_EQ:
-        return 1
-    if value < -EPS_EQ:
-        return -1
-    return 0
+def sign_with_band(value):
+    """Three-valued sign with a +/-EPS_EQ zero band: an int for a float,
+    elementwise for an array."""
+    return (value > EPS_EQ) * 1 - (value < -EPS_EQ) * 1
 
 
 class OutcomePolarity(Enum):
@@ -178,19 +174,15 @@ class ObservedDistribution:
     joint: tuple[tuple[float, float], tuple[float, float]]
 
 
+def log_odds(params, t: int, x: int):
+    """log-odds p(Y=1 | T=t, X=x) of a scenario, or of columns of them."""
+    return params.beta0 + params.beta_x * x + params.beta_t * t + params.beta_xt * x * t
+
+
 def potential_outcomes(params: ScenarioParams) -> PotentialOutcomes:
     """Evaluate the log-odds model at all four (t, x) cells."""
     q = tuple(
-        tuple(
-            logistic(
-                params.beta0
-                + params.beta_x * x
-                + params.beta_t * t
-                + params.beta_xt * x * t
-            )
-            for x in (0, 1)
-        )
-        for t in (0, 1)
+        tuple(logistic(log_odds(params, t, x)) for x in (0, 1)) for t in (0, 1)
     )
     return PotentialOutcomes(q=q)
 
@@ -217,7 +209,7 @@ def observed_distribution(
     return ObservedDistribution(mu=mu, p_y1=p_y1, joint=joint)
 
 
-def historic_step_sign(pi0: int, beta_x: float, beta_xt: float) -> int:
+def historic_step_sign(pi0, beta_x, beta_xt):
     """Sign of the historic log-odds step from X=0 to X=1: beta_x under
     treat no one, beta_x + beta_xt under treat everyone. By logistic
     monotonicity it orders the fitted values f(0) and f(1); 0 means they
@@ -225,26 +217,62 @@ def historic_step_sign(pi0: int, beta_x: float, beta_xt: float) -> int:
     return sign_with_band(beta_x + beta_xt * pi0)
 
 
-def effect_sign(params: ScenarioParams, x: int) -> int:
+def effect_sign(params, x):
     """Sign of group x's treatment effect q[1][x] - q[0][x], read off its
     log-odds effect beta_t + beta_xt*x (logistic monotonicity)."""
     return sign_with_band(params.beta_t + params.beta_xt * x)
+
+
+def deployment_signs(params):
+    """Every decision a deployment turns on, as (step, top, changed, sign).
+
+    `step` is the historic step sign (0: a constant predictor); `top`, the
+    group the fitted predictor ranks higher, is the ROC operating point and
+    the group the deployed policy treats; the changed group is `top` under
+    treat no one and the other group under treat everyone; `sign` is the
+    sign of its treatment effect. `params` is a scenario, or anything with
+    its field names holding columns of them (the signs then are columns).
+    """
+    step = historic_step_sign(params.pi0, params.beta_x, params.beta_xt)
+    top = (step > 0) * 1
+    changed = top ^ params.pi0
+    return step, top, changed, effect_sign(params, changed)
+
+
+def zero_step_error(params: ScenarioParams) -> DegenerateScenario:
+    """The refusal of a scenario whose historic step is zero: a constant
+    predictor admits no nonconstant threshold policy."""
+    return DegenerateScenario(
+        f"historic conditionals coincide: zero log-odds step from X=0 to "
+        f"X=1 under pi0={params.pi0}"
+    )
 
 
 def top_group(params: ScenarioParams) -> int:
     """The group the fitted predictor ranks higher: the ROC operating point
     and the group the deployed policy treats.
 
-    Raises DegenerateScenario when the historic step is zero: a constant
-    predictor admits no nonconstant threshold policy.
+    Raises DegenerateScenario when the historic step is zero.
     """
-    step = historic_step_sign(params.pi0, params.beta_x, params.beta_xt)
+    step, top, _, _ = deployment_signs(params)
     if step == 0:
-        raise DegenerateScenario(
-            f"historic conditionals coincide: zero log-odds step from X=0 to "
-            f"X=1 under pi0={params.pi0}"
-        )
-    return int(step > 0)
+        raise zero_step_error(params)
+    return top
+
+
+def _sign(value):
+    """Three-valued sign with no band, on a float or elementwise."""
+    return (value > 0) * 1 - (value < 0) * 1
+
+
+def avg_effect_sign(params, cate0, cate1):
+    """Sign of the prevalence-weighted treatment effect
+    p_x*cate1 + (1-p_x)*cate0. Where the two groups' effect signs do not
+    oppose it is the sign of their sum, decided on the coefficients; where
+    they oppose it is the sign of the float sum, with no band."""
+    s0, s1 = effect_sign(params, 0), effect_sign(params, 1)
+    avg = params.p_x * cate1 + (1.0 - params.p_x) * cate0
+    return _sign(s0 + s1) + (s0 * s1 < 0) * _sign(avg)
 
 
 def fit_opm(historic: ObservedDistribution, top: int) -> Opm:

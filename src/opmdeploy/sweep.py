@@ -7,11 +7,10 @@ whose historic conditionals coincide (a constant fitted predictor) are
 removed structurally before evaluation.
 
 A grid is evaluated column-wise by `record_columns`, CHUNK settings at a
-time: every decision is sign arithmetic on the log-odds coefficients, and
-every float comes from the same IEEE operations, in the same order, as on
-the per-scenario path `record_from_report(evaluate_scenario(p))`, which the
-tests hold it to cell for cell. Records stay columns through the CSV
-writer, the reader and the aggregations.
+time: it calls the `scenario` functions behind every decision and every
+float of the per-scenario path `record_from_report(evaluate_scenario(p))`
+on columns, which the tests hold it to cell for cell. Records stay columns
+through the CSV writer, the reader and the aggregations.
 
 Aggregations reproduce two published reference tables; where this tool's
 structural filter and self-fulfilling orientation differ from the
@@ -26,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
@@ -37,15 +37,20 @@ from .errors import ConfigError
 # `record_from_report` flattens: the kernel's oracle.
 from .report import DeploymentReport, evaluate_scenario  # noqa: F401
 from .scenario import (
-    EPS_EQ,
     PARAM_FIELDS,
     OutcomePolarity,
+    Policy,
+    PotentialOutcomes,
     ScenarioParams,
+    avg_effect_sign,
+    deployment_signs,
     effect_sign,
     field_problems,
+    historic_policy,
     historic_step_sign,
+    log_odds,
     logistic,
-    sign_with_band,
+    observed_distribution,
 )
 
 # Odds ratios behind the default grid's log-odds values.
@@ -179,7 +184,6 @@ def record_from_report(report: DeploymentReport) -> ScenarioRecord:
     must match."""
     p = report.params
     cate = report.po.cate
-    avg_effect = p.p_x * cate[1] + (1.0 - p.p_x) * cate[0]
     return ScenarioRecord(
         p_x=p.p_x,
         pi0=p.pi0,
@@ -199,9 +203,8 @@ def record_from_report(report: DeploymentReport) -> ScenarioRecord:
         harmful_marginal=report.harm.harmful_marginal,
         verdict=report.verdict,
         calibrated_post=report.calibration_post.is_calibrated,
-        avg_treatment_beneficial=sign_with_band(
-            p.polarity.favorable_sign * avg_effect
-        )
+        avg_treatment_beneficial=p.polarity.favorable_sign
+        * avg_effect_sign(p, *cate)
         > 0,
     )
 
@@ -258,24 +261,18 @@ class Records:
         return (self,)
 
 
-def _band_sign(values: np.ndarray) -> np.ndarray:
-    """`sign_with_band`, elementwise."""
-    return (values > EPS_EQ).astype(np.int8) - (values < -EPS_EQ)
-
-
 def _settings(grid: GridSpec, start: int, stop: int):
     """Settings [start, stop) of the grid's canonical order (the Cartesian
     product of its lists, the last varying fastest) minus the structurally
-    degenerate ones: one array per `ScenarioParams` field, the historic
-    step sign of each, and how many were removed."""
+    degenerate ones: one array per `ScenarioParams` field, and how many
+    were removed."""
     arrays = grid.arrays
     index = np.unravel_index(np.arange(start, stop), tuple(map(len, arrays)))
     values = [a[i] for a, i in zip(arrays, index)]
     _, pi0, _, beta_x, _, beta_xt, _ = values
-    step = _band_sign(beta_x + beta_xt * pi0)  # historic_step_sign
-    kept = step != 0
+    kept = historic_step_sign(pi0, beta_x, beta_xt) != 0
     removed = stop - start - int(np.count_nonzero(kept))
-    return dict(zip(PARAM_FIELDS, (v[kept] for v in values))), step[kept], removed
+    return dict(zip(PARAM_FIELDS, (v[kept] for v in values))), removed
 
 
 def _logistic(eta: np.ndarray) -> np.ndarray:
@@ -285,20 +282,11 @@ def _logistic(eta: np.ndarray) -> np.ndarray:
     return np.array([logistic(e) for e in distinct.tolist()])[where]
 
 
-def _observed(q, a0, a1, p_x):
-    """`observed_distribution` under assignment (a0, a1): mu and p(Y=1)."""
-    mu0 = (1 - a0) * q[0][0] + a0 * q[1][0]
-    mu1 = (1 - a1) * q[0][1] + a1 * q[1][1]
-    return mu0, mu1, (1.0 - p_x) * mu0 + p_x * mu1
-
-
-def _auc(mu0, mu1, p_y1, top, p_x):
-    """`metrics.discrimination`'s AUC at operating point `top`, from the
-    joint cells as `observed_distribution` forms them."""
-    sens = np.where(top == 1, p_x * mu1, (1.0 - p_x) * mu0) / p_y1
-    spec = np.where(top == 1, (1.0 - p_x) * (1.0 - mu0), p_x * (1.0 - mu1)) / (
-        1.0 - p_y1
-    )
+def _auc(dist, top):
+    """`metrics.discrimination`'s AUC at each row's operating point `top`."""
+    (j00, j01), (j10, j11) = dist.joint
+    sens = np.where(top, j11, j01) / dist.p_y1
+    spec = np.where(top, j00, j10) / (1.0 - dist.p_y1)
     return 0.5 * (sens + spec)
 
 
@@ -308,53 +296,47 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
     degenerate and as unrepresentable.
 
     Each column holds what `record_from_report(evaluate_scenario(p))` holds
-    for each retained setting: the four outcome probabilities come from
-    `logistic` itself, every other float from the same `+ - * /` in the same
-    order, and `top`, the changed group, the effect sign and the verdict
-    from the same coefficient signs. A setting whose
-    p(Y=1) before or after deployment is not strictly between 0 and 1
-    (where `evaluate_scenario` raises DegenerateOutcome) is unrepresentable.
+    for each retained setting: the decisions and the floats come from the
+    same `scenario` functions, called on columns, and the four outcome
+    probabilities from `logistic` itself. A setting whose p(Y=1) before or
+    after deployment is not strictly between 0 and 1 (where
+    `evaluate_scenario` raises DegenerateOutcome) is unrepresentable.
     """
     stop = grid.cardinality if stop is None else stop
     # Sums of |beta| near 1e308 overflow and excluded settings divide by
     # zero, as on the scalar path, which warns of neither.
     with np.errstate(all="ignore"):
-        s, step, structural = _settings(grid, start, stop)
-        p_x, pi0, beta0, beta_x, beta_t, beta_xt, polarity = s.values()
-        q = [  # q[t][x], as `potential_outcomes`
-            [_logistic(beta0 + beta_x * x + beta_t * t + beta_xt * x * t) for x in (0, 1)]
-            for t in (0, 1)
-        ]
-        top = (step > 0).astype(np.int8)
-        changed = top ^ pi0  # top under treat no one, the other group otherwise
-        sign_bt = _band_sign(beta_t + beta_xt * 0)
-        sign_bt_plus_bxt = _band_sign(beta_t + beta_xt * 1)
-        sign = np.where(changed == 1, sign_bt_plus_bxt, sign_bt)
-        verdict = _VERDICT_CODES[polarity, pi0, sign + 1]
-        pre = _observed(q, pi0, pi0, p_x)
-        post = _observed(q, 1 - top, top, p_x)
-        auc_pre = _auc(*pre, top, p_x)
-        auc_post = _auc(*post, top, p_x)
-        cate0 = q[1][0] - q[0][0]
-        cate1 = q[1][1] - q[0][1]
-        avg_effect = p_x * cate1 + (1.0 - p_x) * cate0
-        beneficial = _FAVORABLE_SIGN[polarity] * avg_effect > EPS_EQ
-    representable = (0.0 < pre[2]) & (pre[2] < 1.0) & (0.0 < post[2]) & (post[2] < 1.0)
-    columns = {
-        **s,
-        "cate0": cate0,
-        "cate1": cate1,
-        "auc_pre": auc_pre,
-        "auc_post": auc_post,
-        "auc_delta": auc_post - auc_pre,
-        "self_fulfilling": sign >= 0,
-        "sign_bt": sign_bt,
-        "sign_bt_plus_bxt": sign_bt_plus_bxt,
-        "harmful_marginal": verdict == _HARMFUL,
-        "verdict": verdict,
-        "calibrated_post": sign == 0,
-        "avg_treatment_beneficial": beneficial,
-    }
+        s, structural = _settings(grid, start, stop)
+        c = SimpleNamespace(**s)
+        po = PotentialOutcomes(
+            [[_logistic(log_odds(c, t, x)) for x in (0, 1)] for t in (0, 1)]
+        )
+        _, top, _, sign = deployment_signs(c)
+        verdict = _VERDICT_CODES[c.polarity, c.pi0, sign + 1]
+        pre = observed_distribution(po, historic_policy(c.pi0), c.p_x)
+        post = observed_distribution(po, Policy((1 - top, top)), c.p_x)
+        auc_pre, auc_post = _auc(pre, top), _auc(post, top)
+        cate0, cate1 = po.cate
+        columns = {
+            **s,
+            "cate0": cate0,
+            "cate1": cate1,
+            "auc_pre": auc_pre,
+            "auc_post": auc_post,
+            "auc_delta": auc_post - auc_pre,
+            "self_fulfilling": sign >= 0,
+            "sign_bt": effect_sign(c, 0),
+            "sign_bt_plus_bxt": effect_sign(c, 1),
+            "harmful_marginal": verdict == _HARMFUL,
+            "verdict": verdict,
+            "calibrated_post": sign == 0,
+            "avg_treatment_beneficial": _FAVORABLE_SIGN[c.polarity]
+            * avg_effect_sign(c, cate0, cate1)
+            > 0,
+        }
+    representable = (
+        (0.0 < pre.p_y1) & (pre.p_y1 < 1.0) & (0.0 < post.p_y1) & (post.p_y1 < 1.0)
+    )
     unrepresentable = len(representable) - int(np.count_nonzero(representable))
     records = Records({name: columns[name][representable] for name in CSV_COLUMNS})
     return records, structural, unrepresentable
@@ -488,7 +470,7 @@ def is_default_grid(records: Records) -> bool:
     settings, in order: the only record set the published reference
     tabulation describes."""
     grid = default_grid()
-    settings, _, _ = _settings(grid, 0, grid.cardinality)
+    settings, _ = _settings(grid, 0, grid.cardinality)
     return all(
         np.array_equal(records.columns[name], settings[name]) for name in PARAM_FIELDS
     )
@@ -587,57 +569,34 @@ def _cell_parser(name: str, kind: type):
 _CELL_PARSERS = {name: _cell_parser(name, kind) for name, kind in _COLUMN_TYPES.items()}
 
 
-def _parse_column(name: str, cells: tuple[str, ...]):
-    """The column's array, or the first row whose cell does not parse and
-    why: each distinct cell is parsed once."""
+def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
+    """The column's array, each distinct cell parsed once; ValueError if
+    one does not parse."""
     parse, distinct = _CELL_PARSERS[name], set(cells)
-    try:
-        parsed = dict(zip(distinct, map(parse, distinct)))
-    except ValueError:
-        errors = {}
-        for cell in distinct:
-            try:
-                parse(cell)
-            except ValueError as exc:
-                errors[cell] = exc
-        row = next(i for i, cell in enumerate(cells) if cell in errors)
-        return None, (row, errors[cells[row]])
+    parsed = dict(zip(distinct, map(parse, distinct)))
     dtype = _DTYPES.get(_COLUMN_TYPES[name], np.int8)  # int8: enum codes
-    return np.fromiter(map(parsed.__getitem__, cells), dtype, len(cells)), None
+    return np.fromiter(map(parsed.__getitem__, cells), dtype, len(cells))
 
 
-def _line_number(path, row: int) -> int:
-    """The line csv.reader has reached after data row `row` (quoted
-    newlines can put it past row + 2)."""
-    with open(path, newline="", errors="replace") as fh:
-        reader = csv.reader(fh)
-        for _ in itertools.islice(reader, row + 2):
-            pass
-        return reader.line_num
-
-
-def _parse_rows(path, first: int, rows: list[list[str]]) -> dict[str, np.ndarray]:
-    """Columns of data rows first, first + 1, ...; ConfigError on the first
-    fault among them."""
+def _parse_block(path, block: list) -> dict[str, np.ndarray]:
+    """Columns of a block of (data row, line csv.reader reached after it)
+    pairs. On a fault, one pass over the rows raises ConfigError on the
+    first: a row's width, then its cells left to right."""
     width = len(CSV_COLUMNS)
-    short = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-    cells = zip(*rows[:short]) if short else [()] * width
-    columns, fault = {}, None
-    for name, column in zip(CSV_COLUMNS, cells):
-        columns[name], bad = _parse_column(name, column)
-        if bad is not None and (fault is None or bad[0] < fault[0]):
-            fault = (*bad, name)
-    if fault is not None:
-        row, exc, name = fault
-        raise ConfigError(
-            [f"{path}: line {_line_number(path, first + row)}, column {name}: {exc}"]
-        )
-    if short < len(rows):
-        raise ConfigError([
-            f"{path}: line {_line_number(path, first + short)}: expected "
-            f"{width} cells, got {len(rows[short])}"
-        ])
-    return columns
+    rows = [row for row, _ in block]
+    if all(len(row) == width for row in rows):
+        try:
+            return dict(zip(CSV_COLUMNS, map(_parse_column, CSV_COLUMNS, zip(*rows))))
+        except ValueError:
+            pass
+    for row, line in block:
+        if len(row) != width:
+            raise ConfigError([f"{path}: line {line}: expected {width} cells, got {len(row)}"])
+        for name, cell in zip(CSV_COLUMNS, row):
+            try:
+                _CELL_PARSERS[name](cell)
+            except ValueError as exc:
+                raise ConfigError([f"{path}: line {line}, column {name}: {exc}"]) from None
 
 
 def read_records_csv(path) -> Records:
@@ -650,12 +609,10 @@ def read_records_csv(path) -> Records:
         header = next(reader, None)
         if header != list(CSV_COLUMNS):
             raise ConfigError([f"{path}: unexpected CSV header: {header!r}"])
-        blocks, first = [], 0
-        while rows := list(itertools.islice(reader, _ROWS)):
-            blocks.append(_parse_rows(path, first, rows))
-            first += len(rows)
-    if not blocks:
-        blocks.append(_parse_rows(path, 0, []))
+        # typed empty columns, for a file with no rows
+        blocks = [{name: _parse_column(name, ()) for name in CSV_COLUMNS}]
+        while block := [(row, reader.line_num) for row in itertools.islice(reader, _ROWS)]:
+            blocks.append(_parse_block(path, block))
     return Records({
         name: np.concatenate([block[name] for block in blocks]) for name in CSV_COLUMNS
     })

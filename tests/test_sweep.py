@@ -241,6 +241,20 @@ class TestAvgBeneficialFilter:
             ):
                 assert r.avg_treatment_beneficial
 
+    def test_agreeing_effect_signs_decide_over_the_float_average(self):
+        # Both log-odds effects are +0.5, but cate0 underflows to 0.0 and
+        # the float average 2.8e-17 lies inside the coefficient band.
+        grid = one_grid(
+            pi0_values=[0], beta0_values=[37.0], beta_x_values=[-74.0],
+            polarities=[OutcomePolarity.DESIRABLE],
+        )
+        records, _, _ = record_columns(grid)
+        (row,) = records
+        assert (row.cate0, row.cate1) == (0.0, 5.5355694987173984e-17)
+        assert row.avg_treatment_beneficial
+        (oracle_row,), _, _ = oracle(grid)
+        assert oracle_row.avg_treatment_beneficial
+
     def test_weighted_average_decides(self):
         # average +0.05 at equal weights: favorable despite one negative arm
         avg = 0.5 * 0.2 + 0.5 * (-0.1)
@@ -284,6 +298,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError) as err:
             read_records_csv(path)
         assert err.value.problems == [f"{path}: line 4, column {column}: {message}"]
+
+    def test_line_numbers_count_quoted_newlines(self, default_records, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(default_records, path)
+        lines = path.read_text().splitlines()
+        cells = lines[10].split(",")  # line 11: its p_x cell spans two lines
+        cells[0] = f'"{cells[0]}\n"'
+        lines[10] = ",".join(cells)
+        cells = lines[300].split(",")  # line 301, one line further down now
+        cells[CSV_COLUMNS.index("sign_bt")] = "7"
+        lines[300] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as err:
+            read_records_csv(path)
+        assert err.value.problems == [
+            f"{path}: line 302, column sign_bt: expected one of (-1, 0, 1), got '7'"
+        ]
 
     def test_value_rendering(self, default_records, tmp_path):
         path = tmp_path / "records.csv"
