@@ -364,10 +364,8 @@ _FIGURES = (
 
 def cmd_plot(args) -> int:
     records, source, _ = _records_from_args(args)
-    records = list(records)  # each figure reads the rows more than once
-    if args.subset == "avg-beneficial":
-        records = sweep.filter_avg_beneficial(records)
-    beneficial = sweep.filter_avg_beneficial(records)
+    records = sweep.Records.join(records.chunks())  # a grid is evaluated once
+    beneficial = records.where(avg_treatment_beneficial=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,7 +375,7 @@ def cmd_plot(args) -> int:
             "tool": _tool_stamp(),
             "figure": name,
             "source": source,
-            "subset": "avg-beneficial" if restricted else args.subset,
+            "subset": "avg-beneficial" if restricted else "all",
             "points": len(recs),
         }
         if axes is None:
@@ -526,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="emit SVG figures from sweep records")
     _add_records_arguments(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--subset", choices=("all", "avg-beneficial"), default="all",
-        help="restrict every figure to this subset first (default: all)",
-    )
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser(

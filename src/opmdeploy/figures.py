@@ -3,7 +3,8 @@
 Figures are written by hand (no plotting library) so output bytes are a
 pure function of the records: diffable, reproducible, and viewable anywhere.
 Every visual classification (panel placement, harmful-region shading, point
-color) is read off ScenarioRecord fields; nothing is recomputed.
+color) is read off the record columns; nothing is recomputed. Odds ratios
+are placed by their log odds, the record's own beta.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 from .classify import Verdict, verdict_from_signs
 from .scenario import OutcomePolarity
-from .sweep import ScenarioRecord
+from .sweep import Records
 
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 _POINT_R = 2.4
@@ -96,18 +97,26 @@ class _Svg:
 
 
 class _Axis:
-    """Affine data->pixel map, optionally through log space."""
+    """Affine data->pixel map; a span that rounds to 0 maps every value to
+    the middle. Differences are taken of halved values, which round as the
+    values' own differences do, so a span across the float range stays
+    finite."""
 
-    def __init__(self, lo, hi, px_lo, px_hi, log=False):
-        self.log = log
-        self.lo = math.log(lo) if log else lo
-        self.hi = math.log(hi) if log else hi
+    def __init__(self, lo, hi, px_lo, px_hi):
+        self.half_lo, self.half_span = lo / 2, hi / 2 - lo / 2
         self.px_lo, self.px_hi = px_lo, px_hi
 
     def __call__(self, v: float) -> float:
-        v = math.log(v) if self.log else v
-        t = (v - self.lo) / (self.hi - self.lo)
+        t = (v / 2 - self.half_lo) / self.half_span if self.half_span else 0.5
         return self.px_lo + t * (self.px_hi - self.px_lo)
+
+
+def _odds_label(log_odds: float) -> str:
+    """The odds ratio exp(log_odds), or its exponent form past the float range."""
+    try:
+        return _tick_label(math.exp(log_odds))
+    except OverflowError:
+        return f"exp({_tick_label(log_odds)})"
 
 
 def _harmful_auc_sign(polarity: OutcomePolarity, pi0: int) -> int:
@@ -124,10 +133,12 @@ _POLARITY_TITLE = {
 _PI0_TITLE = {0: "historic: treat no one", 1: "historic: treat everyone"}
 
 _OR_TICKS = (0.4, 0.6, 1.0, 1.6, 2.5)
+# The x-range's margin each side of the outermost points, in log odds.
+_X_PAD = math.log(1.12)
 
 
 def odds_ratio_panels(
-    records: list[ScenarioRecord],
+    records: Records,
     x_field: str,
     color_field: str,
     x_label: str,
@@ -142,11 +153,11 @@ def odds_ratio_panels(
     svg = _Svg(width, height, manifest)
     svg.text(width / 2, 26, title, size=16, extra='font-weight="bold"')
 
-    xs = [math.exp(getattr(r, x_field)) for r in records]
-    cs = [getattr(r, color_field) for r in records]
-    ys = [r.auc_delta for r in records]
+    xs = records.columns[x_field].tolist()
+    cs = records.columns[color_field].tolist()
+    ys = records.columns["auc_delta"].tolist()
     # Without points the x-range is fixed around an odds ratio of 1.
-    x_lo, x_hi = min(xs, default=1.0) / 1.12, max(xs, default=1.0) * 1.12
+    x_lo, x_hi = min(xs, default=0.0) - _X_PAD, max(xs, default=0.0) + _X_PAD
     y_amp = max(max((abs(y) for y in ys), default=0.1), 1e-3) * 1.1
     c_amp = max(max((abs(c) for c in cs), default=1.0), 1e-9)
 
@@ -159,7 +170,7 @@ def odds_ratio_panels(
         for col, pi0 in enumerate((0, 1)):
             px = margin_l + col * (panel_w + gap)
             py = margin_t + row * (panel_h + gap)
-            ax = _Axis(x_lo, x_hi, px, px + panel_w, log=True)
+            ax = _Axis(x_lo, x_hi, px, px + panel_w)
             ay = _Axis(-y_amp, y_amp, py + panel_h, py)
 
             svg.add(
@@ -180,21 +191,22 @@ def odds_ratio_panels(
                 f'<line x1="{_n(px)}" y1="{_n(ay(0.0))}" x2="{_n(px + panel_w)}" '
                 f'y2="{_n(ay(0.0))}" stroke="#888" stroke-width="0.8"/>'
             )
-            if x_lo < 1.0 < x_hi:
+            if x_lo < 0.0 < x_hi:
                 svg.add(
-                    f'<line x1="{_n(ax(1.0))}" y1="{_n(py)}" x2="{_n(ax(1.0))}" '
+                    f'<line x1="{_n(ax(0.0))}" y1="{_n(py)}" x2="{_n(ax(0.0))}" '
                     f'y2="{_n(py + panel_h)}" stroke="#888" stroke-width="0.8" '
                     'stroke-dasharray="3,3"/>'
                 )
 
             for t in _OR_TICKS:
-                if not x_lo <= t <= x_hi:
+                x = math.log(t)
+                if not x_lo <= x <= x_hi:
                     continue
                 svg.add(
-                    f'<line x1="{_n(ax(t))}" y1="{_n(py + panel_h)}" '
-                    f'x2="{_n(ax(t))}" y2="{_n(py + panel_h + 4)}" stroke="#444"/>'
+                    f'<line x1="{_n(ax(x))}" y1="{_n(py + panel_h)}" '
+                    f'x2="{_n(ax(x))}" y2="{_n(py + panel_h + 4)}" stroke="#444"/>'
                 )
-                svg.text(ax(t), py + panel_h + 16, _tick_label(t), size=10)
+                svg.text(ax(x), py + panel_h + 16, _tick_label(t), size=10)
             for t in _ticks(-y_amp, y_amp, 4):
                 svg.add(
                     f'<line x1="{_n(px - 4)}" y1="{_n(ay(t))}" x2="{_n(px)}" '
@@ -208,14 +220,14 @@ def odds_ratio_panels(
                 f"{_POLARITY_TITLE[polarity]} · {_PI0_TITLE[pi0]}", size=11.5,
             )
 
-            for r in records:
-                if r.polarity is not polarity or r.pi0 != pi0:
-                    continue
-                cx = ax(math.exp(getattr(r, x_field)))
-                cy = ay(r.auc_delta)
-                t = 0.5 + 0.5 * getattr(r, color_field) / c_amp
+            panel = records.where(polarity=polarity, pi0=pi0).columns
+            for x, c, y in zip(
+                panel[x_field].tolist(), panel[color_field].tolist(),
+                panel["auc_delta"].tolist(),
+            ):
+                t = 0.5 + 0.5 * c / c_amp
                 svg.add(
-                    f'<circle cx="{_n(cx)}" cy="{_n(cy)}" r="{_POINT_R}" '
+                    f'<circle cx="{_n(ax(x))}" cy="{_n(ay(y))}" r="{_POINT_R}" '
                     f'fill="{diverging_color(t)}" fill-opacity="0.75" '
                     'stroke="#333" stroke-width="0.25"/>'
                 )
@@ -239,14 +251,14 @@ def odds_ratio_panels(
         f'<rect x="{lx}" y="{_n(ly)}" width="16" height="{_n(lh)}" '
         'fill="none" stroke="#444" stroke-width="0.6"/>'
     )
-    svg.text(lx + 24, ly + 5, _tick_label(math.exp(c_amp)), size=10, anchor="start")
+    svg.text(lx + 24, ly + 5, _odds_label(c_amp), size=10, anchor="start")
     svg.text(lx + 24, ly + lh / 2 + 3, "1", size=10, anchor="start")
-    svg.text(lx + 24, ly + lh + 3, _tick_label(math.exp(-c_amp)), size=10, anchor="start")
+    svg.text(lx + 24, ly + lh + 3, _odds_label(-c_amp), size=10, anchor="start")
     svg.text(lx + 8, ly - 12, color_label, size=11, anchor="start")
     return svg.finish()
 
 
-def auc_pre_panel(records: list[ScenarioRecord], title: str, manifest: dict) -> str:
+def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
     """Single-panel scatter: pre-deployment AUC against AUC change, points
     colored by the marginal-harm flag."""
     width, height = 640, 500
@@ -255,8 +267,8 @@ def auc_pre_panel(records: list[ScenarioRecord], title: str, manifest: dict) -> 
 
     margin_l, margin_t = 76, 56
     panel_w, panel_h = width - margin_l - 36, height - margin_t - 84
-    xs = [r.auc_pre for r in records]
-    ys = [r.auc_delta for r in records]
+    xs = records.columns["auc_pre"].tolist()
+    ys = records.columns["auc_delta"].tolist()
     x_lo = min(xs + [0.5]) - 0.02
     x_hi = max(xs + [0.6]) + 0.02
     y_amp = max(max((abs(y) for y in ys), default=0.1), 1e-3) * 1.1
@@ -284,10 +296,10 @@ def auc_pre_panel(records: list[ScenarioRecord], title: str, manifest: dict) -> 
         )
         svg.text(margin_l - 7, ay(t) + 3, _tick_label(t), size=10, anchor="end")
 
-    for r in records:
-        color = "#d73027" if r.harmful_marginal else "#2c7fb8"
+    for x, y, harmful in zip(xs, ys, records.columns["harmful_marginal"].tolist()):
+        color = "#d73027" if harmful else "#2c7fb8"
         svg.add(
-            f'<circle cx="{_n(ax(r.auc_pre))}" cy="{_n(ay(r.auc_delta))}" '
+            f'<circle cx="{_n(ax(x))}" cy="{_n(ay(y))}" '
             f'r="{_POINT_R}" fill="{color}" fill-opacity="0.6" '
             'stroke="#333" stroke-width="0.25"/>'
         )

@@ -245,8 +245,23 @@ class Records:
     def __init__(self, columns: dict[str, np.ndarray]):
         self.columns = columns
 
+    @staticmethod
+    def join(chunks) -> Records:
+        """One `Records` of the chunks' rows, in order (at least one chunk)."""
+        columns = [chunk.columns for chunk in chunks]
+        return Records({name: np.concatenate([c[name] for c in columns]) for name in CSV_COLUMNS})
+
     def __len__(self) -> int:
         return len(self.columns["p_x"])
+
+    def where(self, **values) -> Records:
+        """The records whose fields hold the given values (enum members
+        for the enum fields), in order."""
+        keep = np.ones(len(self), dtype=bool)
+        for name, value in values.items():
+            members = _MEMBERS.get(_COLUMN_TYPES[name])
+            keep &= self.columns[name] == (value if members is None else members.index(value))
+        return Records({name: column[keep] for name, column in self.columns.items()})
 
     def __iter__(self):
         for start in range(0, len(self), _ROWS):
@@ -345,8 +360,7 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
 class GridRecords:
     """A grid's records, computed by `record_columns` CHUNK settings at a
     time each time they are read, so a grid of any size streams to disk in
-    flat memory. Sized (a first read of the whole grid counts them) and
-    iterable as rows."""
+    flat memory. Sized: a first read of the whole grid counts them."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -380,10 +394,6 @@ class GridRecords:
         not strictly between 0 and 1."""
         counts = self._counted()
         return {k: counts[k] for k in ("structural", "unrepresentable")}
-
-    def __iter__(self):
-        for records in self.chunks():
-            yield from records
 
 
 SIGN_CELLS = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
@@ -430,13 +440,6 @@ def aggregate_harm_table(
         total += np.bincount(key[changed], minlength=len(total))
         harmed += np.bincount(key[changed & c["harmful_marginal"]], minlength=len(total))
     return dict(zip(HARM_ROWS, zip(harmed.tolist(), total.tolist())))
-
-
-def filter_avg_beneficial(records) -> list[ScenarioRecord]:
-    """Scenarios whose prevalence-weighted treatment effect is strictly
-    favorable; the realistic subset (treatments reach the market only after
-    demonstrating average benefit)."""
-    return [r for r in records if r.avg_treatment_beneficial]
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +542,13 @@ def write_records_csv(records, path) -> None:
             fh.writelines(map("{}\n".format, map(",".join, zip(*cells))))
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # no sweep writes one
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true/false, got {text!r}")
@@ -546,10 +556,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def _cell_parser(name: str, kind: type):
-    """Parse one cell of the column: floats as float, the enums by value
-    (to their codes), pi0 as 0 or 1, the signs as -1, 0 or 1."""
+    """Parse one cell of the column: finite floats, the enums by value (to
+    their codes), pi0 as 0 or 1, the signs as -1, 0 or 1."""
     if kind is float:
-        return float
+        return _parse_float
     if kind is bool:
         return _parse_bool
     if kind in _MEMBERS:
@@ -610,9 +620,7 @@ def read_records_csv(path) -> Records:
         if header != list(CSV_COLUMNS):
             raise ConfigError([f"{path}: unexpected CSV header: {header!r}"])
         # typed empty columns, for a file with no rows
-        blocks = [{name: _parse_column(name, ()) for name in CSV_COLUMNS}]
+        blocks = [Records({name: _parse_column(name, ()) for name in CSV_COLUMNS})]
         while block := [(row, reader.line_num) for row in itertools.islice(reader, _ROWS)]:
-            blocks.append(_parse_block(path, block))
-    return Records({
-        name: np.concatenate([block[name] for block in blocks]) for name in CSV_COLUMNS
-    })
+            blocks.append(Records(_parse_block(path, block)))
+    return Records.join(blocks)

@@ -345,6 +345,23 @@ class TestTables:
         assert main(["tables", "--csv", str(csv_path)]) == 2
         assert f"{csv_path}: line 3, column p_x: could not convert" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, cell", [("beta_xt", "nan"), ("auc_delta", "-inf")])
+    @pytest.mark.parametrize("command", ["tables", "plot"])
+    def test_non_finite_float_cell_exits_2(
+        self, sweep_csv, tmp_path, capsys, command, cell, column
+    ):
+        header, first = sweep_csv.read_text().splitlines()[:2]
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = cell
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"{header}\n{first}\n{','.join(cells)}\n")
+        argv = [command, "--csv", str(csv_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert (
+            f"{csv_path}: line 3, column {column}: expected a finite number, got {cell!r}"
+            in capsys.readouterr().err
+        )
+
     def test_unexpected_header_names_the_file(self, sweep_csv, tmp_path, capsys):
         header, first = sweep_csv.read_text().splitlines()[:2]
         csv_path = tmp_path / "bad.csv"
@@ -418,17 +435,37 @@ class TestPlot:
         assert 'r="2.4"' not in (out / "fig-bt-vs-diff.svg").read_text()
         assert 'r="2.4"' in (out / "fig-bt-vs-diff-all.svg").read_text()
 
-    def test_subset_flag_restricts_all_figures(self, sweep_csv, tmp_path):
-        out_all = tmp_path / "all"
-        out_sub = tmp_path / "sub"
-        assert main(["plot", "--csv", str(sweep_csv), "--out", str(out_all)]) == 0
-        assert main([
-            "plot", "--csv", str(sweep_csv), "--out", str(out_sub),
-            "--subset", "avg-beneficial",
-        ]) == 0
-        a = (out_all / "fig-auc-pre-vs-diff.svg").read_text().count("<circle")
-        b = (out_sub / "fig-auc-pre-vs-diff.svg").read_text().count("<circle")
-        assert b < a
+    def test_subset_option_is_gone(self, sweep_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--csv", str(sweep_csv), "--out", str(tmp_path),
+                  "--subset", "all"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --subset all" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta_t, beta_xt, polarity", [
+        ([710.0], [0.0], "desirable"),  # exp(beta_t) overflows
+        ([-800.0], [0.0], "desirable"),  # exp(beta_t) underflows to 0
+        ([0.0], [710.0], "desirable"),  # the legend's odds ratio overflows
+        # the x-range's pad is absorbed: its span rounds to 0
+        ([0.0], [-1125899906842625.0], "undesirable"),
+        # the x-range's span is past the float range
+        ([-1e308, 1e308], [0.0], "desirable"),
+    ])
+    def test_odds_ratios_past_the_float_range(
+        self, tmp_path, capsys, beta_t, beta_xt, polarity
+    ):
+        grid = write_grid(
+            tmp_path, p_x_values=[0.5], pi0_values=[0], beta0_values=[0.0],
+            beta_x_values=[1.0], beta_t_values=beta_t,
+            beta_xt_values=beta_xt, polarities=[polarity],
+        )
+        assert main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 0
+        assert f"retained: {len(beta_t)}" in capsys.readouterr().out
+        out = tmp_path / "figs"
+        assert main(["plot", "--grid", grid, "--out", str(out)]) == 0
+        bodies = [p.read_text() for p in out.glob("*.svg")]
+        assert len(bodies) == 4
+        assert not any("nan" in body for body in bodies)
 
 
 class TestSimulate:

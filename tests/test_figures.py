@@ -8,12 +8,17 @@ from opmdeploy.figures import (
     odds_ratio_panels,
 )
 from opmdeploy.scenario import OutcomePolarity, sign_with_band
-from opmdeploy.sweep import GridRecords, default_grid
+from opmdeploy.sweep import Records, default_grid, record_columns
 
 
 @pytest.fixture(scope="module")
 def records():
-    return list(GridRecords(default_grid()))
+    records, _, _ = record_columns(default_grid())
+    return records
+
+
+def head(records: Records, n: int) -> Records:
+    return Records({name: column[:n] for name, column in records.columns.items()})
 
 
 def test_color_map_endpoints_and_midpoint():
@@ -45,13 +50,13 @@ def test_every_point_in_a_shaded_region_is_marginally_harmful(records):
 def test_svg_renders_all_records_once(records):
     manifest = {"figure": "test"}
     svg = odds_ratio_panels(
-        records[:200], "beta_t", "beta_xt", "x", "c", "title", manifest
+        head(records, 200), "beta_t", "beta_xt", "x", "c", "title", manifest
     )
     assert svg.count("<circle") == 200
     assert svg.count("</svg>") == 1
 
 
 def test_auc_pre_panel_legend_and_points(records):
-    svg = auc_pre_panel(records[:50], "title", {"figure": "test"})
+    svg = auc_pre_panel(head(records, 50), "title", {"figure": "test"})
     assert svg.count("<circle") == 52  # 50 points + 2 legend swatches
     assert "harmful" in svg and "not harmful" in svg

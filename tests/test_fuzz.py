@@ -92,8 +92,15 @@ def test_any_config_maps_to_an_exit_code(body, command):
 
 @fuzz_settings
 @given(json_documents(GRID_KEYS, grid_list))
+# a grid sweep accepts whose odds ratio exp(710) plot could not compute
+@example(json.dumps({
+    "p_x_values": [0.5], "pi0_values": [0], "beta0_values": [0.0], "beta_x_values": [1.0],
+    "beta_t_values": [710.0], "beta_xt_values": [0.0], "polarities": ["desirable"],
+}).encode())
 def test_any_grid_maps_to_an_exit_code(body):
     run(lambda path, d: ["sweep", "--grid", path, "--out", f"{d}/sweep.csv"], body)
+    run(lambda path, d: ["tables", "--grid", path, "--out", f"{d}/tables"], body)
+    run(lambda path, d: ["plot", "--grid", path, "--out", f"{d}/figures"], body)
 
 
 header = ",".join(CSV_COLUMNS).encode()
@@ -153,7 +160,7 @@ OPTIONS = {
     "eval": {**SCENARIO_OPTIONS, "--out": OUT},
     "sweep": {"--grid": option("grid.json", "default", bad=path), "--out": OUT},
     "tables": {**RECORDS_OPTIONS, "--out": OUT},
-    "plot": {**RECORDS_OPTIONS, "--out": OUT, "--subset": option("all", "avg-beneficial")},
+    "plot": {**RECORDS_OPTIONS, "--out": OUT},
     "simulate": {
         **SCENARIO_OPTIONS,
         "--seed": option("7", str(2**64 - 1), bad=number | st.integers(-(2**70), 2**70).map(str)),

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from opmdeploy import sweep
 from opmdeploy.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,12 +55,38 @@ def test_sweep_tables_plot(tmp_path, monkeypatch, capsys):
         assert_golden(name, (Path("figures") / name).read_bytes())
 
 
-def test_plot_from_grid_subset(tmp_path, monkeypatch, capsys):
-    # The <desc> of each SVG then echoes the grid instead of the CSV path.
+def test_plot_from_grid(tmp_path, monkeypatch, capsys):
+    # The <desc> of each SVG then echoes the grid instead of the CSV path;
+    # no other line differs from the figure drawn from the sweep CSV.
     monkeypatch.chdir(tmp_path)
-    run(["plot", "--grid", "default", "--subset", "avg-beneficial",
-         "--out", "figures"], capsys)
+    run(["sweep", "--out", "sweep.csv"], capsys)
+    run(["plot", "--csv", "sweep.csv", "--out", "from-csv"], capsys)
+    run(["plot", "--grid", "default", "--out", "figures"], capsys)
+    for name in ("fig-bt-vs-diff.svg", "fig-bxt-vs-diff.svg"):
+        assert_golden(f"grid-beneficial-{name}", (Path("figures") / name).read_bytes())
     for name in FIGURES:
+        from_grid = (Path("figures") / name).read_text().splitlines()
+        from_csv = (Path("from-csv") / name).read_text().splitlines()
+        assert len(from_grid) == len(from_csv)
+        differ = [i for i, (a, b) in enumerate(zip(from_grid, from_csv)) if a != b]
+        assert differ == [1] and from_grid[1].startswith("<desc>"), name
+
+
+def test_plot_builds_no_rows(tmp_path, monkeypatch, capsys):
+    # Figures read the record columns: no ScenarioRecord is built from
+    # either source, and the bytes are the pinned ones.
+    monkeypatch.chdir(tmp_path)
+    run(["sweep", "--out", "sweep.csv"], capsys)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a ScenarioRecord was built")
+
+    monkeypatch.setattr(sweep, "ScenarioRecord", no_rows)
+    run(["plot", "--csv", "sweep.csv", "--out", "from-csv"], capsys)
+    for name in FIGURES:
+        assert_golden(name, (Path("from-csv") / name).read_bytes())
+    run(["plot", "--grid", "default", "--out", "figures"], capsys)
+    for name in ("fig-bt-vs-diff.svg", "fig-bxt-vs-diff.svg"):
         assert_golden(f"grid-beneficial-{name}", (Path("figures") / name).read_bytes())
 
 

@@ -32,6 +32,8 @@ class TestConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError):
             McConfig(n_samples=1, master_seed=-1)
+        with pytest.raises(ConfigError, match="scenario_index: must be a nonnegative integer"):
+            McConfig(n_samples=1, master_seed=1, scenario_index=-1)
 
 
 class TestSample:

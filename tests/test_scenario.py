@@ -64,9 +64,14 @@ class TestScenarioParams:
         with pytest.raises(ConfigError):
             params_with(beta_x=float("nan"))
 
+    def test_rejects_a_polarity_that_is_not_the_enum(self):
+        with pytest.raises(ConfigError, match="polarity: got 'desirable'"):
+            params_with(polarity="desirable")
+
     def test_coerces_integer_inputs(self):
-        p = params_with(beta_t=1, beta_x=2)
+        p = params_with(beta_t=1, beta_x=2, pi0=1.0)
         assert p.beta_t == 1.0 and isinstance(p.beta_t, float)
+        assert p.pi0 == 1 and type(p.pi0) is int
 
 
 class TestPotentialOutcomes:

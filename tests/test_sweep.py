@@ -5,6 +5,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,18 +13,18 @@ from opmdeploy import sweep
 from opmdeploy.classify import Verdict
 from opmdeploy.errors import ConfigError, DegenerateOutcome
 from opmdeploy.report import evaluate_scenario
-from opmdeploy.scenario import OutcomePolarity
+from opmdeploy.scenario import OutcomePolarity, ScenarioParams, avg_effect_sign
 from opmdeploy.sweep import (
     CSV_COLUMNS,
     GridRecords,
     GridSpec,
     REFERENCE_SIGN_TABLE,
     REFERENCE_SIGN_TOTAL,
+    Records,
     aggregate_harm_table,
     aggregate_sign_table,
     default_grid,
     expand_and_filter,
-    filter_avg_beneficial,
     is_degenerate,
     read_records_csv,
     record_columns,
@@ -164,9 +165,33 @@ class TestRunSweep:
             beta_xt_values=(0.0,), polarities=(OutcomePolarity.DESIRABLE,),
         )
         assert len(expand_and_filter(grid)) == 2
-        records = list(GridRecords(grid))
-        assert [r.beta_x for r in records] == [2e-12, 0.5]
-        assert records[0].verdict is Verdict.BENEFICIAL
+        records = Records.join(GridRecords(grid).chunks())
+        assert records.columns["beta_x"].tolist() == [2e-12, 0.5]
+        assert list(records)[0].verdict is Verdict.BENEFICIAL
+
+
+class TestRecordsColumns:
+    def test_where_selects_rows_in_order(self, default_records):
+        rows = list(default_records)
+        for polarity in OutcomePolarity:
+            for pi0 in (0, 1):
+                picked = default_records.where(polarity=polarity, pi0=pi0)
+                assert list(picked) == [
+                    r for r in rows if r.polarity is polarity and r.pi0 == pi0
+                ]
+        picked = default_records.where(avg_treatment_beneficial=True, verdict=Verdict.HARMFUL)
+        assert list(picked) == [
+            r for r in rows if r.avg_treatment_beneficial and r.verdict is Verdict.HARMFUL
+        ]
+        assert list(default_records.where()) == rows
+
+    def test_join_concatenates_chunks_in_order(self, default_records, monkeypatch):
+        monkeypatch.setattr(sweep, "CHUNK", 97)  # chunk edges inside runs of settings
+        joined = Records.join(GridRecords(default_grid()).chunks())
+        for name in CSV_COLUMNS:
+            column = joined.columns[name]
+            assert column.dtype == default_records.columns[name].dtype, name
+            assert np.array_equal(column, default_records.columns[name]), name
 
 
 class TestSignTable:
@@ -226,11 +251,9 @@ class TestHarmTable:
 
 class TestAvgBeneficialFilter:
     def test_zero_effect_excluded(self, default_records):
-        kept = filter_avg_beneficial(default_records)
-        assert all(
-            not (r.beta_t == 0.0 and r.beta_xt == 0.0) for r in kept
-        )
-        assert 0 < len(kept) < len(default_records)
+        kept = default_records.where(avg_treatment_beneficial=True).columns
+        assert not np.any((kept["beta_t"] == 0.0) & (kept["beta_xt"] == 0.0))
+        assert 0 < len(kept["p_x"]) < len(default_records)
 
     def test_uniformly_positive_effects_included_when_desirable(self, default_records):
         for r in default_records:
@@ -256,9 +279,24 @@ class TestAvgBeneficialFilter:
         assert oracle_row.avg_treatment_beneficial
 
     def test_weighted_average_decides(self):
-        # average +0.05 at equal weights: favorable despite one negative arm
-        avg = 0.5 * 0.2 + 0.5 * (-0.1)
-        assert avg == pytest.approx(0.05)
+        # Effects of equal size and opposed signs (+ at X=0, - at X=1): the
+        # prevalence weights decide.
+        for p_x, sign in ((0.2, 1), (0.8, -1)):
+            params = ScenarioParams(
+                p_x=p_x, pi0=0, beta0=-0.5, beta_x=1.0, beta_t=0.5, beta_xt=-1.0,
+                polarity=OutcomePolarity.DESIRABLE,
+            )
+            cate = evaluate_scenario(params).po.cate
+            assert cate == pytest.approx((0.12246, -0.12246), abs=1e-5)
+            assert avg_effect_sign(params, *cate) == sign
+            grid = one_grid(
+                p_x_values=[p_x], pi0_values=[0], beta_xt_values=[-1.0],
+                polarities=[OutcomePolarity.DESIRABLE],
+            )
+            (row,), _, _ = record_columns(grid)
+            (oracle_row,), _, _ = oracle(grid)
+            assert row.avg_treatment_beneficial is (sign > 0)
+            assert oracle_row.avg_treatment_beneficial is (sign > 0)
 
 
 class TestCsvRoundTrip:
@@ -283,6 +321,9 @@ class TestCsvRoundTrip:
         ("pi0", "2", "expected one of (0, 1), got '2'"),
         ("sign_bt", "5", "expected one of (-1, 0, 1), got '5'"),
         ("verdict", "maybe", "'maybe' is not a valid Verdict"),
+        ("self_fulfilling", "yes", "expected true/false, got 'yes'"),
+        ("beta_xt", "nan", "expected a finite number, got 'nan'"),
+        ("auc_delta", "inf", "expected a finite number, got 'inf'"),
     ])
     def test_out_of_range_cell_names_line_and_column(
         self, default_records, tmp_path, column, cell, message
