@@ -293,14 +293,13 @@ _POLARITY_WORD = {
 
 def cmd_tables(args) -> int:
     records, source, default = _records_from_args(args)
-    sign_table = sweep.aggregate_sign_table(records)
+    sign_table, harm_table = sweep.aggregate_tables(records)
     tables = (
         (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
         (_HARM_TABLE, [
             (_POLARITY_WORD[pol], pi0, str(sf).lower(), total,
              "" if total == 0 else repr(harmed / total))
-            for (pol, pi0, sf), (harmed, total)
-            in sweep.aggregate_harm_table(records).items()
+            for (pol, pi0, sf), (harmed, total) in harm_table.items()
         ]),
     )
 

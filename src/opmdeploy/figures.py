@@ -14,10 +14,12 @@ import math
 
 from .classify import Verdict, verdict_from_signs
 from .scenario import OutcomePolarity
-from .sweep import Records
+from .sweep import Records, map_distinct
 
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 _POINT_R = 2.4
+# The largest |log odds| whose odds ratio a legend writes plainly.
+_PLAIN_LOG_ODDS = math.log(10.0)
 
 
 def _n(v: float) -> str:
@@ -97,26 +99,44 @@ class _Svg:
 
 
 class _Axis:
-    """Affine data->pixel map; a span that rounds to 0 maps every value to
-    the middle. Differences are taken of halved values, which round as the
-    values' own differences do, so a span across the float range stays
-    finite."""
+    """Affine data->pixel map, one expression on a value or on a column.
+    Differences are taken of halved values, which round as the values' own
+    differences do, so a span across the float range stays finite. A span
+    that rounds to 0 maps every value to the middle: the data span is then
+    infinite and the pixel span 0."""
 
     def __init__(self, lo, hi, px_lo, px_hi):
         self.half_lo, self.half_span = lo / 2, hi / 2 - lo / 2
-        self.px_lo, self.px_hi = px_lo, px_hi
+        self.px_lo, self.px_span = px_lo, px_hi - px_lo
+        if not self.half_span:
+            self.half_span, self.px_lo, self.px_span = math.inf, px_lo + 0.5 * self.px_span, 0.0
 
-    def __call__(self, v: float) -> float:
-        t = (v / 2 - self.half_lo) / self.half_span if self.half_span else 0.5
-        return self.px_lo + t * (self.px_hi - self.px_lo)
+    def __call__(self, v):
+        return self.px_lo + (v / 2 - self.half_lo) / self.half_span * self.px_span
+
+
+def _amplitude(column, empty: float, floor: float) -> float:
+    """The column's largest |value| (`empty` without values), at least `floor`."""
+    return max(max(abs(column).tolist(), default=empty), floor)
+
+
+def _scatter(svg: _Svg, ax: _Axis, ay: _Axis, xs, ys, cs, color, opacity: float) -> None:
+    """One circle per point at (ax(x), ay(y)), filled color(c): each
+    distinct coordinate and color value of the columns is formatted once."""
+    point = (
+        f'<circle cx="{{}}" cy="{{}}" r="{_POINT_R}" fill="{{}}" '
+        f'fill-opacity="{opacity}" stroke="#333" stroke-width="0.25"/>'
+    )
+    cells = map_distinct(_n, ax(xs)), map_distinct(_n, ay(ys)), map_distinct(color, cs)
+    svg.parts.extend(map(point.format, *(column.tolist() for column in cells)))
 
 
 def _odds_label(log_odds: float) -> str:
-    """The odds ratio exp(log_odds), or its exponent form past the float range."""
-    try:
+    """The odds ratio exp(log_odds) where it reads plainly (0.1 to 10), else
+    its exponent form."""
+    if abs(log_odds) <= _PLAIN_LOG_ODDS:
         return _tick_label(math.exp(log_odds))
-    except OverflowError:
-        return f"exp({_tick_label(log_odds)})"
+    return f"exp({log_odds:.3g})"
 
 
 def _harmful_auc_sign(polarity: OutcomePolarity, pi0: int) -> int:
@@ -154,12 +174,13 @@ def odds_ratio_panels(
     svg.text(width / 2, 26, title, size=16, extra='font-weight="bold"')
 
     xs = records.columns[x_field].tolist()
-    cs = records.columns[color_field].tolist()
-    ys = records.columns["auc_delta"].tolist()
     # Without points the x-range is fixed around an odds ratio of 1.
     x_lo, x_hi = min(xs, default=0.0) - _X_PAD, max(xs, default=0.0) + _X_PAD
-    y_amp = max(max((abs(y) for y in ys), default=0.1), 1e-3) * 1.1
-    c_amp = max(max((abs(c) for c in cs), default=1.0), 1e-9)
+    y_amp = _amplitude(records.columns["auc_delta"], 0.1, 1e-3) * 1.1
+    c_amp = _amplitude(records.columns[color_field], 1.0, 1e-9)
+
+    def color(c):
+        return diverging_color(0.5 + 0.5 * c / c_amp)
 
     margin_l, margin_t, gap = 72, 64, 30
     legend_w = 96
@@ -221,16 +242,8 @@ def odds_ratio_panels(
             )
 
             panel = records.where(polarity=polarity, pi0=pi0).columns
-            for x, c, y in zip(
-                panel[x_field].tolist(), panel[color_field].tolist(),
-                panel["auc_delta"].tolist(),
-            ):
-                t = 0.5 + 0.5 * c / c_amp
-                svg.add(
-                    f'<circle cx="{_n(ax(x))}" cy="{_n(ay(y))}" r="{_POINT_R}" '
-                    f'fill="{diverging_color(t)}" fill-opacity="0.75" '
-                    'stroke="#333" stroke-width="0.25"/>'
-                )
+            _scatter(svg, ax, ay, panel[x_field], panel["auc_delta"],
+                     panel[color_field], color, 0.75)
 
     svg.text(margin_l + panel_w + gap / 2, height - 22, x_label, size=13)
     svg.text(
@@ -268,10 +281,9 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
     margin_l, margin_t = 76, 56
     panel_w, panel_h = width - margin_l - 36, height - margin_t - 84
     xs = records.columns["auc_pre"].tolist()
-    ys = records.columns["auc_delta"].tolist()
     x_lo = min(xs + [0.5]) - 0.02
     x_hi = max(xs + [0.6]) + 0.02
-    y_amp = max(max((abs(y) for y in ys), default=0.1), 1e-3) * 1.1
+    y_amp = _amplitude(records.columns["auc_delta"], 0.1, 1e-3) * 1.1
     ax = _Axis(x_lo, x_hi, margin_l, margin_l + panel_w)
     ay = _Axis(-y_amp, y_amp, margin_t + panel_h, margin_t)
 
@@ -296,13 +308,9 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
         )
         svg.text(margin_l - 7, ay(t) + 3, _tick_label(t), size=10, anchor="end")
 
-    for x, y, harmful in zip(xs, ys, records.columns["harmful_marginal"].tolist()):
-        color = "#d73027" if harmful else "#2c7fb8"
-        svg.add(
-            f'<circle cx="{_n(ax(x))}" cy="{_n(ay(y))}" '
-            f'r="{_POINT_R}" fill="{color}" fill-opacity="0.6" '
-            'stroke="#333" stroke-width="0.25"/>'
-        )
+    c = records.columns
+    _scatter(svg, ax, ay, c["auc_pre"], c["auc_delta"], c["harmful_marginal"],
+             lambda harmful: "#d73027" if harmful else "#2c7fb8", 0.6)
 
     svg.text(margin_l + panel_w / 2, height - 34, "AUC before deployment", size=13)
     svg.text(

@@ -359,14 +359,20 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
 
 class GridRecords:
     """A grid's records, computed by `record_columns` CHUNK settings at a
-    time each time they are read, so a grid of any size streams to disk in
-    flat memory. Sized: a first read of the whole grid counts them."""
+    time as they are read, so a grid of any size streams to disk in flat
+    memory. A grid that fits in one chunk (the default grid among them) is
+    evaluated once and its chunk kept. Sized: a first read of the whole
+    grid counts them."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self._counts = None
+        self._chunk = None
 
     def chunks(self):
+        return self._evaluate() if self._chunk is None else (self._chunk,)
+
+    def _evaluate(self):
         counts = dict.fromkeys(("retained", "structural", "unrepresentable"), 0)
         cardinality = self.grid.cardinality
         for start in range(0, cardinality, CHUNK):
@@ -378,6 +384,8 @@ class GridRecords:
             counts["unrepresentable"] += unrepresentable
             yield records
         self._counts = counts
+        if cardinality <= CHUNK:
+            self._chunk = records
 
     def _counted(self) -> dict:
         if self._counts is None:
@@ -440,6 +448,17 @@ def aggregate_harm_table(
         total += np.bincount(key[changed], minlength=len(total))
         harmed += np.bincount(key[changed & c["harmful_marginal"]], minlength=len(total))
     return dict(zip(HARM_ROWS, zip(harmed.tolist(), total.tolist())))
+
+
+def aggregate_tables(records):
+    """The sign table and the harm table, reading the records once: the
+    sums of each chunk's tables."""
+    sign, harm = dict.fromkeys(SIGN_CELLS, (0, 0)), dict.fromkeys(HARM_ROWS, (0, 0))
+    for chunk in records.chunks():
+        for total, table in ((sign, aggregate_sign_table(chunk)), (harm, aggregate_harm_table(chunk))):
+            for key, (a, b) in table.items():
+                total[key] = (total[key][0] + a, total[key][1] + b)
+    return sign, harm
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +539,16 @@ _CELL_TEXT = {
 }
 
 
+def map_distinct(fn, column: np.ndarray) -> np.ndarray:
+    """fn of each value of the column, as an object array: fn is called
+    once per distinct bit pattern, which keeps 0.0 and -0.0 apart."""
+    bits, where = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    return np.array(list(map(fn, bits.view(column.dtype).tolist())), dtype=object)[where]
+
+
 def _column_cells(kind: type, values: np.ndarray) -> np.ndarray:
     if kind is float:
-        # repr once per distinct bit pattern, which keeps 0.0 and -0.0 apart
-        bits, where = np.unique(values.view(np.int64), return_inverse=True)
-        text = list(map(repr, bits.view(np.float64).tolist()))
-        return np.array(text, dtype=object)[where]
+        return map_distinct(repr, values)
     return _CELL_TEXT[kind][values.astype(np.intp)]
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from opmdeploy import sweep
 from opmdeploy.cli import main
 from opmdeploy.sweep import default_grid
 
@@ -466,6 +467,43 @@ class TestPlot:
         bodies = [p.read_text() for p in out.glob("*.svg")]
         assert len(bodies) == 4
         assert not any("nan" in body for body in bodies)
+
+
+class TestGridEvaluatedOnce:
+    """Every command evaluates each chunk of its grid once: the kernel is
+    called once per chunk, whatever the command reads."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        kernel = sweep.record_columns
+
+        def counted(grid, start=0, stop=None):
+            calls.append((start, stop))
+            return kernel(grid, start, stop)
+
+        monkeypatch.setattr(sweep, "record_columns", counted)
+        return calls
+
+    COMMANDS = [["sweep", "--out", "sweep.csv"], ["tables", "--out", "tables"],
+                ["plot", "--out", "figures"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_default_grid(self, calls, tmp_path, monkeypatch, command, capsys):
+        # the sweep reads it twice: the CSV and the reference sign table
+        monkeypatch.chdir(tmp_path)
+        assert main(command) == 0
+        assert calls == [(0, default_grid().cardinality)]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_grid_of_many_chunks(self, calls, tmp_path, monkeypatch, command, capsys):
+        # tables reads it twice: the sign table and the harm table
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sweep, "CHUNK", 97)
+        grid = write_grid(tmp_path, beta0_values=[-0.5, 0.5])
+        cardinality = 2 * default_grid().cardinality
+        assert main([*command, "--grid", grid]) == 0
+        assert calls == [(s, min(s + 97, cardinality)) for s in range(0, cardinality, 97)]
 
 
 class TestSimulate:

@@ -1,14 +1,24 @@
-import pytest
+import math
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from opmdeploy import figures
 from opmdeploy.classify import Verdict, verdict_from_signs
 from opmdeploy.figures import (
+    _POINT_R,
+    _Axis,
     _harmful_auc_sign,
+    _n,
+    _odds_label,
     auc_pre_panel,
     diverging_color,
     odds_ratio_panels,
 )
 from opmdeploy.scenario import OutcomePolarity, sign_with_band
-from opmdeploy.sweep import Records, default_grid, record_columns
+from opmdeploy.sweep import GridSpec, Records, default_grid, map_distinct, record_columns
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +70,141 @@ def test_auc_pre_panel_legend_and_points(records):
     svg = auc_pre_panel(head(records, 50), "title", {"figure": "test"})
     assert svg.count("<circle") == 52  # 50 points + 2 legend swatches
     assert "harmful" in svg and "not harmful" in svg
+
+
+@pytest.mark.parametrize("log_odds, label", [
+    (math.log(2.5), "2.5"),  # the default grid's legend
+    (-math.log(2.5), "0.4"),
+    (700.0, "exp(700)"),  # a 305-digit odds ratio
+    (-6.0, "exp(-6)"),  # 0.0025, which two decimals round to 0
+    (-700.0, "exp(-700)"),
+    (-710.0, "exp(-710)"),  # past the float range
+    (1e308, "exp(1e+308)"),
+])
+def test_odds_label_reads_plainly_or_as_exponent(log_odds, label):
+    assert _odds_label(log_odds) == label
+
+
+def test_map_distinct_calls_once_per_bit_pattern():
+    seen = []
+
+    def fn(v):
+        seen.append(v)
+        return repr(v)
+
+    column = np.array([1.5, 0.0, -0.0, 1.5, 0.0, -2.0])
+    assert map_distinct(fn, column).tolist() == list(map(repr, column.tolist()))
+    assert sorted(map(repr, seen)) == ["-0.0", "-2.0", "0.0", "1.5"]
+    flags = np.array([True, False, True])
+    assert map_distinct(str, flags).tolist() == ["True", "False", "True"]
+    assert map_distinct(repr, np.array([])).tolist() == []
+
+
+def per_value_axis(lo, hi, px_lo, px_hi, v):
+    """The axis as written for one value at a time: the oracle of `_Axis`."""
+    half_lo, half_span = lo / 2, hi / 2 - lo / 2
+    t = (v / 2 - half_lo) / half_span if half_span else 0.5
+    return px_lo + t * (px_hi - px_lo)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite, finite, st.floats(-1000.0, 1000.0), st.floats(0.0, 1000.0))
+@example(5.0, 5.0, 5.0, 10.0, 20.0)  # zero span: the middle
+@example(1e308, 1e308, 1e308 - 1e292, 72.0, 400.0)
+def test_axis_maps_a_column_as_each_value(lo, hi, v, px_lo, px_width):
+    lo, hi = min(lo, hi), max(lo, hi)
+    v = min(max(v, lo), hi)
+    px_hi = px_lo + px_width
+    want = per_value_axis(lo, hi, px_lo, px_hi, v)
+    axis = _Axis(lo, hi, px_lo, px_hi)
+    assert repr(axis(v)) == repr(want)
+    assert repr(axis(np.array([v, v])).tolist()) == repr([want, want])
+
+
+def per_point_scatter(svg, ax, ay, xs, ys, cs, color, opacity):
+    """The per-point loop the column renderer replaced: the oracle of
+    `figures._scatter`."""
+    for x, y, c in zip(xs.tolist(), ys.tolist(), cs.tolist()):
+        svg.add(
+            f'<circle cx="{_n(ax(x))}" cy="{_n(ay(y))}" r="{_POINT_R}" '
+            f'fill="{color(c)}" fill-opacity="{opacity}" '
+            'stroke="#333" stroke-width="0.25"/>'
+        )
+
+
+def figure_bytes(records: Records) -> list[str]:
+    """Every figure `plot` draws from the records, on both subsets."""
+    out = []
+    for recs in (records, records.where(avg_treatment_beneficial=True)):
+        out.append(odds_ratio_panels(recs, "beta_t", "beta_xt", "x", "c", "t", {}))
+        out.append(odds_ratio_panels(recs, "beta_xt", "beta_t", "x", "c", "t", {}))
+        out.append(auc_pre_panel(recs, "t", {}))
+    return out
+
+
+def assert_matches_per_point_oracle(records: Records) -> None:
+    columns = figure_bytes(records)
+    with mock.patch.object(figures, "_scatter", per_point_scatter):
+        assert figure_bytes(records) == columns
+
+
+def test_default_grid_renders_as_the_per_point_oracle(records):
+    assert_matches_per_point_oracle(records)
+
+
+HUGE = (710.0, -710.0, 745.0, 1e308, -1e308, 1.7976931348623157e308)
+beta = st.floats(-40.0, 40.0) | st.sampled_from([0.0, -0.0]) | st.sampled_from(HUGE)
+
+
+def value_lists(element):
+    # one value (a zero span when it is the plotted beta), or both zeros
+    return st.lists(element, min_size=1, max_size=3) | st.just([0.0, -0.0])
+
+
+@st.composite
+def grids(draw) -> GridSpec:
+    return GridSpec(
+        p_x_values=draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2)),
+        pi0_values=draw(st.sampled_from([[0], [1], [0, 1]])),
+        beta0_values=draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=2)),
+        beta_x_values=draw(value_lists(beta)),
+        beta_t_values=draw(value_lists(beta)),
+        beta_xt_values=draw(value_lists(beta)),
+        polarities=draw(st.lists(st.sampled_from(list(OutcomePolarity)), min_size=1, max_size=2)),
+    )
+
+
+def one_grid(**lists) -> GridSpec:
+    base = dict(
+        p_x_values=[0.3, 0.5], pi0_values=[0, 1], beta0_values=[-0.5],
+        beta_x_values=[1.0], beta_t_values=[0.5], beta_xt_values=[0.0],
+        polarities=list(OutcomePolarity),
+    )
+    return GridSpec(**{**base, **lists})
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids())
+# no effect: every auc_delta is 0 and no setting is beneficial on average
+@example(one_grid(beta_t_values=[0.0, -0.0], beta_xt_values=[0.0, -0.0]))
+# one value per list, past the float range of its odds ratio: zero x span
+@example(one_grid(beta_t_values=[1e308], beta_xt_values=[-710.0]))
+@example(one_grid(beta_t_values=[-1e308, 1e308], beta_xt_values=[745.0, -0.0]))
+def test_custom_grids_render_as_the_per_point_oracle(grid):
+    records, _, _ = record_columns(grid)
+    assert_matches_per_point_oracle(records)
+
+
+def test_oracle_examples_cover_the_edge_cases():
+    no_effect, _, _ = record_columns(
+        one_grid(beta_t_values=[0.0, -0.0], beta_xt_values=[0.0, -0.0])
+    )
+    assert len(no_effect) and not np.any(no_effect.columns["auc_delta"])
+    assert len(no_effect.where(avg_treatment_beneficial=True)) == 0
+    huge, _, _ = record_columns(one_grid(beta_t_values=[1e308], beta_xt_values=[-710.0]))
+    assert len(huge)
+    svg = odds_ratio_panels(huge, "beta_t", "beta_xt", "x", "c", "t", {})
+    assert svg.count("<circle") == len(huge)
+    assert "exp(710)" in svg and "exp(-710)" in svg
