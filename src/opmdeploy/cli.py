@@ -410,13 +410,14 @@ def cmd_simulate(args) -> int:
         scenario_index=args.scenario_index,
     )
     mc_echo = dict(vars(cfg))
+    policies = {"pre": report.policy_pre, "post": report.policy_post}
+    counts = mc.cell_counts(params, tuple(policies.values()), cfg)
     blocks = {}
-    for which, policy in (("pre", report.policy_pre), ("post", report.policy_post)):
-        table = mc.sample(params, policy, cfg)
-        emp = _empirical_block(mc.empirical_metrics(table, report.top))
+    for (which, policy), cells in zip(policies.items(), counts):
+        emp = _empirical_block(mc.empirical_metrics(cells, report.top))
         if args.dump_samples:
             path = f"{args.dump_samples}.{which}.csv"
-            mc.write_sample_csv(table, path)
+            mc.write_sample_csv(mc.sample(params, policy, cfg), path)
             print(f"wrote {path}")
             _write_json(f"{args.dump_samples}.{which}.manifest.json", {
                 "tool": _tool_stamp(),

@@ -173,11 +173,12 @@ def odds_ratio_panels(
     svg = _Svg(width, height, manifest)
     svg.text(width / 2, 26, title, size=16, extra='font-weight="bold"')
 
-    xs = records.columns[x_field].tolist()
+    columns = records.columns
+    xs = columns[x_field].tolist()
     # Without points the x-range is fixed around an odds ratio of 1.
     x_lo, x_hi = min(xs, default=0.0) - _X_PAD, max(xs, default=0.0) + _X_PAD
-    y_amp = _amplitude(records.columns["auc_delta"], 0.1, 1e-3) * 1.1
-    c_amp = _amplitude(records.columns[color_field], 1.0, 1e-9)
+    y_amp = _amplitude(columns["auc_delta"], 0.1, 1e-3) * 1.1
+    c_amp = _amplitude(columns[color_field], 1.0, 1e-9)
 
     def color(c):
         return diverging_color(0.5 + 0.5 * c / c_amp)
@@ -241,9 +242,9 @@ def odds_ratio_panels(
                 f"{_POLARITY_TITLE[polarity]} · {_PI0_TITLE[pi0]}", size=11.5,
             )
 
-            panel = records.where(polarity=polarity, pi0=pi0).columns
-            _scatter(svg, ax, ay, panel[x_field], panel["auc_delta"],
-                     panel[color_field], color, 0.75)
+            keep = records.mask(polarity=polarity, pi0=pi0)
+            _scatter(svg, ax, ay, columns[x_field][keep], columns["auc_delta"][keep],
+                     columns[color_field][keep], color, 0.75)
 
     svg.text(margin_l + panel_w + gap / 2, height - 22, x_label, size=13)
     svg.text(

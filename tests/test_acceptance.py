@@ -16,7 +16,7 @@ from conftest import exact_rank_auc, random_params
 from opmdeploy.classify import verdict_from_signs
 from opmdeploy.cli import main
 from opmdeploy.errors import DegenerateScenario
-from opmdeploy.mc import McConfig, empirical_metrics, sample
+from opmdeploy.mc import McConfig, cell_counts, empirical_metrics
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import sign_with_band
 from opmdeploy.sweep import (
@@ -185,15 +185,15 @@ def test_criterion_6_closed_form_vs_oracle():
         except DegenerateScenario:
             continue
     for idx, (params, r) in enumerate(scenarios):
-        for dist, disc, policy in (
-            (r.pre, r.discrimination_pre, r.policy_pre),
-            (r.post, r.discrimination_post, r.policy_post),
+        cfg = McConfig(n_samples=n, master_seed=1729, scenario_index=idx)
+        counts = cell_counts(params, (r.policy_pre, r.policy_post), cfg)
+        for dist, disc, cells in zip(
+            (r.pre, r.post), (r.discrimination_pre, r.discrimination_post), counts
         ):
             oracle = exact_rank_auc(params.p_x, dist.mu, r.opm.f)
             if abs(disc.auc - oracle) > 1e-12:
                 failures.append(("enumeration", idx, disc.auc, oracle))
-            cfg = McConfig(n_samples=n, master_seed=1729, scenario_index=idx)
-            emp = empirical_metrics(sample(params, policy, cfg), r.top)
+            emp = empirical_metrics(cells, r.top)
             if emp.auc_hat is None or abs(emp.auc_hat - disc.auc) > 0.005:
                 failures.append(("monte carlo", idx, emp.auc_hat, disc.auc))
     elapsed = time.perf_counter() - t0

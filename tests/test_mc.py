@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +9,45 @@ from scipy.stats import mannwhitneyu
 
 from conftest import LN25, random_params
 from opmdeploy.errors import ConfigError, DegenerateScenario
-from opmdeploy.mc import MAX_SAMPLES, McConfig, empirical_metrics, sample, write_sample_csv
+from opmdeploy.mc import (
+    CHUNK,
+    MAX_SAMPLES,
+    McConfig,
+    cell_counts,
+    empirical_metrics,
+    sample,
+    write_sample_csv,
+)
 from opmdeploy.report import evaluate_scenario
-from opmdeploy.scenario import OutcomePolarity, ScenarioParams, historic_policy
+from opmdeploy.scenario import (
+    OutcomePolarity,
+    ScenarioParams,
+    historic_policy,
+    parse_polarity,
+)
 from opmdeploy.sweep import default_grid, expand_and_filter
 
 BASE = ScenarioParams(
     p_x=0.5, pi0=0, beta0=-0.5, beta_x=LN25, beta_t=LN25, beta_xt=0.0,
     polarity=OutcomePolarity.DESIRABLE,
 )
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def load_params(path: Path) -> ScenarioParams:
+    raw = json.loads(path.read_text())
+    return ScenarioParams(**{**raw, "polarity": parse_polarity(raw["polarity"])})
+
+
+def table_counts(table: np.ndarray) -> np.ndarray:
+    """The oracle for `cell_counts`: counts[2*x + y] of a whole table."""
+    return np.bincount(2 * table[:, 0] + table[:, 2], minlength=4)
+
+
+def deployed_counts(params: ScenarioParams, cfg: McConfig):
+    """The report and its (pre, post) cell counts, as `simulate` draws them."""
+    r = evaluate_scenario(params)
+    return r, cell_counts(params, (r.policy_pre, r.policy_post), cfg)
 
 
 class TestConfig:
@@ -67,11 +100,10 @@ class TestSample:
     def test_group_means_within_binomial_error(self):
         n = 1_000_000
         cfg = McConfig(n_samples=n, master_seed=11)
-        r = evaluate_scenario(BASE)
-        table = sample(BASE, r.policy_post, cfg)
-        m = empirical_metrics(table, r.top)
+        r, (_, post) = deployed_counts(BASE, cfg)
+        m = empirical_metrics(post, r.top)
         for x in (0, 1):
-            n_x = int((table[:, 0] == x).sum())
+            n_x = int(post[2 * x] + post[2 * x + 1])
             se = math.sqrt(r.post.mu[x] * (1 - r.post.mu[x]) / n_x)
             assert abs(m.mu_hat[x] - r.post.mu[x]) <= 4 * se
 
@@ -84,17 +116,45 @@ class TestSample:
         assert lines[0] == "x,t,y"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("n", [1, 2, 999, CHUNK + 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_dump_bytes_match_a_csv_writer(self, tmp_path, n, seed):
+        # both values of t: the historic policies treat everyone or no one,
+        # the deployed one treats one group
+        for policy in (historic_policy(0), historic_policy(1), evaluate_scenario(BASE).policy_post):
+            table = sample(BASE, policy, McConfig(n_samples=n, master_seed=seed))
+            path = tmp_path / "s.csv"
+            write_sample_csv(table, path)
+            oracle = tmp_path / "oracle.csv"
+            with open(oracle, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["x", "t", "y"])
+                writer.writerows(table.tolist())
+            assert path.read_bytes() == oracle.read_bytes()
+
+
+class TestCellCounts:
+    @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2**63, 5)])
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+    def test_streamed_counts_equal_the_tables(self, config, seed, index, n):
+        params = load_params(config)
+        cfg = McConfig(n_samples=n, master_seed=seed, scenario_index=index)
+        r, counts = deployed_counts(params, cfg)
+        for policy, cells in zip((r.policy_pre, r.policy_post), counts):
+            assert cells.tolist() == table_counts(sample(params, policy, cfg)).tolist()
+
 
 class TestEmpiricalMetrics:
     def test_perfect_separation_gives_auc_one(self):
-        table = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 1], [1, 0, 1]], dtype=np.uint8)
-        m = empirical_metrics(table, 1)
+        # counts[2*x + y]: two (x=0, y=0) and two (x=1, y=1) patients
+        m = empirical_metrics(np.array([2, 0, 0, 2]), 1)
         assert m.auc_hat == 1.0
         assert m.sens_hat == 1.0 and m.spec_hat == 1.0
 
     def test_missing_class_signaled_not_fatal(self):
-        table = np.array([[0, 0, 1], [1, 0, 1]], dtype=np.uint8)
-        m = empirical_metrics(table, 1)
+        # one (x=0, y=1) and one (x=1, y=1) patient: no negatives
+        m = empirical_metrics(np.array([0, 1, 0, 1]), 1)
         assert m.insufficient_cases
         assert m.auc_hat is None and m.sens_hat is None
 
@@ -104,10 +164,9 @@ class TestEmpiricalMetrics:
         n = 400
         x = (rng.random(n) < 0.4).astype(np.uint8)
         y = (rng.random(n) < 0.3 + 0.3 * x).astype(np.uint8)
-        table = np.column_stack([x, np.zeros(n, dtype=np.uint8), y])
         top = 1 if seed % 2 == 0 else 0
         f = (0.3, 0.7) if top == 1 else (0.7, 0.3)
-        m = empirical_metrics(table, top)
+        m = empirical_metrics(np.bincount(2 * x + y, minlength=4), top)
         scores = np.where(x == 1, f[1], f[0])
         if y.min() == y.max():
             assert m.insufficient_cases
@@ -118,10 +177,9 @@ class TestEmpiricalMetrics:
 
 class TestOracleAgreement:
     def test_auc_agreement_at_a_million_samples(self):
-        r = evaluate_scenario(BASE)
         cfg = McConfig(n_samples=1_000_000, master_seed=314159)
-        table = sample(BASE, r.policy_post, cfg)
-        m = empirical_metrics(table, r.top)
+        r, (_, post) = deployed_counts(BASE, cfg)
+        m = empirical_metrics(post, r.top)
         assert abs(m.auc_hat - r.discrimination_post.auc) <= 0.005
 
     def test_classification_agreement_on_grid_scenarios(self):
@@ -134,10 +192,9 @@ class TestOracleAgreement:
         n = 1_000_000
         for idx in sorted(int(i) for i in picks):
             params = retained[idx]
-            r = evaluate_scenario(params)
             cfg = McConfig(n_samples=n, master_seed=77, scenario_index=idx)
-            pre = empirical_metrics(sample(params, r.policy_pre, cfg), r.top)
-            post = empirical_metrics(sample(params, r.policy_post, cfg), r.top)
+            r, counts = deployed_counts(params, cfg)
+            pre, post = (empirical_metrics(c, r.top) for c in counts)
             if abs(r.auc_delta) > 0.01:
                 emp_delta = post.auc_hat - pre.auc_hat
                 assert (emp_delta > 0) == (r.auc_delta > 0)
@@ -154,10 +211,10 @@ class TestOracleAgreement:
         n = 200_000
         for i in range(5):
             params = random_params(rng)
+            cfg = McConfig(n_samples=n, master_seed=888, scenario_index=i)
             try:
-                r = evaluate_scenario(params)
+                r, (_, post) = deployed_counts(params, cfg)
             except DegenerateScenario:
                 continue
-            cfg = McConfig(n_samples=n, master_seed=888, scenario_index=i)
-            m = empirical_metrics(sample(params, r.policy_post, cfg), r.top)
+            m = empirical_metrics(post, r.top)
             assert abs(m.auc_hat - r.discrimination_post.auc) <= 6 * 0.5 / math.sqrt(n)

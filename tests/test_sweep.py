@@ -179,6 +179,9 @@ class TestRecordsColumns:
                 assert list(picked) == [
                     r for r in rows if r.polarity is polarity and r.pi0 == pi0
                 ]
+                assert default_records.mask(polarity=polarity, pi0=pi0).tolist() == [
+                    r.polarity is polarity and r.pi0 == pi0 for r in rows
+                ]
         picked = default_records.where(avg_treatment_beneficial=True, verdict=Verdict.HARMFUL)
         assert list(picked) == [
             r for r in rows if r.avg_treatment_beneficial and r.verdict is Verdict.HARMFUL
