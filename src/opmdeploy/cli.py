@@ -100,18 +100,12 @@ def _grid_echo(grid: sweep.GridSpec) -> dict:
     return echo
 
 
-def _records_from_args(args) -> tuple[sweep.Records | sweep.GridRecords, dict, bool]:
-    """The records, their source echo, and whether they are the default
-    grid's (the only records the reference cross-check applies to)."""
+def _records_from_args(args) -> tuple[sweep.CsvRecords | sweep.GridRecords, dict]:
+    """The records, streamed a chunk at a time, and their source echo."""
     if args.csv:
-        records = sweep.read_records_csv(args.csv)
-        return records, {"csv": str(args.csv)}, sweep.is_default_grid(records)
+        return sweep.CsvRecords(args.csv), {"csv": str(args.csv)}
     grid = _load_grid(args.grid)
-    return (
-        sweep.GridRecords(grid),
-        {"grid": _grid_echo(grid)},
-        grid == sweep.default_grid(),
-    )
+    return sweep.GridRecords(grid), {"grid": _grid_echo(grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +286,10 @@ _POLARITY_WORD = {
 
 
 def cmd_tables(args) -> int:
-    records, source, default = _records_from_args(args)
+    records, source = _records_from_args(args)
     sign_table, harm_table = sweep.aggregate_tables(records)
+    # the reference cross-check applies to the default grid's records only
+    default = sweep.is_default_grid(records) if args.csv else records.grid == sweep.default_grid()
     tables = (
         (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
         (_HARM_TABLE, [
@@ -362,8 +358,9 @@ _FIGURES = (
 
 
 def cmd_plot(args) -> int:
-    records, source, _ = _records_from_args(args)
-    records = sweep.Records.join(records.chunks())  # a grid is evaluated once
+    records, source = _records_from_args(args)
+    # a grid's chunks are joined, so it is evaluated once
+    records = sweep.read_records_csv(args.csv) if args.csv else sweep.Records.join(records.chunks())
     beneficial = records.where(avg_treatment_beneficial=True)
 
     out = Path(args.out)

@@ -21,6 +21,7 @@ reference tabulation, the delta is computed and surfaced, never hidden
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -227,13 +228,17 @@ _VERDICT_CODES = np.array(
     ],
     dtype=np.int8,
 )
-_DTYPES = {float: np.float64, int: np.int8, bool: np.bool_}
+# int8 for the ints and the enum codes
+_COLUMN_DTYPES = {
+    name: {float: np.float64, bool: np.bool_}.get(kind, np.int8)
+    for name, kind in _COLUMN_TYPES.items()
+}
 
 # Settings the kernel evaluates at once: the sweep's memory is bounded by
 # this, whatever the grid's size.
 CHUNK = 1 << 14
-# Rows converted at once between cells and columns, when reading a CSV or
-# iterating rows: bounds the Python objects held beside the columns.
+# Rows made at once from the columns when iterating rows: bounds the Python
+# objects held beside the columns.
 _ROWS = 1 << 7
 
 
@@ -247,8 +252,10 @@ class Records:
 
     @staticmethod
     def join(chunks) -> Records:
-        """One `Records` of the chunks' rows, in order (at least one chunk)."""
+        """One `Records` of the chunks' rows, in order."""
         columns = [chunk.columns for chunk in chunks]
+        if not columns:
+            return Records({name: np.empty(0, dtype) for name, dtype in _COLUMN_DTYPES.items()})
         return Records({name: np.concatenate([c[name] for c in columns]) for name in CSV_COLUMNS})
 
     def __len__(self) -> int:
@@ -362,34 +369,27 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
     return records, structural, unrepresentable
 
 
-class GridRecords:
-    """A grid's records, computed by `record_columns` CHUNK settings at a
-    time as they are read, so a grid of any size streams to disk in flat
-    memory. A grid that fits in one chunk (the default grid among them) is
-    evaluated once and its chunk kept. Sized: a first read of the whole
-    grid counts them."""
+class _Streamed:
+    """Records made CHUNK at a time by `_make` as they are read, so any
+    number of them streams in flat memory. When one chunk holds them all,
+    it is made once and kept. Sized: a first read counts them."""
 
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
+    def __init__(self):
         self._counts = None
         self._chunk = None
 
     def chunks(self):
-        return self._evaluate() if self._chunk is None else (self._chunk,)
+        return self._stream() if self._chunk is None else (self._chunk,)
 
-    def _evaluate(self):
+    def _stream(self):
         counts = dict.fromkeys(("retained", "structural", "unrepresentable"), 0)
-        cardinality = self.grid.cardinality
-        for start in range(0, cardinality, CHUNK):
-            records, structural, unrepresentable = record_columns(
-                self.grid, start, min(start + CHUNK, cardinality)
-            )
+        made = 0
+        for records in self._make(counts):
             counts["retained"] += len(records)
-            counts["structural"] += structural
-            counts["unrepresentable"] += unrepresentable
+            made += 1
             yield records
         self._counts = counts
-        if cardinality <= CHUNK:
+        if made == 1:
             self._chunk = records
 
     def _counted(self) -> dict:
@@ -401,12 +401,44 @@ class GridRecords:
     def __len__(self) -> int:
         return self._counted()["retained"]
 
+
+class GridRecords(_Streamed):
+    """A grid's records, computed by `record_columns` as they are read, so
+    a grid of any size streams to disk in flat memory; the default grid
+    fits in one chunk and is evaluated once."""
+
+    def __init__(self, grid: GridSpec):
+        super().__init__()
+        self.grid = grid
+
+    def _make(self, counts):
+        cardinality = self.grid.cardinality
+        for start in range(0, cardinality, CHUNK):
+            records, structural, unrepresentable = record_columns(
+                self.grid, start, min(start + CHUNK, cardinality)
+            )
+            counts["structural"] += structural
+            counts["unrepresentable"] += unrepresentable
+            yield records
+
     @property
     def exclusions(self) -> dict[str, int]:
         """Settings removed, by reason: structurally degenerate, or p(Y=1)
         not strictly between 0 and 1."""
         counts = self._counted()
         return {k: counts[k] for k in ("structural", "unrepresentable")}
+
+
+class CsvRecords(_Streamed):
+    """A sweep CSV's records, parsed by `read_csv_chunks` as they are read,
+    so the tables of a file of any size are summed in flat memory."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def _make(self, counts):
+        return read_csv_chunks(self.path)
 
 
 SIGN_CELLS = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
@@ -492,12 +524,16 @@ ORIENTATION_NOTE = (
 )
 
 
-def is_default_grid(records: Records) -> bool:
-    """Whether the records hold exactly the default grid's retained
-    settings, in order: the only record set the published reference
-    tabulation describes."""
+def is_default_grid(records) -> bool:
+    """Whether the records (`Records` or a chunk stream) hold exactly the
+    default grid's retained settings, in order: the only record set the
+    published reference tabulation describes. Records of another size are
+    not read again."""
     grid = default_grid()
     settings, _ = _settings(grid, 0, grid.cardinality)
+    if len(records) != len(settings["p_x"]):
+        return False
+    records = Records.join(records.chunks())
     return all(
         np.array_equal(records.columns[name], settings[name]) for name in PARAM_FIELDS
     )
@@ -570,6 +606,11 @@ def write_records_csv(records, path) -> None:
             fh.writelines(map("{}\n".format, map(",".join, zip(*cells))))
 
 
+# Reading. The per-cell parsers define what a cell may hold; the bulk path
+# reads a chunk of lines at once where that gives the same columns, and the
+# fault path reads the rest of the file from the first chunk it refuses.
+
+
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):  # no sweep writes one
@@ -607,16 +648,73 @@ def _cell_parser(name: str, kind: type):
 _CELL_PARSERS = {name: _cell_parser(name, kind) for name, kind in _COLUMN_TYPES.items()}
 
 
+def _cell_tokens(name: str, kind: type) -> tuple[np.ndarray, np.ndarray]:
+    """The texts a sweep writes in the column (pi0's: "0" and "1"), sorted,
+    and the values their parser gives."""
+    texts = sorted(_CELL_TEXT[kind][:2] if name == "pi0" else _CELL_TEXT[kind])
+    values = [_CELL_PARSERS[name](text) for text in texts]
+    return np.array(texts, "S"), np.array(values, _COLUMN_DTYPES[name])
+
+
+_CELL_TOKENS = {
+    name: _cell_tokens(name, kind) for name, kind in _COLUMN_TYPES.items() if kind is not float
+}
+# numpy's C text reader makes float cells float64 and the others byte
+# strings one longer than the longest token, so no longer cell matches one
+# cut short.
+_CSV_DTYPE = np.dtype([
+    (name, f"S{1 + max(t.itemsize for t, _ in _CELL_TOKENS.values())}"
+     if name in _CELL_TOKENS else np.float64)
+    for name in CSV_COLUMNS
+])
+# The bytes of a sweep's data lines: a chunk holding any other (a quote,
+# \r, whitespace, non-ASCII) goes to the fault path.
+_WRITTEN_BYTES = bytes(sorted(set(
+    "".join(itertools.chain("0123456789+-.e,\n", *_CELL_TEXT.values())).encode()
+)))
+
+
+def _bulk_columns(lines: list[bytes]) -> dict[str, np.ndarray] | None:
+    """The columns of a chunk of data lines, parsed at once, or None if the
+    chunk holds anything a sweep does not write: then the fault path reads
+    it. Where it returns columns, they are what `_parse_rows` makes of
+    csv.reader's rows of the same lines."""
+    if (
+        not lines
+        or b"\n" in lines  # a blank line, which loadtxt would skip
+        or max(map(len, lines)) > csv.field_size_limit()  # csv.reader may refuse it
+        or b"".join(lines).translate(None, _WRITTEN_BYTES)
+    ):
+        return None
+    try:
+        table = np.loadtxt(lines, _CSV_DTYPE, comments=None, delimiter=",", ndmin=1)
+    except ValueError:
+        return None
+    columns = {}
+    for name in CSV_COLUMNS:
+        cells = table[name]
+        if name in _CELL_TOKENS:
+            texts, values = _CELL_TOKENS[name]
+            at = np.searchsorted(texts, cells).clip(max=len(texts) - 1)
+            if not np.array_equal(texts[at], cells):
+                return None
+            columns[name] = values[at]
+        elif np.isfinite(cells).all():
+            columns[name] = cells.copy()  # a view would hold the whole table
+        else:
+            return None
+    return columns
+
+
 def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
     """The column's array, each distinct cell parsed once; ValueError if
     one does not parse."""
     parse, distinct = _CELL_PARSERS[name], set(cells)
     parsed = dict(zip(distinct, map(parse, distinct)))
-    dtype = _DTYPES.get(_COLUMN_TYPES[name], np.int8)  # int8: enum codes
-    return np.fromiter(map(parsed.__getitem__, cells), dtype, len(cells))
+    return np.fromiter(map(parsed.__getitem__, cells), _COLUMN_DTYPES[name], len(cells))
 
 
-def _parse_block(path, block: list) -> dict[str, np.ndarray]:
+def _parse_rows(path, block: list) -> dict[str, np.ndarray]:
     """Columns of a block of (data row, line csv.reader reached after it)
     pairs. On a fault, one pass over the rows raises ConfigError on the
     first: a row's width, then its cells left to right."""
@@ -637,18 +735,60 @@ def _parse_block(path, block: list) -> dict[str, np.ndarray]:
                 raise ConfigError([f"{path}: line {line}, column {name}: {exc}"]) from None
 
 
-def read_records_csv(path) -> Records:
-    """Parse a sweep CSV column by column; a bad header, row width or cell
+def _fault_path_chunks(path, fh, lines_before: int):
+    """The records of the rest of the file, from the start of line
+    `lines_before + 1` (the header, when 0), in chunks of at most CHUNK
+    rows through csv.reader and `_parse_rows`: the only code that reports
+    a fault. Undecodable bytes become U+FFFD, which no header or cell
+    accepts; csv.reader's own error (a field over its size limit) is a
+    fault of the line it reached."""
+    with io.TextIOWrapper(fh, errors="replace", newline="") as text:
+        reader = csv.reader(text)
+        try:
+            if lines_before == 0 and (header := next(reader, None)) != list(CSV_COLUMNS):
+                raise ConfigError([f"{path}: unexpected CSV header: {header!r}"])
+            while True:
+                block = []
+                try:
+                    for row in itertools.islice(reader, CHUNK):
+                        block.append((row, lines_before + reader.line_num))
+                except csv.Error:
+                    _parse_rows(path, block)  # a fault in an earlier row comes first
+                    raise
+                if not block:
+                    return
+                columns = _parse_rows(path, block)
+                del block  # not held while the chunk is read
+                yield Records(columns)
+        except csv.Error as exc:
+            raise ConfigError([f"{path}: line {lines_before + reader.line_num}: {exc}"]) from None
+
+
+def read_csv_chunks(path):
+    """The records of a sweep CSV, CHUNK data lines at a time (none for a
+    file of no data line). Each chunk is parsed in bulk; from the
+    first chunk the bulk path refuses (or a header that is not exactly the
+    sweep's) the fault path reads the rest. A bad header, row width or cell
     raises ConfigError naming the file, the line and (for a cell) the
-    column of the first fault in the file. Undecodable bytes become U+FFFD,
-    which no header or cell accepts."""
-    with open(path, newline="", errors="replace") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_COLUMNS):
-            raise ConfigError([f"{path}: unexpected CSV header: {header!r}"])
-        # typed empty columns, for a file with no rows
-        blocks = [Records({name: _parse_column(name, ()) for name in CSV_COLUMNS})]
-        while block := [(row, reader.line_num) for row in itertools.islice(reader, _ROWS)]:
-            blocks.append(Records(_parse_block(path, block)))
-    return Records.join(blocks)
+    column of the first fault in the file."""
+    with open(path, "rb") as fh:
+        header = (",".join(CSV_COLUMNS) + "\n").encode()
+        lines_before = int(fh.readline() == header)
+        start = fh.tell() if lines_before else 0
+        while lines_before:  # the bulk path, once the header is the sweep's
+            lines = list(itertools.islice(fh, CHUNK))
+            count, columns = len(lines), _bulk_columns(lines)
+            del lines  # not held while the chunk is read
+            if columns is None:
+                break
+            yield Records(columns)
+            if count < CHUNK:
+                return
+            lines_before, start = lines_before + count, fh.tell()
+        fh.seek(start)
+        yield from _fault_path_chunks(path, fh, lines_before)
+
+
+def read_records_csv(path) -> Records:
+    """A sweep CSV's records as one `Records`: the join of its chunks."""
+    return Records.join(read_csv_chunks(path))

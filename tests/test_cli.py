@@ -370,6 +370,38 @@ class TestTables:
         assert main(["tables", "--csv", str(csv_path)]) == 2
         assert f"{csv_path}: unexpected CSV header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["tables", "plot"])
+    def test_unmatched_quote_exits_2(self, sweep_csv, tmp_path, capsys, command):
+        # the rest of the file becomes one field, past csv's field size limit
+        lines = sweep_csv.read_text().splitlines(keepends=True)
+        lines[3] = '"' + lines[3]
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("".join(lines))
+        limit = 131072
+        # csv.reader stops on the line where the field (from the quote on,
+        # newlines included) outgrows the limit
+        line = 4 + next(
+            i for i in range(len(lines)) if len("".join(lines[3:4 + i])) - 1 > limit
+        )
+        argv = [command, "--csv", str(csv_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {csv_path}: line {line}: field larger than field limit ({limit})\n"
+        )
+
+    @pytest.mark.parametrize("command", ["tables", "plot"])
+    def test_cell_over_the_field_limit_exits_2(self, sweep_csv, tmp_path, capsys, command):
+        header, first, second = sweep_csv.read_text().splitlines()[:3]
+        cells = second.split(",")
+        cells[0] = "0." + "0" * (128 << 10) + "2"  # a finite number, if it were read
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"{header}\n{first}\n{','.join(cells)}\n")
+        argv = [command, "--csv", str(csv_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {csv_path}: line 3: field larger than field limit (131072)\n"
+        )
+
 
 @pytest.fixture(scope="module")
 def sweep_csv(tmp_path_factory):

@@ -490,3 +490,40 @@ class TestKernelMatchesOracle:
         write_records_csv(records, chunked)
         assert chunked.read_bytes() == whole.read_bytes()
         assert records.exclusions == {"structural": 220, "unrepresentable": 0}
+
+
+class TestCsvReadInBulk:
+    """Every CSV a sweep writes with a row in it is read back by the bulk
+    path alone, to the kernel's columns bit for bit: numpy's float parser reads each repr as
+    Python's does, signed zeros and values near the float range included."""
+
+    @staticmethod
+    def assert_read_in_bulk(grid: GridSpec, path) -> None:
+        records, _, _ = record_columns(grid)
+        write_records_csv(records, path)
+        with pytest.MonkeyPatch.context() as mp:
+            if len(records):  # a file of no rows is the fault path's
+                mp.setattr(sweep, "_fault_path_chunks", None)  # not called
+            again = read_records_csv(path)
+        for name in CSV_COLUMNS:
+            want = records.columns[name]
+            if want.dtype == np.float64:
+                assert again.columns[name].tobytes() == want.tobytes(), name
+            else:
+                assert again.columns[name].tolist() == want.tolist(), name
+
+    @pytest.mark.parametrize("grid", [
+        default_grid(),
+        one_grid(beta_t_values=[0.0, -0.0, 2], beta_xt_values=[-1, 0, -0.0, 3]),
+        one_grid(beta_x_values=list(HUGE), beta_t_values=list(HUGE),
+                 beta_xt_values=[-1e308, 1e308, 0.0]),
+        one_grid(beta_x_values=[5e-324, 2.2250738585072014e-308], beta_t_values=[1e-300]),
+    ], ids=["default", "signed-zeros-and-ints", "near-float-max", "subnormal"])
+    def test_edge_grids(self, grid, tmp_path):
+        self.assert_read_in_bulk(grid, tmp_path / "sweep.csv")
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_random_grids(self, grid):
+        with tempfile.TemporaryDirectory() as d:
+            self.assert_read_in_bulk(grid, Path(d) / "sweep.csv")
