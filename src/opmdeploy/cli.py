@@ -43,7 +43,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # also undecodable bytes, oversized integers
+    except (ValueError, RecursionError) as exc:  # also bad bytes, huge ints, deep nesting
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
 
 
@@ -246,7 +246,7 @@ def cmd_sweep(args) -> int:
         "counts": counts,
         "exclusions": records.exclusions,
     }
-    if grid == sweep.default_grid():
+    if sweep.is_default_grid(records):
         manifest["reference_delta"] = sweep.reference_delta(
             sweep.aggregate_sign_table(records), retained
         )
@@ -288,8 +288,6 @@ _POLARITY_WORD = {
 def cmd_tables(args) -> int:
     records, source = _records_from_args(args)
     sign_table, harm_table = sweep.aggregate_tables(records)
-    # the reference cross-check applies to the default grid's records only
-    default = sweep.is_default_grid(records) if args.csv else records.grid == sweep.default_grid()
     tables = (
         (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
         (_HARM_TABLE, [
@@ -303,7 +301,7 @@ def cmd_tables(args) -> int:
         print("\n".join([header] + [row_format.format(*row) for row in rows]))
         print()
     reference = {}
-    if default:
+    if sweep.is_default_grid(records):  # the only records the reference describes
         delta = sweep.reference_delta(sign_table, len(records))
         reference["reference_delta"] = delta
         print("reference tabulation cross-check:")

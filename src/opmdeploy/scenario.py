@@ -248,18 +248,6 @@ def zero_step_error(params: ScenarioParams) -> DegenerateScenario:
     )
 
 
-def top_group(params: ScenarioParams) -> int:
-    """The group the fitted predictor ranks higher: the ROC operating point
-    and the group the deployed policy treats.
-
-    Raises DegenerateScenario when the historic step is zero.
-    """
-    step, top, _, _ = deployment_signs(params)
-    if step == 0:
-        raise zero_step_error(params)
-    return top
-
-
 def _sign(value):
     """Three-valued sign with no band, on a float or elementwise."""
     return (value > 0) * 1 - (value < 0) * 1

@@ -20,8 +20,6 @@ reference tabulation, the delta is computed and surfaced, never hidden
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -606,53 +604,25 @@ def write_records_csv(records, path) -> None:
             fh.writelines(map("{}\n".format, map(",".join, zip(*cells))))
 
 
-# Reading. The per-cell parsers define what a cell may hold; the bulk path
-# reads a chunk of lines at once where that gives the same columns, and the
-# fault path reads the rest of the file from the first chunk it refuses.
+# Reading. The format is what `write_records_csv` writes; each line may end
+# in \n or \r\n, and the last one need not end. Every gate acts on each line
+# alone, so a chunk of lines is read at once, and the first line of a chunk
+# the gates refuse is the first fault in it.
 
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):  # no sweep writes one
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"expected true/false, got {text!r}")
-    return text == "true"
-
-
-def _cell_parser(name: str, kind: type):
-    """Parse one cell of the column: finite floats, the enums by value (to
-    their codes), pi0 as 0 or 1, the signs as -1, 0 or 1."""
-    if kind is float:
-        return _parse_float
-    if kind is bool:
-        return _parse_bool
-    if kind in _MEMBERS:
-        codes = {m: i for i, m in enumerate(_MEMBERS[kind])}
-        return lambda text: codes[kind(text)]
-    allowed = (0, 1) if name == "pi0" else (-1, 0, 1)
-
-    def parse_int(text: str) -> int:
-        value = int(text)
-        if value not in allowed:
-            raise ValueError(f"expected one of {allowed}, got {text!r}")
-        return value
-
-    return parse_int
-
-
-_CELL_PARSERS = {name: _cell_parser(name, kind) for name, kind in _COLUMN_TYPES.items()}
+# No line a sweep writes comes near this: ten floats of at most 24
+# characters each, nine short tokens and the commas between them.
+_MAX_LINE = 1 << 10
+_HEADER = ",".join(CSV_COLUMNS).encode()
 
 
 def _cell_tokens(name: str, kind: type) -> tuple[np.ndarray, np.ndarray]:
-    """The texts a sweep writes in the column (pi0's: "0" and "1"), sorted,
-    and the values their parser gives."""
-    texts = sorted(_CELL_TEXT[kind][:2] if name == "pi0" else _CELL_TEXT[kind])
-    values = [_CELL_PARSERS[name](text) for text in texts]
+    """The texts a sweep writes in the column, sorted, and the values they
+    stand for: the writer's `_CELL_TEXT` inverted."""
+    if kind is int:
+        codes = (0, 1) if name == "pi0" else (-1, 0, 1)
+    else:
+        codes = range(len(_CELL_TEXT[kind]))
+    texts, values = zip(*sorted(zip(_CELL_TEXT[kind][list(codes)], codes)))
     return np.array(texts, "S"), np.array(values, _COLUMN_DTYPES[name])
 
 
@@ -667,25 +637,25 @@ _CSV_DTYPE = np.dtype([
      if name in _CELL_TOKENS else np.float64)
     for name in CSV_COLUMNS
 ])
-# The bytes of a sweep's data lines: a chunk holding any other (a quote,
-# \r, whitespace, non-ASCII) goes to the fault path.
+# The bytes of a sweep's cells: a comma, a quote, whitespace, \r or a
+# non-ASCII byte is none of them.
 _WRITTEN_BYTES = bytes(sorted(set(
-    "".join(itertools.chain("0123456789+-.e,\n", *_CELL_TEXT.values())).encode()
+    "".join(itertools.chain("0123456789+-.e", *_CELL_TEXT.values())).encode()
 )))
 
 
-def _bulk_columns(lines: list[bytes]) -> dict[str, np.ndarray] | None:
-    """The columns of a chunk of data lines, parsed at once, or None if the
-    chunk holds anything a sweep does not write: then the fault path reads
-    it. Where it returns columns, they are what `_parse_rows` makes of
-    csv.reader's rows of the same lines."""
+def _columns(lines: list[bytes]) -> dict[str, np.ndarray] | None:
+    """The columns of data lines, parsed at once, or None if any of them is
+    not a line a sweep writes."""
+    text = b"".join(lines)
     if (
-        not lines
-        or b"\n" in lines  # a blank line, which loadtxt would skip
-        or max(map(len, lines)) > csv.field_size_limit()  # csv.reader may refuse it
-        or b"".join(lines).translate(None, _WRITTEN_BYTES)
+        max(map(len, lines)) > _MAX_LINE
+        or text.translate(None, _WRITTEN_BYTES + b",\r\n")
+        or b"\r" in text and text.count(b"\r") != text.count(b"\r\n")  # \r ends a line
+        or b"\n" in lines or b"\r\n" in lines  # a blank line, which loadtxt skips
     ):
         return None
+    del text  # not held while the chunk is parsed
     try:
         table = np.loadtxt(lines, _CSV_DTYPE, comments=None, delimiter=",", ndmin=1)
     except ValueError:
@@ -706,87 +676,63 @@ def _bulk_columns(lines: list[bytes]) -> dict[str, np.ndarray] | None:
     return columns
 
 
-def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
-    """The column's array, each distinct cell parsed once; ValueError if
-    one does not parse."""
-    parse, distinct = _CELL_PARSERS[name], set(cells)
-    parsed = dict(zip(distinct, map(parse, distinct)))
-    return np.fromiter(map(parsed.__getitem__, cells), _COLUMN_DTYPES[name], len(cells))
-
-
-def _parse_rows(path, block: list) -> dict[str, np.ndarray]:
-    """Columns of a block of (data row, line csv.reader reached after it)
-    pairs. On a fault, one pass over the rows raises ConfigError on the
-    first: a row's width, then its cells left to right."""
-    width = len(CSV_COLUMNS)
-    rows = [row for row, _ in block]
-    if all(len(row) == width for row in rows):
-        try:
-            return dict(zip(CSV_COLUMNS, map(_parse_column, CSV_COLUMNS, zip(*rows))))
+def _cell_fault(name: str, cell: bytes) -> str | None:
+    """Why `_columns` refuses the cell in the column, or None."""
+    text, kind = cell.decode(errors="replace"), _COLUMN_TYPES[name]
+    if kind is float:
+        try:  # numpy's reading of the cell, as in `_columns` (an empty one is no line)
+            if not cell or cell.translate(None, _WRITTEN_BYTES):
+                raise ValueError
+            value = float(np.loadtxt([cell], np.float64, comments=None, delimiter=","))
         except ValueError:
-            pass
-    for row, line in block:
-        if len(row) != width:
-            raise ConfigError([f"{path}: line {line}: expected {width} cells, got {len(row)}"])
-        for name, cell in zip(CSV_COLUMNS, row):
-            try:
-                _CELL_PARSERS[name](cell)
-            except ValueError as exc:
-                raise ConfigError([f"{path}: line {line}, column {name}: {exc}"]) from None
+            return f"could not convert string to float: {text!r}"
+        return None if math.isfinite(value) else f"expected a finite number, got {text!r}"
+    texts, values = _CELL_TOKENS[name]
+    if cell in texts.tolist():
+        return None
+    if kind is bool:
+        return f"expected true/false, got {text!r}"
+    if kind is int:
+        return f"expected one of {tuple(sorted(values.tolist()))}, got {text!r}"
+    return f"{text!r} is not a valid {kind.__name__}"
 
 
-def _fault_path_chunks(path, fh, lines_before: int):
-    """The records of the rest of the file, from the start of line
-    `lines_before + 1` (the header, when 0), in chunks of at most CHUNK
-    rows through csv.reader and `_parse_rows`: the only code that reports
-    a fault. Undecodable bytes become U+FFFD, which no header or cell
-    accepts; csv.reader's own error (a field over its size limit) is a
-    fault of the line it reached."""
-    with io.TextIOWrapper(fh, errors="replace", newline="") as text:
-        reader = csv.reader(text)
-        try:
-            if lines_before == 0 and (header := next(reader, None)) != list(CSV_COLUMNS):
-                raise ConfigError([f"{path}: unexpected CSV header: {header!r}"])
-            while True:
-                block = []
-                try:
-                    for row in itertools.islice(reader, CHUNK):
-                        block.append((row, lines_before + reader.line_num))
-                except csv.Error:
-                    _parse_rows(path, block)  # a fault in an earlier row comes first
-                    raise
-                if not block:
-                    return
-                columns = _parse_rows(path, block)
-                del block  # not held while the chunk is read
-                yield Records(columns)
-        except csv.Error as exc:
-            raise ConfigError([f"{path}: line {lines_before + reader.line_num}: {exc}"]) from None
+def _line_fault(line: bytes) -> str:
+    """Why `_columns` refuses the line, after its line number: its length,
+    its width, or its first refused cell from the left."""
+    if len(line) > _MAX_LINE:
+        return f": longer than the {_MAX_LINE} bytes no sweep line reaches"
+    body = line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
+    cells = body.split(b",")
+    if len(cells) != len(CSV_COLUMNS):
+        return f": expected {len(CSV_COLUMNS)} cells, got {len(cells)}"
+    for name, cell in zip(CSV_COLUMNS, cells):
+        if fault := _cell_fault(name, cell):
+            return f", column {name}: {fault}"
 
 
 def read_csv_chunks(path):
     """The records of a sweep CSV, CHUNK data lines at a time (none for a
-    file of no data line). Each chunk is parsed in bulk; from the
-    first chunk the bulk path refuses (or a header that is not exactly the
-    sweep's) the fault path reads the rest. A bad header, row width or cell
+    file of no data line), each chunk parsed at once by `_columns`. A
+    header that is not the sweep's, or the first line the gates refuse,
     raises ConfigError naming the file, the line and (for a cell) the
-    column of the first fault in the file."""
+    column."""
     with open(path, "rb") as fh:
-        header = (",".join(CSV_COLUMNS) + "\n").encode()
-        lines_before = int(fh.readline() == header)
-        start = fh.tell() if lines_before else 0
-        while lines_before:  # the bulk path, once the header is the sweep's
-            lines = list(itertools.islice(fh, CHUNK))
-            count, columns = len(lines), _bulk_columns(lines)
-            del lines  # not held while the chunk is read
+        header = fh.readline(len(_HEADER) + 2)
+        if header not in (_HEADER, _HEADER + b"\n", _HEADER + b"\r\n"):
+            raise ConfigError([f"{path}: unexpected CSV header: {header.decode(errors='replace')!r}"])
+        lines_before = 1
+        while lines := list(itertools.islice(fh, CHUNK)):
+            count, columns = len(lines), _columns(lines)
             if columns is None:
-                break
+                lo, hi = 0, count  # the first refused line is in lines[lo:hi]
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if _columns(lines[lo:mid]) is None else (mid, hi)
+                raise ConfigError([f"{path}: line {lines_before + lo + 1}{_line_fault(lines[lo])}"])
+            del lines  # not held while the chunk is read
             yield Records(columns)
-            if count < CHUNK:
-                return
-            lines_before, start = lines_before + count, fh.tell()
-        fh.seek(start)
-        yield from _fault_path_chunks(path, fh, lines_before)
+            lines_before += count
 
 
 def read_records_csv(path) -> Records:

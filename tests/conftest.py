@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opmdeploy import OutcomePolarity, ScenarioParams
+from opmdeploy.scenario import deployment_signs, zero_step_error
 
 LN25 = math.log(2.5)
 
@@ -23,6 +24,18 @@ def random_params(rng: np.random.Generator) -> ScenarioParams:
         if rng.integers(0, 2) == 0
         else OutcomePolarity.UNDESIRABLE,
     )
+
+
+def top_group(params: ScenarioParams) -> int:
+    """The group the fitted predictor ranks higher: the ROC operating point
+    and the group the deployed policy treats.
+
+    Raises DegenerateScenario when the historic step is zero.
+    """
+    step, top, _, _ = deployment_signs(params)
+    if step == 0:
+        raise zero_step_error(params)
+    return top
 
 
 @pytest.fixture

@@ -129,6 +129,13 @@ class TestEval:
         assert main(["eval", "--config", str(path)]) == 2
         assert f"{path}: not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["eval", "--config"], ["tables", "--grid"]])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main([*command, str(path)]) == 2
+        assert f"config error: {path}: not valid JSON (" in capsys.readouterr().err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=1.0)
         assert main(["eval", "--config", cfg]) == 2
@@ -372,25 +379,21 @@ class TestTables:
 
     @pytest.mark.parametrize("command", ["tables", "plot"])
     def test_unmatched_quote_exits_2(self, sweep_csv, tmp_path, capsys, command):
-        # the rest of the file becomes one field, past csv's field size limit
+        # a quote is no byte of a sweep's: the cell holding it is the fault
         lines = sweep_csv.read_text().splitlines(keepends=True)
         lines[3] = '"' + lines[3]
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("".join(lines))
-        limit = 131072
-        # csv.reader stops on the line where the field (from the quote on,
-        # newlines included) outgrows the limit
-        line = 4 + next(
-            i for i in range(len(lines)) if len("".join(lines[3:4 + i])) - 1 > limit
-        )
+        p_x = lines[3].split(",")[0]
         argv = [command, "--csv", str(csv_path), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"config error: {csv_path}: line {line}: field larger than field limit ({limit})\n"
+            f"config error: {csv_path}: line 4, column p_x: "
+            f"could not convert string to float: {p_x!r}\n"
         )
 
     @pytest.mark.parametrize("command", ["tables", "plot"])
-    def test_cell_over_the_field_limit_exits_2(self, sweep_csv, tmp_path, capsys, command):
+    def test_over_long_cell_exits_2(self, sweep_csv, tmp_path, capsys, command):
         header, first, second = sweep_csv.read_text().splitlines()[:3]
         cells = second.split(",")
         cells[0] = "0." + "0" * (128 << 10) + "2"  # a finite number, if it were read
@@ -399,7 +402,7 @@ class TestTables:
         argv = [command, "--csv", str(csv_path), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"config error: {csv_path}: line 3: field larger than field limit (131072)\n"
+            f"config error: {csv_path}: line 3: longer than the 1024 bytes no sweep line reaches\n"
         )
 
 

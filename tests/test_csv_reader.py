@@ -1,17 +1,23 @@
-"""The sweep-CSV reader: chunks parsed in bulk by numpy's text reader, and
-the per-cell fault path behind it. The per-cell path run alone over the
-whole file is the reference: the chunked reader returns its columns, or
-raises its problems, on any input."""
+"""The sweep-CSV reader: one path, chunks of lines parsed at once by numpy's
+text reader, and the first line the gates refuse reported. The reference is
+the format read a line and a cell at a time with Python's own parsers,
+narrowed to what a sweep writes: the reader returns its columns, or raises
+its problems, on any input."""
 
+import math
+import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opmdeploy import sweep
+from opmdeploy.classify import Verdict
 from opmdeploy.cli import main
 from opmdeploy.errors import ConfigError
+from opmdeploy.scenario import OutcomePolarity
 from opmdeploy.sweep import (
     CSV_COLUMNS,
     GridRecords,
@@ -30,10 +36,85 @@ def sweep_csv(tmp_path_factory) -> Path:
     return path
 
 
+# ---------------------------------------------------------------------------
+# The reference.
+
+HEADER = ",".join(CSV_COLUMNS).encode()
+WIDTH = len(CSV_COLUMNS)
+TOKENS = ("true", "false", "-1", "0", "1", *(m.value for m in (*OutcomePolarity, *Verdict)))
+# Every character of a cell a sweep writes: float reprs and the tokens.
+CELL_CHARS = set("0123456789+-.e" + "".join(TOKENS))
+
+
+def parse_float(text: str) -> float:
+    # float() also reads whitespace, other digits and digit-group
+    # underscores, none of which a repr holds
+    if not set(text) <= CELL_CHARS or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text == "true"
+
+
+def int_parser(allowed):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value not in allowed or str(value) != text:  # int() also reads +1, 01, -0
+            raise ValueError(f"expected one of {allowed}, got {text!r}")
+        return value
+
+    return parse
+
+
+def enum_parser(kind):
+    codes = {member: i for i, member in enumerate(kind)}
+    return lambda text: codes[kind(text)]
+
+
+PARSERS = {
+    name: {float: parse_float, bool: parse_bool, int: int_parser((-1, 0, 1))}.get(kind)
+    or enum_parser(kind)
+    for name, kind in sweep._COLUMN_TYPES.items()
+}
+PARSERS["pi0"] = int_parser((0, 1))
+
+
 def per_cell(path) -> Records:
-    """The fault path alone, from the header on."""
-    with open(path, "rb") as fh:
-        return Records.join(sweep._fault_path_chunks(path, fh, 0))
+    """A sweep CSV read a line and a cell at a time: lines end in \\n or
+    \\r\\n (the last need not end), the header is the sweep's, and each data
+    line is no longer than `sweep._MAX_LINE` bytes and holds WIDTH cells
+    that their column's parser reads. The first fault raises ConfigError."""
+    lines = re.findall(rb"[^\n]*\n|[^\n]+\Z", Path(path).read_bytes())
+    header = lines[0][: len(HEADER) + 2] if lines else b""
+    if header not in (HEADER, HEADER + b"\n", HEADER + b"\r\n"):
+        raise ConfigError([f"{path}: unexpected CSV header: {header.decode(errors='replace')!r}"])
+    columns = {name: [] for name in CSV_COLUMNS}
+    for number, line in enumerate(lines[1:], 2):
+        where = f"{path}: line {number}"
+        if len(line) > sweep._MAX_LINE:
+            raise ConfigError([f"{where}: longer than the {sweep._MAX_LINE} bytes no sweep line reaches"])
+        text = line.decode(errors="replace")
+        cells = (text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")).split(",")
+        if len(cells) != WIDTH:
+            raise ConfigError([f"{where}: expected {WIDTH} cells, got {len(cells)}"])
+        for name, cell in zip(CSV_COLUMNS, cells):
+            try:
+                columns[name].append(PARSERS[name](cell))
+            except ValueError as exc:
+                raise ConfigError([f"{where}, column {name}: {exc}"]) from None
+    return Records({
+        name: np.array(values, sweep._COLUMN_DTYPES[name]) for name, values in columns.items()
+    })
 
 
 def outcome(read, path):
@@ -46,11 +127,16 @@ def outcome(read, path):
     return {name: (c.dtype, c.tobytes()) for name, c in records.columns.items()}
 
 
-def bulk_only(monkeypatch):
+def no_fault(monkeypatch):
     def refused(*args):
-        raise AssertionError("a sweep's own CSV reached the fault path")
+        raise AssertionError("a line of a sweep's own CSV was refused")
 
-    monkeypatch.setattr(sweep, "_fault_path_chunks", refused)
+    monkeypatch.setattr(sweep, "_line_fault", refused)
+
+
+def write_lines(path, lines) -> Path:
+    path.write_bytes(b"".join(lines))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +148,8 @@ NEAR_MISSES = [
     b"2e-1", b".2", b"", b"2", b"-0", b"+1", b"01", b"1.0", b"no_change",
     b"no_change ", b"true", b"True", b"desirable", b"\xef\xbf\xbd", b"\xff",
     b"0.2\xef\xbf\xbd", b"#", b"0x1p-3", b"1" * 400, b"undesirables", b"falsey", b"-11",
+    b"0.2\r", b"\r", b"1__0", b"+nan", b"1e5", b"1.e5", b"-.5", b"e", b"1e", b"1e999",
+    b"-1e-999",
 ]
 
 
@@ -85,6 +173,10 @@ def blank_line(lines, i, column, _):
     lines.insert(i, b"\n")
 
 
+def blank_crlf_line(lines, i, column, _):
+    lines.insert(i, b"\r\n")
+
+
 def crlf(lines, i, column, _):
     lines[i] = lines[i].rstrip(b"\n") + b"\r\n"
 
@@ -94,7 +186,7 @@ def crlf_everywhere(lines, i, column, _):
 
 
 def cr_join(lines, i, column, _):
-    # two rows on one line to a reader that ends lines only at \n
+    # two rows on one line: \r ends no line
     if i + 1 < len(lines):
         lines[i : i + 2] = [lines[i].rstrip(b"\n") + b"\r" + lines[i + 1]]
 
@@ -103,9 +195,18 @@ def no_last_newline(lines, i, column, _):
     lines[-1] = lines[-1].rstrip(b"\n")
 
 
+def cr_ends_the_file(lines, i, column, _):
+    # numpy's reader would take the \r for the last line's end
+    lines[i:] = [lines[i].rstrip(b"\n") + b"\r"]
+
+
+def over_long(lines, i, column, _):
+    set_cell(lines, i, column, b"0." + b"0" * sweep._MAX_LINE + b"1")
+
+
 EDITS = [set_cell] * 4 + [
-    quote_across_lines, extra_comma, blank_line, crlf, crlf_everywhere, cr_join,
-    no_last_newline,
+    quote_across_lines, extra_comma, blank_line, blank_crlf_line, crlf, crlf_everywhere,
+    cr_join, no_last_newline, cr_ends_the_file, over_long,
 ]
 mutations = st.tuples(
     st.sampled_from(EDITS),
@@ -121,8 +222,7 @@ def test_chunked_reader_equals_the_per_cell_path(sweep_csv, tmp_path_factory, ed
     lines = sweep_csv.read_bytes().splitlines(keepends=True)[:41]
     for edit, i, column, cell in edits:
         edit(lines, min(i, len(lines) - 1), column, cell)
-    path = tmp_path_factory.mktemp("mutated") / "sweep.csv"
-    path.write_bytes(b"".join(lines))
+    path = write_lines(tmp_path_factory.mktemp("mutated") / "sweep.csv", lines)
     with mock.patch.object(sweep, "CHUNK", 7):  # chunk edges between the edits
         assert outcome(read_records_csv, path) == outcome(per_cell, path)
 
@@ -134,49 +234,135 @@ def test_chunked_reader_equals_the_per_cell_path(sweep_csv, tmp_path_factory, ed
 def test_each_near_miss_in_each_kind_of_column(sweep_csv, tmp_path, column, cell):
     lines = sweep_csv.read_bytes().splitlines(keepends=True)[:30]
     set_cell(lines, 20, CSV_COLUMNS.index(column), cell)
-    path = tmp_path / "sweep.csv"
-    path.write_bytes(b"".join(lines))
+    path = write_lines(tmp_path / "sweep.csv", lines)
     with mock.patch.object(sweep, "CHUNK", 8):
         assert outcome(read_records_csv, path) == outcome(per_cell, path)
 
 
+@pytest.mark.parametrize("header", [
+    b"", b"\n", HEADER + b"\r", HEADER + b"\r\r\n", HEADER + b",\n", HEADER[1:] + b"\n",
+    HEADER + b" \n", b"\xff" + HEADER + b"\n", HEADER + b"x" * 5000 + b"\n",
+])
+def test_header_is_the_sweeps_alone(sweep_csv, tmp_path, header):
+    # a header with no \n ends the file
+    lines = sweep_csv.read_bytes().splitlines(keepends=True)[1:3] if header.endswith(b"\n") else []
+    path = write_lines(tmp_path / "sweep.csv", [header] + lines)
+    problems = outcome(read_records_csv, path)
+    assert problems == outcome(per_cell, path)
+    assert problems[0].startswith(f"{path}: unexpected CSV header: ")
+    assert len(problems[0]) < len(str(path)) + 400  # a long first line is not echoed whole
+
+
 def test_sweep_csv_is_read_in_bulk(sweep_csv, monkeypatch):
     want = outcome(per_cell, sweep_csv)
-    bulk_only(monkeypatch)
+    no_fault(monkeypatch)
     assert outcome(read_records_csv, sweep_csv) == want
 
 
-@pytest.mark.parametrize("cell", [b" 0.2", b"0.2\t", b"2E-1", b"\xd9\xa0.2"])
-def test_bytes_a_sweep_never_writes_go_to_the_fault_path(sweep_csv, cell):
-    # Python's float() reads each as 0.2; numpy's parser need not be asked
+@pytest.mark.parametrize("cell", [b" 0.2", b"0.2\t", b"2E-1", b"\xd9\xa0.2", b"1_0", b'"0.2"'])
+def test_cells_python_reads_as_numbers_are_refused(sweep_csv, cell):
+    # Python's float() reads each as a number; the gates refuse them
     lines = sweep_csv.read_bytes().splitlines(keepends=True)[1:30]
-    assert sweep._bulk_columns(lines) is not None
+    assert sweep._columns(lines) is not None
     set_cell(lines, 20, CSV_COLUMNS.index("p_x"), cell)
-    assert sweep._bulk_columns(lines) is None
+    assert sweep._columns(lines) is None
 
 
-def test_lone_cr_ends_a_line(sweep_csv, tmp_path):
-    # csv.reader counts a line ended by \r alone, so the fault is on line 22
+def test_no_sweep_line_reaches_the_line_limit():
+    # in every float column a repr as long as any (a sign, 17 digits, a point
+    # and a three-digit exponent), in every other its longest token
+    longest = repr(-2.2250738585072014e-308)
+    cells = [
+        longest if kind is float else max(sweep._CELL_TOKENS[name][0].tolist(), key=len).decode()
+        for name, kind in sweep._COLUMN_TYPES.items()
+    ]
+    assert len(",".join(cells) + "\r\n") <= sweep._MAX_LINE
+
+
+# ---------------------------------------------------------------------------
+# Input no sweep writes, which the csv.reader fallback of earlier versions
+# read (all but a blank line, which it refused as a row of 0 cells): each is
+# a fault of its line and, for a cell, its column, for every command that
+# reads a CSV.
+
+FORMERLY_READ = [
+    ("beta_t", b"1_0", ", column beta_t: could not convert string to float: '1_0'"),
+    ("p_x", b" 0.2", ", column p_x: could not convert string to float: ' 0.2'"),
+    ("p_x", b'"0.2"', ", column p_x: could not convert string to float: '\"0.2\"'"),
+    ("sign_bt", b"+1", ", column sign_bt: expected one of (-1, 0, 1), got '+1'"),
+    ("sign_bt", b"01", ", column sign_bt: expected one of (-1, 0, 1), got '01'"),
+    ("pi0", b"-0", ", column pi0: expected one of (0, 1), got '-0'"),
+    ("auc_pre", b"0.5\r", ", column auc_pre: could not convert string to float: '0.5\\r'"),
+    ("verdict", b'"harmful"', ", column verdict: '\"harmful\"' is not a valid Verdict"),
+]
+
+
+@pytest.mark.parametrize("command", ["tables", "plot"])
+@pytest.mark.parametrize("column, cell, message", FORMERLY_READ)
+def test_formerly_read_cell_exits_2(sweep_csv, tmp_path, capsys, command, column, cell, message):
     lines = sweep_csv.read_bytes().splitlines(keepends=True)[:30]
-    cr_join(lines, 10, 0, None)
-    set_cell(lines, 20, CSV_COLUMNS.index("pi0"), b"2")
-    path = tmp_path / "sweep.csv"
-    path.write_bytes(b"".join(lines))
-    problems = [f"{path}: line 22, column pi0: expected one of (0, 1), got '2'"]
-    assert outcome(per_cell, path) == problems
-    with mock.patch.object(sweep, "CHUNK", 8):
-        assert outcome(read_records_csv, path) == problems
+    set_cell(lines, 20, CSV_COLUMNS.index(column), cell)
+    path = write_lines(tmp_path / "bad.csv", lines)
+    assert main([command, "--csv", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: line 21{message}\n"
+
+
+@pytest.mark.parametrize("command", ["tables", "plot"])
+@pytest.mark.parametrize("edit, message", [
+    (blank_line, ": expected 19 cells, got 1"),
+    (blank_crlf_line, ": expected 19 cells, got 1"),
+    (cr_join, ": expected 19 cells, got 37"),
+    (cr_ends_the_file, ", column avg_treatment_beneficial: expected true/false, got 'true\\r'"),
+    (quote_across_lines, ": expected 19 cells, got 1"),  # the quote's line is cut off
+], ids=["blank", "blank-crlf", "lone-cr", "lone-cr-at-the-end", "quoted-newline"])
+def test_formerly_read_line_exits_2(sweep_csv, tmp_path, capsys, command, edit, message):
+    lines = sweep_csv.read_bytes().splitlines(keepends=True)[:30]
+    edit(lines, 20, 0, None)
+    path = write_lines(tmp_path / "bad.csv", lines)
+    assert main([command, "--csv", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: line 21{message}\n"
 
 
 def test_first_fault_comes_before_a_later_over_long_field(sweep_csv, tmp_path):
     lines = sweep_csv.read_bytes().splitlines(keepends=True)[:30]
     set_cell(lines, 3, CSV_COLUMNS.index("pi0"), b"2")
     set_cell(lines, 5, 0, b"0." + b"0" * (128 << 10) + b"1")
-    path = tmp_path / "sweep.csv"
-    path.write_bytes(b"".join(lines))
+    path = write_lines(tmp_path / "sweep.csv", lines)
     with pytest.raises(ConfigError) as err:
         read_records_csv(path)
     assert err.value.problems == [f"{path}: line 4, column pi0: expected one of (0, 1), got '2'"]
+
+
+# ---------------------------------------------------------------------------
+# CRLF line ends: the same records and the same outputs.
+
+
+@pytest.fixture(scope="module")
+def crlf_csv(sweep_csv, tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("crlf") / "sweep.csv"
+    path.write_bytes(sweep_csv.read_bytes().replace(b"\n", b"\r\n"))
+    return path
+
+
+def test_crlf_twin_gives_the_same_columns_in_bulk(sweep_csv, crlf_csv, monkeypatch):
+    want = outcome(read_records_csv, sweep_csv)
+    no_fault(monkeypatch)
+    assert outcome(read_records_csv, crlf_csv) == want
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("tables", ["sign_table.csv", "harm_table.csv"]),
+    ("plot", ["fig-bt-vs-diff.svg", "fig-bt-vs-diff-all.svg", "fig-bxt-vs-diff.svg",
+              "fig-auc-pre-vs-diff.svg"]),
+])
+def test_crlf_twin_writes_the_same_bytes(sweep_csv, crlf_csv, tmp_path, capsys, command, outputs):
+    def run(source):  # from one path: the figures echo it
+        csv, out = tmp_path / "sweep.csv", tmp_path / "out"
+        csv.write_bytes(source.read_bytes())
+        assert main([command, "--csv", str(csv), "--out", str(out)]) == 0
+        return [(out / name).read_bytes() for name in outputs]
+
+    assert run(crlf_csv) == run(sweep_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -206,40 +392,28 @@ def test_commands_write_the_same_bytes_in_any_chunk_size(
     assert run(tmp_path / "chunked") == whole
 
 
-def test_no_chunk_holds_more_than_chunk_rows(sweep_csv, tmp_path, chunk_97):
+def test_no_chunk_holds_more_than_chunk_rows(sweep_csv, crlf_csv, tmp_path, chunk_97):
     sizes = [97] * 47 + [61]
     assert [len(c) for c in read_csv_chunks(sweep_csv)] == sizes
-    crlf = tmp_path / "crlf.csv"  # all of it on the fault path
-    crlf.write_bytes(sweep_csv.read_bytes().replace(b"\n", b"\r\n"))
-    assert [len(c) for c in read_csv_chunks(crlf)] == sizes
+    assert [len(c) for c in read_csv_chunks(crlf_csv)] == sizes
     for rows in (97, 194):  # whole chunks: no empty one after them
-        part = tmp_path / f"part{rows}.csv"
-        part.write_bytes(b"".join(sweep_csv.read_bytes().splitlines(keepends=True)[: 1 + rows]))
+        lines = sweep_csv.read_bytes().splitlines(keepends=True)[: 1 + rows]
+        part = write_lines(tmp_path / f"part{rows}.csv", lines)
         assert [len(c) for c in read_csv_chunks(part)] == [97] * (rows // 97)
 
 
-def test_fault_is_reported_on_its_file_line(sweep_csv, tmp_path, chunk_97):
+@pytest.mark.parametrize("line", [98, 99, 150, 194, 195, 4621])
+def test_fault_is_reported_on_its_file_line(sweep_csv, tmp_path, chunk_97, line):
+    # the first and last line of a chunk, and lines inside one
     lines = sweep_csv.read_bytes().splitlines(keepends=True)
-    set_cell(lines, 149, CSV_COLUMNS.index("sign_bt"), b"7")  # line 150, second chunk
-    path = tmp_path / "bad.csv"
-    path.write_bytes(b"".join(lines))
+    set_cell(lines, line - 1, CSV_COLUMNS.index("sign_bt"), b"7")
+    if line < len(lines):  # a later fault is not the one reported
+        set_cell(lines, line, CSV_COLUMNS.index("sign_bt"), b"8")
+    path = write_lines(tmp_path / "bad.csv", lines)
     with pytest.raises(ConfigError) as err:
         read_records_csv(path)
     assert err.value.problems == [
-        f"{path}: line 150, column sign_bt: expected one of (-1, 0, 1), got '7'"
-    ]
-
-
-def test_quote_in_a_later_chunk_counts_its_newline(sweep_csv, tmp_path, chunk_97):
-    lines = sweep_csv.read_bytes().splitlines(keepends=True)
-    quote_across_lines(lines, 110, 0, None)  # line 111, second chunk: spans two lines
-    set_cell(lines, 300, CSV_COLUMNS.index("sign_bt"), b"7")  # line 301, one further down now
-    path = tmp_path / "bad.csv"
-    path.write_bytes(b"".join(lines))
-    with pytest.raises(ConfigError) as err:
-        read_records_csv(path)
-    assert err.value.problems == [
-        f"{path}: line 302, column sign_bt: expected one of (-1, 0, 1), got '7'"
+        f"{path}: line {line}, column sign_bt: expected one of (-1, 0, 1), got '7'"
     ]
 
 
@@ -248,9 +422,9 @@ def test_quote_in_a_later_chunk_counts_its_newline(sweep_csv, tmp_path, chunk_97
 # when loadtxt is handed no data.
 
 
-def test_header_only_csv_gives_typed_empty_columns(sweep_csv, tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_bytes(sweep_csv.read_bytes().splitlines(keepends=True)[0])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b""])
+def test_header_only_csv_gives_typed_empty_columns(sweep_csv, tmp_path, end):
+    path = write_lines(tmp_path / "empty.csv", [HEADER + end])
     assert list(read_csv_chunks(path)) == []
     records, whole = read_records_csv(path), read_records_csv(sweep_csv)
     assert len(records) == 0
@@ -260,10 +434,9 @@ def test_header_only_csv_gives_typed_empty_columns(sweep_csv, tmp_path):
 
 
 def test_one_row_csv_gives_columns_of_length_one(sweep_csv, tmp_path, monkeypatch):
-    path = tmp_path / "one.csv"
-    path.write_bytes(b"".join(sweep_csv.read_bytes().splitlines(keepends=True)[:2]))
+    path = write_lines(tmp_path / "one.csv", sweep_csv.read_bytes().splitlines(keepends=True)[:2])
     whole = read_records_csv(sweep_csv)
-    bulk_only(monkeypatch)
+    no_fault(monkeypatch)
     records = read_records_csv(path)
     for name in CSV_COLUMNS:
         assert records.columns[name].shape == (1,), name

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import LN25, exact_rank_auc
+from conftest import LN25, exact_rank_auc, top_group
 from opmdeploy.errors import DegenerateOutcome, DegenerateScenario
 from opmdeploy.metrics import calibration, discrimination
 from opmdeploy.report import evaluate_scenario
@@ -15,7 +15,6 @@ from opmdeploy.scenario import (
     observed_distribution,
     potential_outcomes,
     sign_with_band,
-    top_group,
 )
 from test_scenario import scenario_st
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import LN25, random_params
+from conftest import LN25, random_params, top_group
 from opmdeploy.errors import ConfigError, DegenerateScenario
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
@@ -17,7 +17,6 @@ from opmdeploy.scenario import (
     logistic,
     observed_distribution,
     potential_outcomes,
-    top_group,
 )
 
 # Frozen oracle values (high-precision logistic, 40 digits, rounded to double).

@@ -343,22 +343,17 @@ class TestCsvRoundTrip:
             read_records_csv(path)
         assert err.value.problems == [f"{path}: line 4, column {column}: {message}"]
 
-    def test_line_numbers_count_quoted_newlines(self, default_records, tmp_path):
+    def test_quoted_newline_is_a_fault_of_its_line(self, default_records, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(default_records, path)
         lines = path.read_text().splitlines()
-        cells = lines[10].split(",")  # line 11: its p_x cell spans two lines
+        cells = lines[10].split(",")  # line 11: a quote holds its line end
         cells[0] = f'"{cells[0]}\n"'
         lines[10] = ",".join(cells)
-        cells = lines[300].split(",")  # line 301, one line further down now
-        cells[CSV_COLUMNS.index("sign_bt")] = "7"
-        lines[300] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError) as err:
             read_records_csv(path)
-        assert err.value.problems == [
-            f"{path}: line 302, column sign_bt: expected one of (-1, 0, 1), got '7'"
-        ]
+        assert err.value.problems == [f"{path}: line 11: expected 19 cells, got 1"]
 
     def test_value_rendering(self, default_records, tmp_path):
         path = tmp_path / "records.csv"
@@ -493,8 +488,8 @@ class TestKernelMatchesOracle:
 
 
 class TestCsvReadInBulk:
-    """Every CSV a sweep writes with a row in it is read back by the bulk
-    path alone, to the kernel's columns bit for bit: numpy's float parser reads each repr as
+    """Every CSV a sweep writes is read back with no line refused, to the
+    kernel's columns bit for bit: numpy's float parser reads each repr as
     Python's does, signed zeros and values near the float range included."""
 
     @staticmethod
@@ -502,8 +497,7 @@ class TestCsvReadInBulk:
         records, _, _ = record_columns(grid)
         write_records_csv(records, path)
         with pytest.MonkeyPatch.context() as mp:
-            if len(records):  # a file of no rows is the fault path's
-                mp.setattr(sweep, "_fault_path_chunks", None)  # not called
+            mp.setattr(sweep, "_line_fault", None)  # not called
             again = read_records_csv(path)
         for name in CSV_COLUMNS:
             want = records.columns[name]
