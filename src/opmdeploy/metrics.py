@@ -52,15 +52,20 @@ def discrimination(dist: ObservedDistribution, top: int) -> DiscriminationMetric
 
         sens = p(X=top | Y=1)      spec = p(X=1-top | Y=0)
 
-    and AUC = (sens + spec) / 2. Raises DegenerateOutcome when p(Y=1) is
-    exactly 0 or 1, where one of the two divides by zero.
+    and AUC = (sens + spec) / 2. The cells are picked by `top`'s 0/1
+    weight, which is exact, so `dist` and `top` may be columns. p(Y=1)
+    never rounds past [0, 1], so the one refusal is a division by zero:
+    on floats, where p(Y=1) is exactly 0 or 1, it raises DegenerateOutcome;
+    on columns those rows' AUCs are not finite.
     """
-    if not 0.0 < dist.p_y1 < 1.0:
+    (j00, j01), (j10, j11) = dist.joint
+    try:
+        sens = ((1 - top) * j01 + top * j11) / dist.p_y1
+        spec = (top * j00 + (1 - top) * j10) / (1.0 - dist.p_y1)
+    except ZeroDivisionError:
         raise DegenerateOutcome(
             f"p(Y=1)={dist.p_y1!r}: sensitivity/specificity undefined"
-        )
-    sens = dist.joint[top][1] / dist.p_y1
-    spec = dist.joint[1 - top][0] / (1.0 - dist.p_y1)
+        ) from None
     return DiscriminationMetrics(sens=sens, spec=spec, auc=0.5 * (sens + spec))
 
 

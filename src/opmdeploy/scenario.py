@@ -33,8 +33,17 @@ from .errors import ConfigError, DegenerateScenario
 EPS_EQ = 1e-12
 
 
-def logistic(eta: float) -> float:
-    """Standard logistic function, stable for large |eta|."""
+def logistic(eta):
+    """Standard logistic function, stable for large |eta|. On an array, this
+    function of each distinct value: numpy's exp differs from libm's in the
+    last ulp."""
+    if not isinstance(eta, (int, float)):
+        # Imported here, not with the package: numpy loaded before the
+        # modules a command imports raises the process's peak RSS by ~1 MB.
+        import numpy as np
+
+        distinct, where = np.unique(eta, return_inverse=True)
+        return np.array([logistic(e) for e in distinct.tolist()])[where]
     if eta >= 0:
         return 1.0 / (1.0 + math.exp(-eta))
     z = math.exp(eta)
@@ -180,7 +189,8 @@ def log_odds(params, t: int, x: int):
 
 
 def potential_outcomes(params: ScenarioParams) -> PotentialOutcomes:
-    """Evaluate the log-odds model at all four (t, x) cells."""
+    """Evaluate the log-odds model at all four (t, x) cells, of a scenario
+    or of columns of them."""
     q = tuple(
         tuple(logistic(log_odds(params, t, x)) for x in (0, 1)) for t in (0, 1)
     )

@@ -7,10 +7,12 @@ whose historic conditionals coincide (a constant fitted predictor) are
 removed structurally before evaluation.
 
 A grid is evaluated column-wise by `record_columns`, CHUNK settings at a
-time: it calls the `scenario` functions behind every decision and every
-float of the per-scenario path `record_from_report(evaluate_scenario(p))`
-on columns, which the tests hold it to cell for cell. Records stay columns
-through the CSV writer, the reader and the aggregations.
+time: it calls the `scenario` and `metrics` functions behind every
+decision and every float of the per-scenario path
+`record_from_report(evaluate_scenario(p))` on columns, which the tests
+hold it to cell for cell, and adds only the chunking, the masks and the
+enum codes. Records stay columns through the CSV writer, the reader and
+the aggregations.
 
 Aggregations reproduce two published reference tables; where this tool's
 structural filter and self-fulfilling orientation differ from the
@@ -31,6 +33,7 @@ import numpy as np
 
 from .classify import Verdict, verdict_from_signs
 from .errors import ConfigError
+from .metrics import discrimination
 
 # `evaluate_scenario` is the per-scenario path whose reports
 # `record_from_report` flattens: the kernel's oracle.
@@ -39,7 +42,6 @@ from .scenario import (
     PARAM_FIELDS,
     OutcomePolarity,
     Policy,
-    PotentialOutcomes,
     ScenarioParams,
     avg_effect_sign,
     deployment_signs,
@@ -47,15 +49,16 @@ from .scenario import (
     field_problems,
     historic_policy,
     historic_step_sign,
-    log_odds,
-    logistic,
     observed_distribution,
+    potential_outcomes,
 )
 
 # Odds ratios behind the default grid's log-odds values.
 _OR_STEPS = (1.1, 1.45, 1.8, 2.15, 2.5)
 # The type each scenario field is stored as (float, int or the enum).
 _PARAM_TYPES = get_type_hints(ScenarioParams)
+# The most settings `_settings` can index.
+_MAX_SETTINGS = np.iinfo(np.intp).max
 
 
 def _symmetric_log_odds() -> tuple[float, ...]:
@@ -92,6 +95,8 @@ class GridSpec:
                 for i, v in enumerate(lists[key])
                 for problem in field_problems([(name, v)])
             ]
+        if (settings := math.prod(map(len, lists.values()))) > _MAX_SETTINGS:
+            problems.append(f"grid: {settings} settings, past the {_MAX_SETTINGS} a sweep can index")
         if problems:
             raise ConfigError(problems)
         for key, name in zip(GRID_KEYS, PARAM_FIELDS):
@@ -300,21 +305,6 @@ def _settings(grid: GridSpec, start: int, stop: int):
     return dict(zip(PARAM_FIELDS, (v[kept] for v in values))), removed
 
 
-def _logistic(eta: np.ndarray) -> np.ndarray:
-    """`logistic` itself on each distinct value (numpy's exp differs from
-    libm's in the last ulp)."""
-    distinct, where = np.unique(eta, return_inverse=True)
-    return np.array([logistic(e) for e in distinct.tolist()])[where]
-
-
-def _auc(dist, top):
-    """`metrics.discrimination`'s AUC at each row's operating point `top`."""
-    (j00, j01), (j10, j11) = dist.joint
-    sens = np.where(top, j11, j01) / dist.p_y1
-    spec = np.where(top, j00, j10) / (1.0 - dist.p_y1)
-    return 0.5 * (sens + spec)
-
-
 def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
     """The sweep kernel: the records of settings [start, stop) of the grid
     (all of them by default), with how many were excluded as structurally
@@ -322,10 +312,10 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
 
     Each column holds what `record_from_report(evaluate_scenario(p))` holds
     for each retained setting: the decisions and the floats come from the
-    same `scenario` functions, called on columns, and the four outcome
-    probabilities from `logistic` itself. A setting whose p(Y=1) before or
-    after deployment is not strictly between 0 and 1 (where
-    `evaluate_scenario` raises DegenerateOutcome) is unrepresentable.
+    same `scenario` and `metrics` functions, called on columns. A setting
+    whose AUC before or after deployment is not finite (where
+    `discrimination` raises DegenerateOutcome on floats) is
+    unrepresentable.
     """
     stop = grid.cardinality if stop is None else stop
     # Sums of |beta| near 1e308 overflow and excluded settings divide by
@@ -333,14 +323,12 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
     with np.errstate(all="ignore"):
         s, structural = _settings(grid, start, stop)
         c = SimpleNamespace(**s)
-        po = PotentialOutcomes(
-            [[_logistic(log_odds(c, t, x)) for x in (0, 1)] for t in (0, 1)]
-        )
+        po = potential_outcomes(c)
         _, top, _, sign = deployment_signs(c)
         verdict = _VERDICT_CODES[c.polarity, c.pi0, sign + 1]
         pre = observed_distribution(po, historic_policy(c.pi0), c.p_x)
         post = observed_distribution(po, Policy((1 - top, top)), c.p_x)
-        auc_pre, auc_post = _auc(pre, top), _auc(post, top)
+        auc_pre, auc_post = (discrimination(d, top).auc for d in (pre, post))
         cate0, cate1 = po.cate
         columns = {
             **s,
@@ -359,9 +347,7 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
             * avg_effect_sign(c, cate0, cate1)
             > 0,
         }
-    representable = (
-        (0.0 < pre.p_y1) & (pre.p_y1 < 1.0) & (0.0 < post.p_y1) & (post.p_y1 < 1.0)
-    )
+    representable = np.isfinite(auc_pre) & np.isfinite(auc_post)
     unrepresentable = len(representable) - int(np.count_nonzero(representable))
     records = Records({name: columns[name][representable] for name in CSV_COLUMNS})
     return records, structural, unrepresentable
@@ -522,15 +508,19 @@ ORIENTATION_NOTE = (
 )
 
 
+# How many of the default grid's settings are retained.
+DEFAULT_RETAINED = 4620
+
+
 def is_default_grid(records) -> bool:
     """Whether the records (`Records` or a chunk stream) hold exactly the
     default grid's retained settings, in order: the only record set the
     published reference tabulation describes. Records of another size are
-    not read again."""
+    not read again, and the default grid is not built for them."""
+    if len(records) != DEFAULT_RETAINED:
+        return False
     grid = default_grid()
     settings, _ = _settings(grid, 0, grid.cardinality)
-    if len(records) != len(settings["p_x"]):
-        return False
     records = Records.join(records.chunks())
     return all(
         np.array_equal(records.columns[name], settings[name]) for name in PARAM_FIELDS

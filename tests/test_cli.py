@@ -541,6 +541,69 @@ class TestGridEvaluatedOnce:
         assert calls == [(s, min(s + 97, cardinality)) for s in range(0, cardinality, 97)]
 
 
+class TestGridTooLargeToIndex:
+    """5000^5 * 2 * 2 = 1.25e19 settings, past the largest index numpy
+    holds: every grid command refuses the grid before it opens a file."""
+
+    @pytest.fixture
+    def grid(self, tmp_path):
+        many = [i / 5000 - 0.5 for i in range(5000)]
+        return write_grid(
+            tmp_path, p_x_values=[(i + 1) / 5001 for i in range(5000)],
+            beta0_values=many, beta_x_values=many, beta_t_values=many,
+            beta_xt_values=many,
+        )
+
+    @pytest.mark.parametrize("command", TestGridEvaluatedOnce.COMMANDS, ids=lambda c: c[0])
+    def test_exits_2_and_writes_nothing(self, grid, tmp_path, monkeypatch, command, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--grid", grid]) == 2
+        assert capsys.readouterr().err == (
+            "config error: grid: 12500000000000000000 settings, past the "
+            "9223372036854775807 a sweep can index\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
+
+
+class TestDefaultGridCheck:
+    """`is_default_grid` builds the default grid's settings only for records
+    as many as its retained settings."""
+
+    def test_retained_count(self):
+        assert sweep.DEFAULT_RETAINED == len(sweep.GridRecords(default_grid()))
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        grids = []
+        settings = sweep._settings
+
+        def recorded(grid, start, stop):
+            grids.append(grid)
+            return settings(grid, start, stop)
+
+        monkeypatch.setattr(sweep, "_settings", recorded)
+        return grids
+
+    def test_custom_grid_and_its_csv(self, grids, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        grid = write_grid(tmp_path, beta0_values=[-0.5, 0.5])
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 0
+        assert main(["tables", "--csv", str(out), "--out", str(tmp_path / "t")]) == 0
+        assert grids and default_grid() not in grids
+
+    def test_default_grid_writes_its_reference_delta(self, grids, tmp_path, capsys):
+        records, _, _ = sweep.record_columns(default_grid())
+        delta = sweep.reference_delta(sweep.aggregate_sign_table(records), len(records))
+        block = '  "reference_delta": ' + json.dumps(delta, indent=2).replace("\n", "\n  ")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out)]) == 0
+        assert main(["tables", "--csv", str(out), "--out", str(tmp_path / "t")]) == 0
+        assert main(["tables", "--out", str(tmp_path / "g")]) == 0
+        for manifest in ("sweep.csv.manifest.json", "t/tables_manifest.json",
+                         "g/tables_manifest.json"):
+            assert block in (tmp_path / manifest).read_text(), manifest
+
+
 class TestSimulate:
     def test_agreement_and_determinism(self, tmp_path, capsys):
         args = [

@@ -1,5 +1,8 @@
+import re
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import LN25, exact_rank_auc, top_group
 from opmdeploy.errors import DegenerateOutcome, DegenerateScenario
@@ -9,6 +12,7 @@ from opmdeploy.scenario import (
     ObservedDistribution,
     Opm,
     OutcomePolarity,
+    Policy,
     ScenarioParams,
     fit_opm,
     historic_policy,
@@ -35,6 +39,71 @@ def _example(beta_t: float):
         polarity=OutcomePolarity.DESIRABLE,
     )
     return evaluate_scenario(params)
+
+
+DEGENERATE_ONE = ObservedDistribution(
+    mu=(1.0, 1.0), p_y1=1.0, joint=((0.0, 0.5), (0.0, 0.5))
+)
+DEGENERATE_ZERO = ObservedDistribution(
+    mu=(0.0, 0.0), p_y1=0.0, joint=((0.5, 0.0), (0.5, 0.0))
+)
+
+
+def stack(dists) -> ObservedDistribution:
+    """Distributions as one distribution of columns."""
+    return ObservedDistribution(
+        mu=tuple(np.array([d.mu[x] for d in dists]) for x in (0, 1)),
+        p_y1=np.array([d.p_y1 for d in dists]),
+        joint=tuple(
+            tuple(np.array([d.joint[x][y] for d in dists]) for y in (0, 1)) for x in (0, 1)
+        ),
+    )
+
+
+# Scenarios whose p(Y=1) can round to 0 or 1, under any assignment.
+wide = st.floats(-40.0, 40.0) | st.sampled_from([0.0, -0.0, 745.0, -745.0, 1e308, -1e308])
+wide_rows = st.tuples(
+    st.builds(
+        ScenarioParams, p_x=st.floats(0.01, 0.99), pi0=st.just(0), beta0=wide,
+        beta_x=wide, beta_t=wide, beta_xt=wide, polarity=st.just(OutcomePolarity.DESIRABLE),
+    ),
+    st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])).map(Policy),
+    st.sampled_from([0, 1]),
+)
+
+
+class TestDiscriminationOnColumns:
+    @settings(deadline=None)
+    @given(st.lists(wide_rows, min_size=1, max_size=8))
+    @example([
+        (ScenarioParams(0.5, 0, -0.5, LN25, 0.4, 0.0, OutcomePolarity.DESIRABLE), Policy((0, 1)), 1),
+        (ScenarioParams(0.2, 0, 40.0, 1.0, 0.0, 0.0, OutcomePolarity.DESIRABLE), Policy((0, 0)), 0),
+        (ScenarioParams(0.3, 0, -0.5, -1.0, 2.0, 0.0, OutcomePolarity.DESIRABLE), Policy((1, 0)), 0),
+    ])
+    def test_columns_are_the_rows(self, rows):
+        """Each row of the columns holds what one call on its floats gives,
+        bit for bit, and the rows a float call refuses are not finite."""
+        dists = [observed_distribution(potential_outcomes(p), policy, p.p_x) for p, policy, _ in rows]
+        tops = [top for _, _, top in rows]
+        with np.errstate(all="ignore"):
+            got = discrimination(stack(dists), np.array(tops))
+        for i, (dist, top) in enumerate(zip(dists, tops)):
+            try:
+                want = discrimination(dist, top)
+            except DegenerateOutcome:
+                assert not np.isfinite(got.auc[i])
+                continue
+            for name in ("sens", "spec", "auc"):
+                assert np.float64(getattr(want, name)).tobytes() == getattr(got, name)[i].tobytes()
+
+    def test_degenerate_rows_are_not_finite(self):
+        good = observed_distribution(
+            potential_outcomes(ScenarioParams(0.5, 0, -0.5, LN25, 0.4, 0.0, OutcomePolarity.DESIRABLE)),
+            Policy((0, 1)), 0.5,
+        )
+        with np.errstate(all="ignore"):
+            got = discrimination(stack([DEGENERATE_ONE, DEGENERATE_ZERO, good]), np.array([1, 0, 1]))
+        assert np.isfinite(got.auc).tolist() == [False, False, True]
 
 
 class TestDiscrimination:
@@ -74,12 +143,12 @@ class TestDiscrimination:
                 beta_xt=-0.4, polarity=OutcomePolarity.DESIRABLE,
             ))
 
-    def test_degenerate_outcome_rejected(self):
-        dist = ObservedDistribution(
-            mu=(1.0, 1.0), p_y1=1.0, joint=((0.0, 0.5), (0.0, 0.5))
-        )
-        with pytest.raises(DegenerateOutcome):
-            discrimination(dist, 1)
+    @pytest.mark.parametrize("dist", [DEGENERATE_ONE, DEGENERATE_ZERO], ids=["one", "zero"])
+    @pytest.mark.parametrize("top", [0, 1])
+    def test_degenerate_outcome_rejected(self, dist, top):
+        message = f"p(Y=1)={dist.p_y1!r}: sensitivity/specificity undefined"
+        with pytest.raises(DegenerateOutcome, match=re.escape(message)):
+            discrimination(dist, top)
 
     @given(scenario_st)
     def test_rank_oracle_equivalence(self, params):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import LN25, random_params, top_group
 from opmdeploy.errors import ConfigError, DegenerateScenario
@@ -225,6 +225,20 @@ def test_logistic_matches_reference_points():
     assert logistic(0.0) == 0.5
     assert logistic(-0.5) == pytest.approx(SIG_M05, abs=1e-15)
     assert logistic(30.0) < 1.0 and logistic(-30.0) > 0.0
+
+
+# The log-odds a kernel can reach: signed zeros, exp's underflow edge, and
+# sums of |beta| near the float range, which overflow to +-inf.
+EDGE_ETAS = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, math.inf, -math.inf]
+
+
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from(EDGE_ETAS), max_size=12))
+@example(EDGE_ETAS)
+@example([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])
+def test_logistic_of_an_array_is_the_scalar_of_each_element(etas):
+    got = logistic(np.array(etas, dtype=np.float64))
+    want = np.array([logistic(eta) for eta in etas], dtype=np.float64)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_random_params_helper_is_reproducible():

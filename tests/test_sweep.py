@@ -94,6 +94,29 @@ class TestDefaultGrid:
                 polarities=(OutcomePolarity.DESIRABLE,),
             )
 
+    def test_largest_indexable_grid(self):
+        # 7^2 * 73 * 127 * 337 * 92737 * 649657 = 2^63 - 1 settings: the
+        # kernel still evaluates the last of them, and one more is refused.
+        largest = np.iinfo(np.intp).max
+        lists = dict(
+            p_x_values=[(i + 1) / 50 for i in range(49)], pi0_values=[0, 1] * 36 + [0],
+            beta0_values=[i / 127 for i in range(127)],
+            beta_x_values=[i / 337 - 0.5 for i in range(337)],
+            beta_t_values=[i / 92737 for i in range(92737)],
+            beta_xt_values=[i / 649657 for i in range(649657)],
+            polarities=[OutcomePolarity.DESIRABLE],
+        )
+        grid = GridSpec(**lists)
+        assert grid.cardinality == largest
+        records, structural, _ = record_columns(grid, largest - 3, largest)
+        assert len(records) + structural == 3
+        lists["pi0_values"].append(1)
+        with pytest.raises(ConfigError) as refused:
+            GridSpec(**lists)
+        assert refused.value.problems == [
+            f"grid: {74 * largest // 73} settings, past the {largest} a sweep can index"
+        ]
+
 
 class TestExpandAndFilter:
     def test_matched_pair_removed_under_treat_everyone(self):
