@@ -178,9 +178,8 @@ def check_calibration_preservation(report: "DeploymentReport") -> CheckResult:
     calibrated after deployment iff, for every group, the assignment did
     not change or the group's treatment effect is zero — i.e. iff the
     deployment changed nothing consequential."""
-    policies = (report.policy_pre, report.policy_post)
     condition = all(
-        policies[0].assign[x] == policies[1].assign[x]
+        report.policy_pre[x] == report.policy_post[x]
         or effect_sign(report.params, x) == 0
         for x in (0, 1)
     )

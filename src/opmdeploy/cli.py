@@ -104,7 +104,7 @@ def _records_from_args(args) -> tuple[sweep.CsvRecords | sweep.GridRecords, dict
     """The records, streamed a chunk at a time, and their source echo."""
     if args.csv:
         return sweep.CsvRecords(args.csv), {"csv": str(args.csv)}
-    grid = _load_grid(args.grid)
+    grid = _load_grid("default" if args.grid is None else args.grid)
     return sweep.GridRecords(grid), {"grid": _grid_echo(grid)}
 
 
@@ -146,8 +146,8 @@ def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
         },
         "opm": {"f": list(report.opm.f), "lambda": report.opm.lam},
         "policies": {
-            "historic": list(report.policy_pre.assign),
-            "deployed": list(report.policy_post.assign),
+            "historic": list(report.policy_pre),
+            "deployed": list(report.policy_post),
         },
         "pre": _dist_block(report, "pre"),
         "post": _dist_block(report, "post"),
@@ -179,7 +179,7 @@ def _print_report(report: DeploymentReport) -> None:
     print(f"  effect per group: x=0 {report.po.cate[0]:+.6f}   x=1 {report.po.cate[1]:+.6f}")
     lam = "none" if report.opm.lam is None else f"{report.opm.lam:.6f}"
     print(f"fitted predictor: f=({report.opm.f[0]:.6f}, {report.opm.f[1]:.6f})  lambda={lam}")
-    print(f"policies: historic={report.policy_pre.assign}  deployed={report.policy_post.assign}")
+    print(f"policies: historic={report.policy_pre}  deployed={report.policy_post}")
     for which, dist, disc in (
         ("pre ", report.pre, report.discrimination_pre),
         ("post", report.post, report.discrimination_post),
@@ -357,8 +357,8 @@ _FIGURES = (
 
 def cmd_plot(args) -> int:
     records, source = _records_from_args(args)
-    # a grid's chunks are joined, so it is evaluated once
-    records = sweep.read_records_csv(args.csv) if args.csv else sweep.Records.join(records.chunks())
+    # the chunks are joined, so a grid is evaluated and a file read once
+    records = sweep.Records.join(records.chunks())
     beneficial = records.where(avg_treatment_beneficial=True)
 
     out = Path(args.out)
@@ -417,7 +417,7 @@ def cmd_simulate(args) -> int:
             _write_json(f"{args.dump_samples}.{which}.manifest.json", {
                 "tool": _tool_stamp(),
                 "config": raw,
-                "policy": list(policy.assign),
+                "policy": list(policy),
                 "mc": mc_echo,
             })
         closed = _dist_block(report, which)
@@ -482,10 +482,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_records_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--csv", help="existing sweep CSV (otherwise runs the grid)")
-    parser.add_argument(
-        "--grid", default="default", help="'default' or a JSON grid path"
-    )
+    # no default for --grid: argparse would not see `--grid default` as given
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--csv", help="existing sweep CSV (otherwise runs the grid)")
+    source.add_argument("--grid", help="'default' (the default) or a JSON grid path")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -77,7 +77,6 @@ def _tick_label(v: float) -> str:
 
 class _Svg:
     def __init__(self, width: int, height: int, desc: dict):
-        self.w, self.h = width, height
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">',

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .scenario import Policy, ScenarioParams, potential_outcomes
+from .scenario import ScenarioParams, potential_outcomes
 
 
 # Patients per run at most. Counting streams them CHUNK at a time, so its
@@ -71,8 +71,8 @@ class EmpiricalMetrics:
         return self.n_pos == 0 or self.n_neg == 0
 
 
-def sample(params: ScenarioParams, policy: Policy, cfg: McConfig) -> np.ndarray:
-    """Draw (x, t, y) rows: x ~ Bernoulli(p_x), t = assign(x), y ~
+def sample(params: ScenarioParams, assign: tuple[int, int], cfg: McConfig) -> np.ndarray:
+    """Draw (x, t, y) rows: x ~ Bernoulli(p_x), t = assign[x], y ~
     Bernoulli(q[t][x]). Returns an (n, 3) uint8 array.
 
     Uniform draws happen in a fixed order (all x, then all y), so a given
@@ -83,13 +83,13 @@ def sample(params: ScenarioParams, policy: Policy, cfg: McConfig) -> np.ndarray:
     rng = cfg.rng()
     n = cfg.n_samples
     x = (rng.random(n) < params.p_x).astype(np.uint8)
-    t = np.array(policy.assign, dtype=np.uint8)[x]
+    t = np.array(assign, dtype=np.uint8)[x]
     y = (rng.random(n) < q[t, x]).astype(np.uint8)
     return np.column_stack([x, t, y])
 
 
 def cell_counts(
-    params: ScenarioParams, policies: tuple[Policy, ...], cfg: McConfig
+    params: ScenarioParams, policies: tuple[tuple[int, int], ...], cfg: McConfig
 ) -> list[np.ndarray]:
     """counts[2*x + y] of the patients `sample` draws, for each policy, in
     one streamed pass and without a patient table.
@@ -100,7 +100,7 @@ def cell_counts(
     same patients; under one, group x has Y=1 when u_y < q[assign[x]][x].
     """
     q = potential_outcomes(params).q
-    thresholds = [(q[policy.assign[0]][0], q[policy.assign[1]][1]) for policy in policies]
+    thresholds = [(q[a0][0], q[a1][1]) for a0, a1 in policies]
     n = cfg.n_samples
     x_rng = cfg.rng()
     y_rng = np.random.Generator(cfg.rng().bit_generator.advance(n))

@@ -10,12 +10,10 @@ from .metrics import CalibrationReport, DiscriminationMetrics
 from .scenario import (
     ObservedDistribution,
     Opm,
-    Policy,
     PotentialOutcomes,
     ScenarioParams,
     deployment_signs,
     fit_opm,
-    historic_policy,
     observed_distribution,
     potential_outcomes,
     zero_step_error,
@@ -30,8 +28,9 @@ class DeploymentReport:
     po: PotentialOutcomes
     opm: Opm
     top: int  # the group the predictor ranks higher, and the one it treats
-    policy_pre: Policy
-    policy_post: Policy
+    # (group 0, group 1) assignments: (pi0, pi0) historic, (1 - top, top) deployed
+    policy_pre: tuple[int, int]
+    policy_post: tuple[int, int]
     pre: ObservedDistribution
     post: ObservedDistribution
     discrimination_pre: DiscriminationMetrics
@@ -72,10 +71,10 @@ def evaluate_scenario(params: ScenarioParams) -> DeploymentReport:
     verdict = classify.verdict_from_signs(params.polarity, params.pi0, sign)
 
     po = potential_outcomes(params)
-    policy_pre = historic_policy(params.pi0)
+    policy_pre = (params.pi0, params.pi0)
     pre = observed_distribution(po, policy_pre, params.p_x)
     opm = fit_opm(pre, top)
-    policy_post = Policy(assign=(1 - top, top))
+    policy_post = (1 - top, top)
     post = observed_distribution(po, policy_post, params.p_x)
     disc_pre = metrics.discrimination(pre, top)
     disc_post = metrics.discrimination(post, top)

@@ -5,11 +5,13 @@ treatment T, and a binary outcome Y, parameterized on the log-odds scale:
 
     log-odds p(Y=1 | T=t, X=x) = beta0 + beta_x*x + beta_t*t + beta_xt*x*t
 
-The historic treatment policy is constant and deterministic (treat everyone
-or treat no one). An outcome prediction model (OPM) fitted on data from the
+A treatment policy is a tuple (a0, a1): the 0/1 assignment of group X=0
+and of group X=1. The historic policy is constant, (pi0, pi0): treat everyone
+or treat no one. An outcome prediction model (OPM) fitted on data from the
 historic policy predicts f(x) = p(Y=1 | X=x) under that policy; deploying it
 as a threshold rule ("treat exactly those with predicted outcome above
-lambda") induces a new observable distribution. Everything downstream
+lambda") treats the higher-predicted group `top`, (1 - top, top), and
+induces a new observable distribution. Everything downstream
 (discrimination, calibration, harm) is computed from these closed forms.
 
 All values are immutable after construction; every operation is a pure
@@ -150,17 +152,6 @@ class PotentialOutcomes:
 
 
 @dataclass(frozen=True)
-class Policy:
-    """Deterministic treatment assignment per group."""
-
-    assign: tuple[int, int]
-
-
-def historic_policy(pi0: int) -> Policy:
-    return Policy(assign=(pi0, pi0))
-
-
-@dataclass(frozen=True)
 class Opm:
     """A fitted predictor: one predicted probability per group, plus the
     decision threshold "treat group x iff f(x) > lam" that deploys it, or
@@ -198,15 +189,16 @@ def potential_outcomes(params: ScenarioParams) -> PotentialOutcomes:
 
 
 def observed_distribution(
-    po: PotentialOutcomes, policy: Policy, p_x: float
+    po: PotentialOutcomes, assign: tuple, p_x: float
 ) -> ObservedDistribution:
-    """Distribution of (X, Y) when treatment is assigned by `policy`.
+    """Distribution of (X, Y) when treatment is assigned by the policy
+    `assign`, one 0/1 assignment per group (an int, or a column of them).
 
     mu[x] is the convex combination of the two potential outcomes with the
     (deterministic, 0/1) assignment weight, so it picks q[assign[x]][x]
     exactly; p_x is unchanged by deployment.
     """
-    a0, a1 = policy.assign
+    a0, a1 = assign
     mu = (
         (1 - a0) * po.q[0][0] + a0 * po.q[1][0],
         (1 - a1) * po.q[0][1] + a1 * po.q[1][1],

@@ -41,13 +41,11 @@ from .report import DeploymentReport, evaluate_scenario  # noqa: F401
 from .scenario import (
     PARAM_FIELDS,
     OutcomePolarity,
-    Policy,
     ScenarioParams,
     avg_effect_sign,
     deployment_signs,
     effect_sign,
     field_problems,
-    historic_policy,
     historic_step_sign,
     observed_distribution,
     potential_outcomes,
@@ -133,23 +131,13 @@ def default_grid() -> GridSpec:
     )
 
 
-def is_degenerate(pi0: int, beta_x: float, beta_xt: float) -> bool:
-    """Historic conditionals coincide: mu0(0) = mu0(1).
-
-    Under pi0=0 that is beta_x = 0; under pi0=1 it is beta_x + beta_xt = 0.
-    The same step sign that `evaluate_scenario` raises on, so grids built
-    from ln(1/v) floats are still caught.
-    """
-    return historic_step_sign(pi0, beta_x, beta_xt) == 0
-
-
 def expand_and_filter(grid: GridSpec) -> list[ScenarioParams]:
     """The retained settings of `grid`, validated, in canonical order (the
     Cartesian product of the lists, minus degenerate settings)."""
     return [
         ScenarioParams(*setting)
         for setting in itertools.product(*grid.lists())
-        if not is_degenerate(setting[1], setting[3], setting[5])
+        if historic_step_sign(setting[1], setting[3], setting[5]) != 0
     ]
 
 
@@ -326,8 +314,8 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
         po = potential_outcomes(c)
         _, top, _, sign = deployment_signs(c)
         verdict = _VERDICT_CODES[c.polarity, c.pi0, sign + 1]
-        pre = observed_distribution(po, historic_policy(c.pi0), c.p_x)
-        post = observed_distribution(po, Policy((1 - top, top)), c.p_x)
+        pre = observed_distribution(po, (c.pi0, c.pi0), c.p_x)
+        post = observed_distribution(po, (1 - top, top), c.p_x)
         auc_pre, auc_post = (discrimination(d, top).auc for d in (pre, post))
         cate0, cate1 = po.cate
         columns = {

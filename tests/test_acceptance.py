@@ -140,7 +140,7 @@ def test_criterion_4_calibration_preservation(grid_reports, random_reports):
             r.calibration_pre.is_calibrated and r.calibration_post.is_calibrated
         )
         inconsequential = all(
-            r.policy_pre.assign[x] == r.policy_post.assign[x]
+            r.policy_pre[x] == r.policy_post[x]
             or abs(r.po.cate[x]) <= 1e-12
             for x in (0, 1)
         )
@@ -208,7 +208,7 @@ def test_criterion_7_identity_suite(grid_reports, random_reports):
     failures = []
     for r in grid_reports + random_reports:
         for x in (0, 1):
-            dpi = r.policy_post.assign[x] - r.policy_pre.assign[x]
+            dpi = r.policy_post[x] - r.policy_pre[x]
             lhs = r.post.mu[x] - r.pre.mu[x]
             if abs(lhs - dpi * r.po.cate[x]) > 1e-14:
                 failures.append(("policy-change", r.params, x))

@@ -33,7 +33,7 @@ class TestAssessHarm:
         r = evaluate_scenario(RADIOTHERAPY)
         assert r.po.cate[0] == 0.0
         assert r.po.cate[1] > 0.0
-        assert r.policy_post.assign == (1, 0)
+        assert r.policy_post == (1, 0)
         assert r.harm.changed_group == 1
         assert r.harm.harmful_group == (False, True)
         assert r.harm.harmful_marginal
@@ -86,8 +86,8 @@ def _harm_condition_oracle(report) -> bool:
     it damages — with 'helps'/'damages' flipped for undesirable outcomes."""
     p = report.params
     for x in (0, 1):
-        before = report.policy_pre.assign[x]
-        after = report.policy_post.assign[x]
+        before = report.policy_pre[x]
+        after = report.policy_post[x]
         # the sign of cate[x], restated by its log-odds effect
         effect = p.polarity.favorable_sign * (p.beta_t + p.beta_xt * x)
         if before == 1 and after == 0 and effect > 1e-12:
@@ -119,7 +119,7 @@ def direct_verdict(report) -> Verdict:
     shift of the group whose assignment changed. That shift is
     +-(q[1][x] - q[0][x]), granted or withdrawn, so its sign is restated by
     the group's log-odds effect, which carries the zero band."""
-    pre, post = report.policy_pre.assign, report.policy_post.assign
+    pre, post = report.policy_pre, report.policy_post
     changed = [x for x in (0, 1) if pre[x] != post[x]]
     if not changed:
         return Verdict.NO_CHANGE

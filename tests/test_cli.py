@@ -504,6 +504,22 @@ class TestPlot:
         assert not any("nan" in body for body in bodies)
 
 
+class TestCsvOrGrid:
+    """tables and plot read a CSV or a grid: given both, they refuse."""
+
+    @pytest.mark.parametrize("command", ["tables", "plot"])
+    @pytest.mark.parametrize("grid", ["default", "grid.json"])
+    def test_both_sources_exit_2(self, sweep_csv, tmp_path, monkeypatch, capsys, command, grid):
+        monkeypatch.chdir(tmp_path)
+        write_grid(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--csv", str(sweep_csv), "--grid", grid, "--out", "out"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--csv" in err and "--grid" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
+
+
 class TestGridEvaluatedOnce:
     """Every command evaluates each chunk of its grid once: the kernel is
     called once per chunk, whatever the command reads."""

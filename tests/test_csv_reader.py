@@ -484,8 +484,9 @@ def test_tables_in_many_chunks_keeps_none(sweep_csv, tmp_path, reads, chunk_97, 
 
 
 def test_plot_reads_the_whole_file_once(sweep_csv, tmp_path, reads, capsys):
+    # through the same chunk stream as tables, joined
     assert main(["plot", "--csv", str(sweep_csv), "--out", str(tmp_path / "f")]) == 0
-    assert reads == {"chunks": 1, "whole": 1}
+    assert reads == {"chunks": 1, "whole": 0}
 
 
 def test_chunk_columns_own_their_data(sweep_csv, monkeypatch):

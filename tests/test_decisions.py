@@ -20,9 +20,7 @@ from opmdeploy.errors import DegenerateOutcome, DegenerateScenario
 from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     OutcomePolarity,
-    Policy,
     ScenarioParams,
-    historic_policy,
     observed_distribution,
     potential_outcomes,
 )
@@ -79,7 +77,7 @@ def assert_decided(params: ScenarioParams, with_oracle: bool) -> bool:
         top = int(params.beta_x + params.beta_xt * params.pi0 > 0)
         p_y1 = {
             observed_distribution(po, policy, params.p_x).p_y1
-            for policy in (historic_policy(params.pi0), Policy(assign=(1 - top, top)))
+            for policy in ((params.pi0, params.pi0), (1 - top, top))
         }
         assert p_y1 & {0.0, 1.0}, (params, p_y1)
         return False
@@ -98,7 +96,7 @@ def assert_decided(params: ScenarioParams, with_oracle: bool) -> bool:
     assert r.harm.harmful_marginal == (r.verdict is Verdict.HARMFUL), params
     # the deployment changes exactly the group the harm assessment names
     changed = [
-        x for x in (0, 1) if r.policy_post.assign[x] != r.policy_pre.assign[x]
+        x for x in (0, 1) if r.policy_post[x] != r.policy_pre[x]
     ]
     assert changed == [r.harm.changed_group], params
     if with_oracle:

@@ -22,7 +22,6 @@ from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     OutcomePolarity,
     ScenarioParams,
-    historic_policy,
     parse_polarity,
 )
 from opmdeploy.sweep import default_grid, expand_and_filter
@@ -72,28 +71,28 @@ class TestConfig:
 class TestSample:
     def test_policy_applied_deterministically(self):
         cfg = McConfig(n_samples=1, master_seed=42)
-        table = sample(BASE, historic_policy(1), cfg)
+        table = sample(BASE, (1, 1), cfg)
         assert table.shape == (1, 3)
         x, t, y = table[0]
         assert t == 1
-        table0 = sample(BASE, historic_policy(0), cfg)
+        table0 = sample(BASE, (0, 0), cfg)
         assert table0[0, 1] == 0
 
     def test_same_config_replays_identical_tables(self):
         cfg = McConfig(n_samples=5000, master_seed=7, scenario_index=3)
-        a = sample(BASE, historic_policy(0), cfg)
-        b = sample(BASE, historic_policy(0), cfg)
+        a = sample(BASE, (0, 0), cfg)
+        b = sample(BASE, (0, 0), cfg)
         assert np.array_equal(a, b)
 
     def test_distinct_substreams_differ(self):
-        a = sample(BASE, historic_policy(0), McConfig(5000, 7, 0))
-        b = sample(BASE, historic_policy(0), McConfig(5000, 7, 1))
+        a = sample(BASE, (0, 0), McConfig(5000, 7, 0))
+        b = sample(BASE, (0, 0), McConfig(5000, 7, 1))
         assert not np.array_equal(a, b)
 
     def test_covariate_mean_within_binomial_error(self):
         n = 1_000_000
         cfg = McConfig(n_samples=n, master_seed=2024)
-        table = sample(BASE, historic_policy(0), cfg)
+        table = sample(BASE, (0, 0), cfg)
         se = math.sqrt(BASE.p_x * (1 - BASE.p_x) / n)
         assert abs(table[:, 0].mean() - BASE.p_x) <= 4 * se
 
@@ -109,7 +108,7 @@ class TestSample:
 
     def test_sample_dump_columns(self, tmp_path):
         cfg = McConfig(n_samples=3, master_seed=5)
-        table = sample(BASE, historic_policy(0), cfg)
+        table = sample(BASE, (0, 0), cfg)
         path = tmp_path / "s.csv"
         write_sample_csv(table, path)
         lines = path.read_text().splitlines()
@@ -121,7 +120,7 @@ class TestSample:
     def test_dump_bytes_match_a_csv_writer(self, tmp_path, n, seed):
         # both values of t: the historic policies treat everyone or no one,
         # the deployed one treats one group
-        for policy in (historic_policy(0), historic_policy(1), evaluate_scenario(BASE).policy_post):
+        for policy in ((0, 0), (1, 1), evaluate_scenario(BASE).policy_post):
             table = sample(BASE, policy, McConfig(n_samples=n, master_seed=seed))
             path = tmp_path / "s.csv"
             write_sample_csv(table, path)

@@ -12,10 +12,8 @@ from opmdeploy.scenario import (
     ObservedDistribution,
     Opm,
     OutcomePolarity,
-    Policy,
     ScenarioParams,
     fit_opm,
-    historic_policy,
     observed_distribution,
     potential_outcomes,
     sign_with_band,
@@ -67,7 +65,7 @@ wide_rows = st.tuples(
         ScenarioParams, p_x=st.floats(0.01, 0.99), pi0=st.just(0), beta0=wide,
         beta_x=wide, beta_t=wide, beta_xt=wide, polarity=st.just(OutcomePolarity.DESIRABLE),
     ),
-    st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])).map(Policy),
+    st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])),
     st.sampled_from([0, 1]),
 )
 
@@ -76,9 +74,9 @@ class TestDiscriminationOnColumns:
     @settings(deadline=None)
     @given(st.lists(wide_rows, min_size=1, max_size=8))
     @example([
-        (ScenarioParams(0.5, 0, -0.5, LN25, 0.4, 0.0, OutcomePolarity.DESIRABLE), Policy((0, 1)), 1),
-        (ScenarioParams(0.2, 0, 40.0, 1.0, 0.0, 0.0, OutcomePolarity.DESIRABLE), Policy((0, 0)), 0),
-        (ScenarioParams(0.3, 0, -0.5, -1.0, 2.0, 0.0, OutcomePolarity.DESIRABLE), Policy((1, 0)), 0),
+        (ScenarioParams(0.5, 0, -0.5, LN25, 0.4, 0.0, OutcomePolarity.DESIRABLE), (0, 1), 1),
+        (ScenarioParams(0.2, 0, 40.0, 1.0, 0.0, 0.0, OutcomePolarity.DESIRABLE), (0, 0), 0),
+        (ScenarioParams(0.3, 0, -0.5, -1.0, 2.0, 0.0, OutcomePolarity.DESIRABLE), (1, 0), 0),
     ])
     def test_columns_are_the_rows(self, rows):
         """Each row of the columns holds what one call on its floats gives,
@@ -99,7 +97,7 @@ class TestDiscriminationOnColumns:
     def test_degenerate_rows_are_not_finite(self):
         good = observed_distribution(
             potential_outcomes(ScenarioParams(0.5, 0, -0.5, LN25, 0.4, 0.0, OutcomePolarity.DESIRABLE)),
-            Policy((0, 1)), 0.5,
+            (0, 1), 0.5,
         )
         with np.errstate(all="ignore"):
             got = discrimination(stack([DEGENERATE_ONE, DEGENERATE_ZERO, good]), np.array([1, 0, 1]))
@@ -153,7 +151,7 @@ class TestDiscrimination:
     @given(scenario_st)
     def test_rank_oracle_equivalence(self, params):
         po = potential_outcomes(params)
-        pre = observed_distribution(po, historic_policy(params.pi0), params.p_x)
+        pre = observed_distribution(po, (params.pi0, params.pi0), params.p_x)
         try:
             top = top_group(params)
         except DegenerateScenario:
@@ -166,7 +164,7 @@ class TestDiscrimination:
     @given(scenario_st)
     def test_three_point_trapezoid_area(self, params):
         po = potential_outcomes(params)
-        pre = observed_distribution(po, historic_policy(params.pi0), params.p_x)
+        pre = observed_distribution(po, (params.pi0, params.pi0), params.p_x)
         try:
             top = top_group(params)
         except DegenerateScenario:
@@ -180,7 +178,7 @@ class TestDiscrimination:
     @given(scenario_st)
     def test_fitted_predictor_never_below_chance_on_historic(self, params):
         po = potential_outcomes(params)
-        pre = observed_distribution(po, historic_policy(params.pi0), params.p_x)
+        pre = observed_distribution(po, (params.pi0, params.pi0), params.p_x)
         try:
             top = top_group(params)
         except DegenerateScenario:
@@ -255,7 +253,7 @@ class TestCalibration:
     @given(scenario_st)
     def test_calibrated_iff_distribution_matches_fit(self, params):
         po = potential_outcomes(params)
-        pre = observed_distribution(po, historic_policy(params.pi0), params.p_x)
+        pre = observed_distribution(po, (params.pi0, params.pi0), params.p_x)
         try:
             r = evaluate_scenario(params)
         except DegenerateScenario:

@@ -10,10 +10,8 @@ from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import (
     ObservedDistribution,
     OutcomePolarity,
-    Policy,
     ScenarioParams,
     fit_opm,
-    historic_policy,
     logistic,
     observed_distribution,
     potential_outcomes,
@@ -105,19 +103,19 @@ class TestPotentialOutcomes:
 class TestObservedDistribution:
     def test_treat_no_one_selects_control_arm(self):
         po = potential_outcomes(params_with(beta_x=LN25, beta_t=0.9, beta_xt=-0.3))
-        dist = observed_distribution(po, historic_policy(0), 0.5)
+        dist = observed_distribution(po, (0, 0), 0.5)
         assert dist.mu == (po.q[0][0], po.q[0][1])
 
     def test_historic_example_values(self):
         po = potential_outcomes(params_with(beta_x=LN25))
-        dist = observed_distribution(po, historic_policy(0), 0.5)
+        dist = observed_distribution(po, (0, 0), 0.5)
         assert dist.mu[0] == pytest.approx(SIG_M05, abs=1e-15)
         assert dist.mu[1] == pytest.approx(SIG_M05_LN25, abs=1e-15)
         assert dist.p_y1 == pytest.approx(0.4900679917828027, abs=1e-15)
 
     def test_joint_sums_to_one_and_matches_mu(self):
         po = potential_outcomes(params_with(beta_x=0.4, beta_t=-0.2))
-        dist = observed_distribution(po, historic_policy(1), 0.2)
+        dist = observed_distribution(po, (1, 1), 0.2)
         total = sum(dist.joint[x][y] for x in (0, 1) for y in (0, 1))
         assert total == pytest.approx(1.0, abs=1e-15)
         assert dist.joint[1][1] == pytest.approx(0.2 * dist.mu[1], abs=1e-16)
@@ -125,7 +123,7 @@ class TestObservedDistribution:
     @given(scenario_st, st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
     def test_mixture_identity_exact(self, params, assign):
         po = potential_outcomes(params)
-        dist = observed_distribution(po, Policy(assign=assign), params.p_x)
+        dist = observed_distribution(po, assign, params.p_x)
         for x in (0, 1):
             assert dist.mu[x] == po.q[assign[x]][x]
 
@@ -133,15 +131,15 @@ class TestObservedDistribution:
     def test_swapping_arms_and_policy_leaves_mu_unchanged(self, params):
         po = potential_outcomes(params)
         swapped = type(po)(q=(po.q[1], po.q[0]))
-        d1 = observed_distribution(po, Policy(assign=(0, 1)), params.p_x)
-        d2 = observed_distribution(swapped, Policy(assign=(1, 0)), params.p_x)
+        d1 = observed_distribution(po, (0, 1), params.p_x)
+        d2 = observed_distribution(swapped, (1, 0), params.p_x)
         assert d1.mu == d2.mu
 
 
 class TestFitOpm:
     def test_fits_historic_conditionals_with_midpoint_threshold(self):
         po = potential_outcomes(params_with(beta_x=LN25))
-        dist = observed_distribution(po, historic_policy(0), 0.5)
+        dist = observed_distribution(po, (0, 0), 0.5)
         opm = fit_opm(dist, 1)
         assert opm.f == dist.mu
         assert opm.lam == pytest.approx(0.4900679917828027, abs=1e-15)
@@ -178,9 +176,9 @@ class TestDerivePolicy:
     def test_treats_group_above_threshold(self):
         # f = (0.3775, 0.6026) with group 1 on top, and the mirror image
         up = evaluate_scenario(params_with(beta_x=LN25))
-        assert up.top == 1 and up.policy_post.assign == (0, 1)
+        assert up.top == 1 and up.policy_post == (0, 1)
         down = evaluate_scenario(params_with(beta0=-0.5 + LN25, beta_x=-LN25))
-        assert down.top == 0 and down.policy_post.assign == (1, 0)
+        assert down.top == 0 and down.policy_post == (1, 0)
         for r in (up, down):
             assert r.opm.lam == 0.5 * (r.opm.f[0] + r.opm.f[1])
 
@@ -190,30 +188,34 @@ class TestDerivePolicy:
             top = top_group(params)
         except DegenerateScenario:
             return
-        policy = evaluate_scenario(params).policy_post
-        assert policy == evaluate_scenario(params).policy_post
-        assert policy.assign == (1 - top, top)
+        r = evaluate_scenario(params)
+        assert r.policy_post == evaluate_scenario(params).policy_post
+        assert r.policy_post == (1 - top, top)
+        assert r.policy_pre == (params.pi0, params.pi0)
+        for policy in (r.policy_pre, r.policy_post):  # plain tuples of ints
+            assert type(policy) is tuple
+            assert [type(a) for a in policy] == [int, int]
 
 
 class TestIdentities:
     @given(scenario_st)
     def test_policy_change_identity_exact(self, params):
         po = potential_outcomes(params)
-        pre_policy = historic_policy(params.pi0)
-        post_policy = Policy(assign=(1 - params.pi0, params.pi0))
+        pre_policy = (params.pi0, params.pi0)
+        post_policy = (1 - params.pi0, params.pi0)
         pre = observed_distribution(po, pre_policy, params.p_x)
         post = observed_distribution(po, post_policy, params.p_x)
         for x in (0, 1):
-            dpi = post_policy.assign[x] - pre_policy.assign[x]
+            dpi = post_policy[x] - pre_policy[x]
             assert post.mu[x] - pre.mu[x] == dpi * po.cate[x]
 
     @given(scenario_st, st.sampled_from([0, 1]))
     def test_marginal_shift_identity(self, params, changed):
         po = potential_outcomes(params)
-        pre_policy = historic_policy(params.pi0)
-        assign = list(pre_policy.assign)
+        pre_policy = (params.pi0, params.pi0)
+        assign = list(pre_policy)
         assign[changed] = 1 - assign[changed]
-        post_policy = Policy(assign=tuple(assign))
+        post_policy = tuple(assign)
         pre = observed_distribution(po, pre_policy, params.p_x)
         post = observed_distribution(po, post_policy, params.p_x)
         delta = post.mu[changed] - pre.mu[changed]

@@ -13,7 +13,12 @@ from opmdeploy import sweep
 from opmdeploy.classify import Verdict
 from opmdeploy.errors import ConfigError, DegenerateOutcome
 from opmdeploy.report import evaluate_scenario
-from opmdeploy.scenario import OutcomePolarity, ScenarioParams, avg_effect_sign
+from opmdeploy.scenario import (
+    OutcomePolarity,
+    ScenarioParams,
+    avg_effect_sign,
+    historic_step_sign,
+)
 from opmdeploy.sweep import (
     CSV_COLUMNS,
     GridRecords,
@@ -25,7 +30,6 @@ from opmdeploy.sweep import (
     aggregate_sign_table,
     default_grid,
     expand_and_filter,
-    is_degenerate,
     read_records_csv,
     record_columns,
     record_from_report,
@@ -120,10 +124,10 @@ class TestDefaultGrid:
 
 class TestExpandAndFilter:
     def test_matched_pair_removed_under_treat_everyone(self):
-        assert is_degenerate(1, math.log(1.8), math.log(1 / 1.8))
+        assert historic_step_sign(1, math.log(1.8), math.log(1 / 1.8)) == 0
 
     def test_treat_no_one_retained_for_any_interaction(self):
-        assert not is_degenerate(0, math.log(1.1), math.log(1 / 2.5))
+        assert historic_step_sign(0, math.log(1.1), math.log(1 / 2.5)) != 0
 
     def test_counts(self):
         grid = default_grid()
