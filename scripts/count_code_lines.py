@@ -6,7 +6,10 @@ outside every docstring (module, class and function). Blank lines,
 comment-only lines and docstring lines do not count; every line of a
 multi-line expression or non-docstring string does.
 
-Usage: python scripts/count_code_lines.py [DIR]   (default: src/opmdeploy)
+Usage: python scripts/count_code_lines.py [DIR]
+
+DIR defaults to the package beside this script, `src/opmdeploy`, from any
+working directory. A DIR that holds no `.py` file exits 2.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ _LAYOUT = {
     tokenize.ENDMARKER,
 }
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opmdeploy"
 
 
 def docstring_lines(source: str) -> set[int]:
@@ -48,12 +52,16 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/opmdeploy")
+    root = Path(argv[1]) if len(argv) > 1 else PACKAGE
+    paths = sorted(root.rglob("*.py"))
+    if not paths:
+        print(f"count_code_lines: no .py file under {root}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         n = code_lines(path.read_text())
         total += n
-        print(f"{n:6d}  {path}")
+        print(f"{n:6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
     return 0
 

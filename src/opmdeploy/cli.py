@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,7 +64,7 @@ def _check_keys(raw: dict, keys: tuple[str, ...]) -> None:
 
 def _scenario_from_args(args) -> tuple[ScenarioParams, dict]:
     raw = {}
-    if args.config:
+    if args.config is not None:
         loaded = _load_json(args.config)
         if not isinstance(loaded, dict):
             raise ConfigError([f"{args.config}: expected a JSON object"])
@@ -100,12 +101,12 @@ def _grid_echo(grid: sweep.GridSpec) -> dict:
     return echo
 
 
-def _records_from_args(args) -> tuple[sweep.CsvRecords | sweep.GridRecords, dict]:
+def _records_from_args(args) -> tuple[sweep.Stream, dict]:
     """The records, streamed a chunk at a time, and their source echo."""
-    if args.csv:
-        return sweep.CsvRecords(args.csv), {"csv": str(args.csv)}
+    if args.csv is not None:
+        return sweep.csv_records(args.csv), {"csv": str(args.csv)}
     grid = _load_grid("default" if args.grid is None else args.grid)
-    return sweep.GridRecords(grid), {"grid": _grid_echo(grid)}
+    return sweep.grid_records(grid), {"grid": _grid_echo(grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def cmd_eval(args) -> int:
     params, raw = _scenario_from_args(args)
     report = evaluate_scenario(params)
     _print_report(report)
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, report_to_json(report, raw))
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -232,7 +233,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _load_grid(args.grid)
-    records = sweep.GridRecords(grid)
+    records = sweep.grid_records(grid)
     sweep.write_records_csv(records, args.out)
     retained = len(records)
     counts = {
@@ -244,7 +245,7 @@ def cmd_sweep(args) -> int:
         "tool": _tool_stamp(),
         "grid": _grid_echo(grid),
         "counts": counts,
-        "exclusions": records.exclusions,
+        "exclusions": {k: records.counts[k] for k in ("structural", "unrepresentable")},
     }
     if sweep.is_default_grid(records):
         manifest["reference_delta"] = sweep.reference_delta(
@@ -315,9 +316,9 @@ def cmd_tables(args) -> int:
         )
         print(f"  note: {delta['orientation_note']}")
 
-    if args.out:
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)  # "" raises, where Path("") is the working directory
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         for (name, columns, _, _), rows in tables:
             with open(out / name, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
@@ -361,8 +362,8 @@ def cmd_plot(args) -> int:
     records = sweep.Records.join(records.chunks())
     beneficial = records.where(avg_treatment_beneficial=True)
 
+    os.makedirs(args.out, exist_ok=True)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, restricted, title, axes in _FIGURES:
         recs = beneficial if restricted else records
         manifest = {
@@ -410,7 +411,7 @@ def cmd_simulate(args) -> int:
     blocks = {}
     for (which, policy), cells in zip(policies.items(), counts):
         emp = _empirical_block(mc.empirical_metrics(cells, report.top))
-        if args.dump_samples:
+        if args.dump_samples is not None:
             path = f"{args.dump_samples}.{which}.csv"
             mc.write_sample_csv(mc.sample(params, policy, cfg), path)
             print(f"wrote {path}")
@@ -459,7 +460,7 @@ def cmd_simulate(args) -> int:
                 "rank metrics unavailable (insufficient cases)",
                 file=sys.stderr,
             )
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     return EXIT_OK

@@ -17,15 +17,14 @@ from .errors import ConfigError
 from .scenario import ScenarioParams, potential_outcomes
 
 
-# Patients per run at most. Counting streams them CHUNK at a time, so its
-# memory is flat in the count and its time linear (1.5 s at the cap on a
-# 2-core VM). The cap bounds `--dump-samples`, which still builds each
-# policy's whole table: near 20 bytes per patient at its peak, so near 2 GB
-# at the cap, and a 600 MB CSV. Larger counts exit 2 before any draw.
+# Patients per run at most. Counting and dumping both stream them CHUNK at
+# a time, so memory is flat in the count; the cap bounds time (1.5 s to
+# count at the cap on a 2-core VM) and the size of the dump, a 600 MB CSV
+# per policy at the cap. Larger counts exit 2 before any draw.
 MAX_SAMPLES = 10**8
 
-# Patients drawn per step of `cell_counts`: two float64 buffers of this
-# length are all the memory counting holds.
+# Patients drawn per step of `_draws`: two float64 buffers of this length
+# are all the memory a draw holds.
 CHUNK = 1 << 16
 
 
@@ -71,52 +70,54 @@ class EmpiricalMetrics:
         return self.n_pos == 0 or self.n_neg == 0
 
 
-def sample(params: ScenarioParams, assign: tuple[int, int], cfg: McConfig) -> np.ndarray:
-    """Draw (x, t, y) rows: x ~ Bernoulli(p_x), t = assign[x], y ~
-    Bernoulli(q[t][x]). Returns an (n, 3) uint8 array.
+def _draws(params: ScenarioParams, cfg: McConfig):
+    """The config's patients, CHUNK at a time: x (a boolean column, X=1)
+    and u_y, the uniform that decides Y (Y=1 when u_y < q[t][x]).
 
-    Uniform draws happen in a fixed order (all x, then all y), so a given
-    config replays the same patients under any policy. `cell_counts` counts
-    these patients without building the table.
+    x reads the config's PCG64 at [0, n) and u_y the same stream advanced
+    by n, at [n, 2n), one 64-bit output per float64, so a config replays the
+    same patients under any policy. u_y is a view of a buffer that the next
+    chunk overwrites.
     """
-    q = np.array(potential_outcomes(params).q)
-    rng = cfg.rng()
     n = cfg.n_samples
-    x = (rng.random(n) < params.p_x).astype(np.uint8)
-    t = np.array(assign, dtype=np.uint8)[x]
-    y = (rng.random(n) < q[t, x]).astype(np.uint8)
-    return np.column_stack([x, t, y])
+    x_rng = cfg.rng()
+    y_rng = np.random.Generator(cfg.rng().bit_generator.advance(n))
+    x_buf, y_buf = np.empty(CHUNK), np.empty(CHUNK)
+    for start in range(0, n, CHUNK):
+        k = min(CHUNK, n - start)
+        yield x_rng.random(k, out=x_buf[:k]) < params.p_x, y_rng.random(k, out=y_buf[:k])
+
+
+def sample(params: ScenarioParams, assign: tuple[int, int], cfg: McConfig):
+    """Draw (x, t, y) rows: x ~ Bernoulli(p_x), t = assign[x], y ~
+    Bernoulli(q[t][x]). Yields (k, 3) uint8 tables of at most CHUNK rows,
+    the patients of `_draws` in order."""
+    q = np.array(potential_outcomes(params).q)
+    assign = np.array(assign, dtype=np.uint8)
+    for x, u_y in _draws(params, cfg):
+        x = x.view(np.uint8)
+        t = assign[x]
+        yield np.column_stack([x, t, (u_y < q[t, x]).view(np.uint8)])
 
 
 def cell_counts(
     params: ScenarioParams, policies: tuple[tuple[int, int], ...], cfg: McConfig
 ) -> list[np.ndarray]:
-    """counts[2*x + y] of the patients `sample` draws, for each policy, in
-    one streamed pass and without a patient table.
-
-    The stream positions are `sample`'s: x reads the config's PCG64 at
-    [0, n) and y the same stream advanced by n, at [n, 2n), one 64-bit
-    output per float64, CHUNK patients at a time. Every policy sees the
+    """counts[2*x + y] of the patients `_draws` makes, for each policy, in
+    one streamed pass and without a patient table. Every policy sees the
     same patients; under one, group x has Y=1 when u_y < q[assign[x]][x].
     """
     q = potential_outcomes(params).q
     thresholds = [(q[a0][0], q[a1][1]) for a0, a1 in policies]
-    n = cfg.n_samples
-    x_rng = cfg.rng()
-    y_rng = np.random.Generator(cfg.rng().bit_generator.advance(n))
-    x_buf, y_buf = np.empty(CHUNK), np.empty(CHUNK)
     n_x1 = 0
     y1 = [[0, 0] for _ in policies]  # Y=1 patients of each policy, by group
-    for start in range(0, n, CHUNK):
-        k = min(CHUNK, n - start)
-        x = x_rng.random(k, out=x_buf[:k]) < params.p_x
-        u_y = y_rng.random(k, out=y_buf[:k])
+    for x, u_y in _draws(params, cfg):
         n_x1 += np.count_nonzero(x)
         for counts, (q0, q1) in zip(y1, thresholds):
             below = u_y < q0
             counts[0] += np.count_nonzero(below) - np.count_nonzero(below & x)
             counts[1] += np.count_nonzero(x & (u_y < q1))
-    n_x0 = n - n_x1
+    n_x0 = cfg.n_samples - n_x1
     return [np.array([n_x0 - c0, c0, n_x1 - c1, c1]) for c0, c1 in y1]
 
 
@@ -165,10 +166,9 @@ _ROW_TEXT = np.array(
 )
 
 
-def write_sample_csv(table: np.ndarray, path) -> None:
-    """Write a `sample` table as an x,t,y CSV, CHUNK rows at a time."""
+def write_sample_csv(tables, path) -> None:
+    """Write `sample`'s tables as one x,t,y CSV, a table at a time."""
     with open(path, "w", newline="") as fh:
         fh.write("x,t,y\n")
-        for start in range(0, len(table), CHUNK):
-            rows = table[start:start + CHUNK]
+        for rows in tables:
             fh.writelines(_ROW_TEXT[4 * rows[:, 0] + 2 * rows[:, 1] + rows[:, 2]])

@@ -12,7 +12,9 @@ decision and every float of the per-scenario path
 `record_from_report(evaluate_scenario(p))` on columns, which the tests
 hold it to cell for cell, and adds only the chunking, the masks and the
 enum codes. Records stay columns through the CSV writer, the reader and
-the aggregations.
+the aggregations. A grid's records, or a sweep CSV's, are one `Stream`:
+chunks made as they are read (`grid_records`, `csv_records`), which every
+command reads the same way, and `aggregate_tables` sums in one pass.
 
 Aggregations reproduce two published reference tables; where this tool's
 structural filter and self-fulfilling orientation differ from the
@@ -236,7 +238,7 @@ _ROWS = 1 << 7
 class Records:
     """Sweep records as columns: one array per `ScenarioRecord` field, keyed
     by CSV column, the enums as codes. Sized; iterates as `ScenarioRecord`
-    rows."""
+    rows; read as a `Stream` is, as its one chunk."""
 
     def __init__(self, columns: dict[str, np.ndarray]):
         self.columns = columns
@@ -341,12 +343,14 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
     return records, structural, unrepresentable
 
 
-class _Streamed:
-    """Records made CHUNK at a time by `_make` as they are read, so any
-    number of them streams in flat memory. When one chunk holds them all,
-    it is made once and kept. Sized: a first read counts them."""
+class Stream:
+    """Records made a chunk at a time by `make(counts)` as they are read, so
+    any number of them streams in flat memory. When one chunk holds them
+    all, it is made once and kept. Sized: a first read fills `counts`, the
+    records retained and what `make` adds to them."""
 
-    def __init__(self):
+    def __init__(self, make):
+        self._make = make
         self._counts = None
         self._chunk = None
 
@@ -354,83 +358,52 @@ class _Streamed:
         return self._stream() if self._chunk is None else (self._chunk,)
 
     def _stream(self):
-        counts = dict.fromkeys(("retained", "structural", "unrepresentable"), 0)
+        counts = {"retained": 0}
         made = 0
-        for records in self._make(counts):
+        for made, records in enumerate(self._make(counts), 1):
             counts["retained"] += len(records)
-            made += 1
             yield records
         self._counts = counts
         if made == 1:
             self._chunk = records
 
-    def _counted(self) -> dict:
+    @property
+    def counts(self) -> dict[str, int]:
         if self._counts is None:
             for _ in self.chunks():
                 pass
         return self._counts
 
     def __len__(self) -> int:
-        return self._counted()["retained"]
+        return self.counts["retained"]
 
 
-class GridRecords(_Streamed):
-    """A grid's records, computed by `record_columns` as they are read, so
-    a grid of any size streams to disk in flat memory; the default grid
-    fits in one chunk and is evaluated once."""
+def grid_records(grid: GridSpec) -> Stream:
+    """A grid's records, computed by `record_columns` as they are read, so a
+    grid of any size streams to disk in flat memory; the default grid fits
+    in one chunk and is evaluated once. Its counts add the settings removed,
+    by reason: structurally degenerate, or p(Y=1) not strictly between 0
+    and 1."""
 
-    def __init__(self, grid: GridSpec):
-        super().__init__()
-        self.grid = grid
-
-    def _make(self, counts):
-        cardinality = self.grid.cardinality
-        for start in range(0, cardinality, CHUNK):
-            records, structural, unrepresentable = record_columns(
-                self.grid, start, min(start + CHUNK, cardinality)
-            )
+    def make(counts):
+        counts.update(structural=0, unrepresentable=0)
+        for start in range(0, grid.cardinality, CHUNK):
+            stop = min(start + CHUNK, grid.cardinality)
+            records, structural, unrepresentable = record_columns(grid, start, stop)
             counts["structural"] += structural
             counts["unrepresentable"] += unrepresentable
             yield records
 
-    @property
-    def exclusions(self) -> dict[str, int]:
-        """Settings removed, by reason: structurally degenerate, or p(Y=1)
-        not strictly between 0 and 1."""
-        counts = self._counted()
-        return {k: counts[k] for k in ("structural", "unrepresentable")}
+    return Stream(make)
 
 
-class CsvRecords(_Streamed):
+def csv_records(path) -> Stream:
     """A sweep CSV's records, parsed by `read_csv_chunks` as they are read,
     so the tables of a file of any size are summed in flat memory."""
-
-    def __init__(self, path):
-        super().__init__()
-        self.path = path
-
-    def _make(self, counts):
-        return read_csv_chunks(self.path)
+    return Stream(lambda counts: read_csv_chunks(path))
 
 
 SIGN_CELLS = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
-
-
-def aggregate_sign_table(records) -> dict[tuple[int, int], tuple[int, int]]:
-    """Counts of (self-fulfilling, not) per (sign beta_t, sign beta_t+beta_xt)."""
-    counts = np.zeros(2 * len(SIGN_CELLS), dtype=np.int64)
-    for chunk in records.chunks():
-        c = chunk.columns
-        key = (
-            6 * (c["sign_bt"].astype(np.intp) + 1)
-            + 2 * (c["sign_bt_plus_bxt"] + 1)
-            + ~c["self_fulfilling"]
-        )
-        counts += np.bincount(key, minlength=len(counts))
-    sf, nsf = counts.reshape(-1, 2).T.tolist()
-    return dict(zip(SIGN_CELLS, zip(sf, nsf)))
-
-
 HARM_ROWS = tuple(
     (pol, pi0, sf)
     for pol in (OutcomePolarity.UNDESIRABLE, OutcomePolarity.DESIRABLE)
@@ -443,31 +416,39 @@ _HARM_BLOCK = np.array(
 )
 
 
-def aggregate_harm_table(
-    records,
-) -> dict[tuple[OutcomePolarity, int, bool], tuple[int, int]]:
-    """(harmful, total) counts per (polarity, pi0, self-fulfilling), with
-    no-change scenarios excluded so each row is purely one orientation."""
+def aggregate_tables(records):
+    """The sign table and the harm table, reading the records once.
+
+    The sign table counts (self-fulfilling, not) per (sign beta_t, sign
+    beta_t+beta_xt). The harm table counts (harmful, total) per (polarity,
+    pi0, self-fulfilling), with no-change scenarios excluded so each row is
+    purely one orientation.
+    """
+    sign = np.zeros(2 * len(SIGN_CELLS), dtype=np.int64)
     harmed = np.zeros(len(HARM_ROWS), dtype=np.int64)
     total = np.zeros(len(HARM_ROWS), dtype=np.int64)
     for chunk in records.chunks():
         c = chunk.columns
-        key = 4 * _HARM_BLOCK[c["polarity"]] + 2 * c["pi0"] + ~c["self_fulfilling"]
+        not_sf = ~c["self_fulfilling"]
+        key = 6 * (c["sign_bt"].astype(np.intp) + 1) + 2 * (c["sign_bt_plus_bxt"] + 1) + not_sf
+        sign += np.bincount(key, minlength=len(sign))
+        key = 4 * _HARM_BLOCK[c["polarity"]] + 2 * c["pi0"] + not_sf
         changed = c["verdict"] != _NO_CHANGE
         total += np.bincount(key[changed], minlength=len(total))
         harmed += np.bincount(key[changed & c["harmful_marginal"]], minlength=len(total))
-    return dict(zip(HARM_ROWS, zip(harmed.tolist(), total.tolist())))
+    sf, nsf = sign.reshape(-1, 2).T.tolist()
+    harm = zip(harmed.tolist(), total.tolist())
+    return dict(zip(SIGN_CELLS, zip(sf, nsf))), dict(zip(HARM_ROWS, harm))
 
 
-def aggregate_tables(records):
-    """The sign table and the harm table, reading the records once: the
-    sums of each chunk's tables."""
-    sign, harm = dict.fromkeys(SIGN_CELLS, (0, 0)), dict.fromkeys(HARM_ROWS, (0, 0))
-    for chunk in records.chunks():
-        for total, table in ((sign, aggregate_sign_table(chunk)), (harm, aggregate_harm_table(chunk))):
-            for key, (a, b) in table.items():
-                total[key] = (total[key][0] + a, total[key][1] + b)
-    return sign, harm
+def aggregate_sign_table(records) -> dict[tuple[int, int], tuple[int, int]]:
+    """The sign table of `aggregate_tables`."""
+    return aggregate_tables(records)[0]
+
+
+def aggregate_harm_table(records) -> dict[tuple[OutcomePolarity, int, bool], tuple[int, int]]:
+    """The harm table of `aggregate_tables`."""
+    return aggregate_tables(records)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +551,7 @@ def _column_cells(kind: type, values: np.ndarray) -> np.ndarray:
 
 
 def write_records_csv(records, path) -> None:
-    """Write `Records` or `GridRecords` as a sweep CSV, one chunk at a time,
+    """Write `Records` or a `Stream` as a sweep CSV, one chunk at a time,
     each column formatted at once."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")

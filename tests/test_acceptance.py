@@ -24,8 +24,8 @@ from opmdeploy.sweep import (
     aggregate_harm_table,
     aggregate_sign_table,
     default_grid,
-    GridRecords,
     expand_and_filter,
+    grid_records,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -103,7 +103,7 @@ def test_criterion_3_uniform_effect_rule_and_sign_counts(grid_reports):
         if all(s < 0 for s in signs) and r.self_fulfilling:
             failures.append(("expected not self-fulfilling", r.params))
 
-    table = aggregate_sign_table(GridRecords(default_grid()))
+    table = aggregate_sign_table(grid_records(default_grid()))
     # Mixed-sign cells: the published magnitudes, reproducible exactly except
     # where the reference's float filter retained extra settings.
     if table[(-1, 0)] != (100, 100):

@@ -520,6 +520,45 @@ class TestCsvOrGrid:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
 
 
+INLINE_SCENARIO = [
+    "--p-x", "0.5", "--pi0", "0", "--beta0", "-0.5", "--beta-x", "0.9",
+    "--beta-t", "0.3", "--beta-xt", "0", "--polarity", "desirable",
+]
+
+
+class TestEmptyPath:
+    """An empty path names no file: every path option refuses it with exit
+    4, and none reads it as the built-in grid or the working directory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--csv", ""],
+        ["plot", "--csv", "", "--out", "d"],
+        ["tables", "--grid", ""],
+        ["plot", "--grid", "", "--out", "d"],
+        ["sweep", "--grid", "", "--out", "s.csv"],
+        ["eval", "--config", "", *INLINE_SCENARIO],
+        ["simulate", "--config", "", "--samples", "50", *INLINE_SCENARIO],
+        ["eval", "--out", "", *INLINE_SCENARIO],
+        ["simulate", "--out", "", "--samples", "50", *INLINE_SCENARIO],
+        ["tables", "--out", ""],
+        ["plot", "--out", ""],
+        ["sweep", "--out", ""],
+    ], ids=lambda argv: " ".join(a for a in argv[:3] if a.startswith("-") or a.isalpha()))
+    def test_exits_4_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dump_prefix_is_used_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--samples", "50", "--dump-samples", "", *INLINE_SCENARIO]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".post.csv", ".post.manifest.json", ".pre.csv", ".pre.manifest.json",
+        ]
+
+
 class TestGridEvaluatedOnce:
     """Every command evaluates each chunk of its grid once: the kernel is
     called once per chunk, whatever the command reads."""
@@ -586,7 +625,7 @@ class TestDefaultGridCheck:
     as many as its retained settings."""
 
     def test_retained_count(self):
-        assert sweep.DEFAULT_RETAINED == len(sweep.GridRecords(default_grid()))
+        assert sweep.DEFAULT_RETAINED == len(sweep.grid_records(default_grid()))
 
     @pytest.fixture
     def grids(self, monkeypatch):

@@ -20,9 +20,9 @@ from opmdeploy.errors import ConfigError
 from opmdeploy.scenario import OutcomePolarity
 from opmdeploy.sweep import (
     CSV_COLUMNS,
-    GridRecords,
     Records,
     default_grid,
+    grid_records,
     read_csv_chunks,
     read_records_csv,
     write_records_csv,
@@ -32,7 +32,7 @@ from opmdeploy.sweep import (
 @pytest.fixture(scope="module")
 def sweep_csv(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("reader") / "sweep.csv"
-    write_records_csv(GridRecords(default_grid()), path)
+    write_records_csv(grid_records(default_grid()), path)
     return path
 
 
@@ -478,7 +478,7 @@ def test_tables_in_many_chunks_keeps_none(sweep_csv, tmp_path, reads, chunk_97, 
     assert main(["tables", "--csv", str(sweep_csv)]) == 0
     assert reads == {"chunks": 2, "whole": 0}
     assert "count delta: 12" in capsys.readouterr().out
-    records = sweep.CsvRecords(sweep_csv)
+    records = sweep.csv_records(sweep_csv)
     assert len(records) == 4620
     assert records._chunk is None
 

@@ -23,6 +23,7 @@ from opmdeploy.scenario import (
     OutcomePolarity,
     ScenarioParams,
     parse_polarity,
+    potential_outcomes,
 )
 from opmdeploy.sweep import default_grid, expand_and_filter
 
@@ -36,6 +37,19 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.js
 def load_params(path: Path) -> ScenarioParams:
     raw = json.loads(path.read_text())
     return ScenarioParams(**{**raw, "polarity": parse_polarity(raw["polarity"])})
+
+
+def whole_table(params: ScenarioParams, assign: tuple[int, int], cfg: McConfig) -> np.ndarray:
+    """The oracle for `sample` and `cell_counts`: the (n, 3) uint8 table of
+    (x, t, y) drawn at once, x from the config's stream and then y from the
+    same stream."""
+    q = np.array(potential_outcomes(params).q)
+    rng = cfg.rng()
+    n = cfg.n_samples
+    x = (rng.random(n) < params.p_x).astype(np.uint8)
+    t = np.array(assign, dtype=np.uint8)[x]
+    y = (rng.random(n) < q[t, x]).astype(np.uint8)
+    return np.column_stack([x, t, y])
 
 
 def table_counts(table: np.ndarray) -> np.ndarray:
@@ -71,28 +85,28 @@ class TestConfig:
 class TestSample:
     def test_policy_applied_deterministically(self):
         cfg = McConfig(n_samples=1, master_seed=42)
-        table = sample(BASE, (1, 1), cfg)
+        table = np.concatenate(list(sample(BASE, (1, 1), cfg)))
         assert table.shape == (1, 3)
         x, t, y = table[0]
         assert t == 1
-        table0 = sample(BASE, (0, 0), cfg)
+        table0 = np.concatenate(list(sample(BASE, (0, 0), cfg)))
         assert table0[0, 1] == 0
 
     def test_same_config_replays_identical_tables(self):
         cfg = McConfig(n_samples=5000, master_seed=7, scenario_index=3)
-        a = sample(BASE, (0, 0), cfg)
-        b = sample(BASE, (0, 0), cfg)
+        a = np.concatenate(list(sample(BASE, (0, 0), cfg)))
+        b = np.concatenate(list(sample(BASE, (0, 0), cfg)))
         assert np.array_equal(a, b)
 
     def test_distinct_substreams_differ(self):
-        a = sample(BASE, (0, 0), McConfig(5000, 7, 0))
-        b = sample(BASE, (0, 0), McConfig(5000, 7, 1))
+        a = np.concatenate(list(sample(BASE, (0, 0), McConfig(5000, 7, 0))))
+        b = np.concatenate(list(sample(BASE, (0, 0), McConfig(5000, 7, 1))))
         assert not np.array_equal(a, b)
 
     def test_covariate_mean_within_binomial_error(self):
         n = 1_000_000
         cfg = McConfig(n_samples=n, master_seed=2024)
-        table = sample(BASE, (0, 0), cfg)
+        table = np.concatenate(list(sample(BASE, (0, 0), cfg)))
         se = math.sqrt(BASE.p_x * (1 - BASE.p_x) / n)
         assert abs(table[:, 0].mean() - BASE.p_x) <= 4 * se
 
@@ -108,9 +122,8 @@ class TestSample:
 
     def test_sample_dump_columns(self, tmp_path):
         cfg = McConfig(n_samples=3, master_seed=5)
-        table = sample(BASE, (0, 0), cfg)
         path = tmp_path / "s.csv"
-        write_sample_csv(table, path)
+        write_sample_csv(sample(BASE, (0, 0), cfg), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,t,y"
         assert len(lines) == 4
@@ -121,9 +134,10 @@ class TestSample:
         # both values of t: the historic policies treat everyone or no one,
         # the deployed one treats one group
         for policy in ((0, 0), (1, 1), evaluate_scenario(BASE).policy_post):
-            table = sample(BASE, policy, McConfig(n_samples=n, master_seed=seed))
+            cfg = McConfig(n_samples=n, master_seed=seed)
+            table = np.concatenate(list(sample(BASE, policy, cfg)))
             path = tmp_path / "s.csv"
-            write_sample_csv(table, path)
+            write_sample_csv(sample(BASE, policy, cfg), path)
             oracle = tmp_path / "oracle.csv"
             with open(oracle, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
@@ -141,7 +155,37 @@ class TestCellCounts:
         cfg = McConfig(n_samples=n, master_seed=seed, scenario_index=index)
         r, counts = deployed_counts(params, cfg)
         for policy, cells in zip((r.policy_pre, r.policy_post), counts):
-            assert cells.tolist() == table_counts(sample(params, policy, cfg)).tolist()
+            table = np.concatenate(list(sample(params, policy, cfg)))
+            assert cells.tolist() == table_counts(table).tolist()
+
+
+class TestOneDraw:
+    """`sample` and `cell_counts` read the same chunked draw, which is the
+    whole-table draw bit for bit."""
+
+    ASSIGNMENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2**63, 5)])
+    @pytest.mark.parametrize("params", [BASE, *map(load_params, CONFIGS)],
+                             ids=["base", *(c.stem for c in CONFIGS)])
+    def test_sample_and_counts_equal_the_whole_table(self, params, seed, index, n):
+        cfg = McConfig(n_samples=n, master_seed=seed, scenario_index=index)
+        counts = cell_counts(params, self.ASSIGNMENTS, cfg)
+        for assign, cells in zip(self.ASSIGNMENTS, counts):
+            want = whole_table(params, assign, cfg)
+            got = np.concatenate(list(sample(params, assign, cfg)))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+            assert cells.tolist() == table_counts(want).tolist()
+
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_sample_yields_tables_of_at_most_chunk_rows(self, n):
+        cfg = McConfig(n_samples=n, master_seed=3)
+        tables = list(sample(BASE, (0, 1), cfg))
+        assert all(t.ndim == 2 and t.shape[1] == 3 for t in tables)
+        assert max(len(t) for t in tables) <= CHUNK
+        assert sum(len(t) for t in tables) == n
 
 
 class TestEmpiricalMetrics:

@@ -21,7 +21,6 @@ from opmdeploy.scenario import (
 )
 from opmdeploy.sweep import (
     CSV_COLUMNS,
-    GridRecords,
     GridSpec,
     REFERENCE_SIGN_TABLE,
     REFERENCE_SIGN_TOTAL,
@@ -30,6 +29,7 @@ from opmdeploy.sweep import (
     aggregate_sign_table,
     default_grid,
     expand_and_filter,
+    grid_records,
     read_records_csv,
     record_columns,
     record_from_report,
@@ -173,14 +173,14 @@ class TestRunSweep:
     def test_determinism_byte_identical(self, default_records, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(default_records, a)
-        write_records_csv(GridRecords(default_grid()), b)
+        write_records_csv(grid_records(default_grid()), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_runtime_well_under_a_second(self):
         import time
 
         t0 = time.perf_counter()
-        assert len(GridRecords(default_grid())) == 4620
+        assert len(grid_records(default_grid())) == 4620
         assert time.perf_counter() - t0 < 1.0
 
     def test_sub_band_fitted_tie_retained(self):
@@ -192,7 +192,7 @@ class TestRunSweep:
             beta_xt_values=(0.0,), polarities=(OutcomePolarity.DESIRABLE,),
         )
         assert len(expand_and_filter(grid)) == 2
-        records = Records.join(GridRecords(grid).chunks())
+        records = Records.join(grid_records(grid).chunks())
         assert records.columns["beta_x"].tolist() == [2e-12, 0.5]
         assert list(records)[0].verdict is Verdict.BENEFICIAL
 
@@ -217,7 +217,7 @@ class TestRecordsColumns:
 
     def test_join_concatenates_chunks_in_order(self, default_records, monkeypatch):
         monkeypatch.setattr(sweep, "CHUNK", 97)  # chunk edges inside runs of settings
-        joined = Records.join(GridRecords(default_grid()).chunks())
+        joined = Records.join(grid_records(default_grid()).chunks())
         for name in CSV_COLUMNS:
             column = joined.columns[name]
             assert column.dtype == default_records.columns[name].dtype, name
@@ -435,13 +435,13 @@ def assert_kernel_matches_oracle(grid: GridSpec, path) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning fails
         records, structural, unrepresentable = record_columns(grid)
-        streamed = GridRecords(grid)
+        streamed = grid_records(grid)
         write_records_csv(streamed, path)
     rows, want_structural, want_unrepresentable = oracle(grid)
     assert (structural, unrepresentable) == (want_structural, want_unrepresentable)
-    assert streamed.exclusions == {
-        "structural": structural, "unrepresentable": unrepresentable,
-    }
+    assert (streamed.counts["structural"], streamed.counts["unrepresentable"]) == (
+        structural, unrepresentable,
+    )
     assert len(records) == len(streamed) == len(rows)
     assert cells(records) == cells(rows)
     assert path.read_bytes() == oracle_csv(rows)
@@ -506,12 +506,23 @@ class TestKernelMatchesOracle:
 
     def test_chunks_join_to_one_pass(self, monkeypatch, tmp_path):
         whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
-        write_records_csv(GridRecords(default_grid()), whole)
+        write_records_csv(grid_records(default_grid()), whole)
         monkeypatch.setattr(sweep, "CHUNK", 97)  # chunk edges inside runs of settings
-        records = GridRecords(default_grid())
+        records = grid_records(default_grid())
         write_records_csv(records, chunked)
         assert chunked.read_bytes() == whole.read_bytes()
-        assert records.exclusions == {"structural": 220, "unrepresentable": 0}
+        assert (records.counts["structural"], records.counts["unrepresentable"]) == (220, 0)
+
+    def test_exclusions_add_up_over_chunks(self, monkeypatch, tmp_path):
+        # 32 settings in chunks of 3: 16 structural, 8 unrepresentable
+        monkeypatch.setattr(sweep, "CHUNK", 3)
+        grid = one_grid(beta0_values=[40.0, -0.5], beta_x_values=[1.0, 0.0],
+                        beta_t_values=[5.0, 0.5])
+        assert_kernel_matches_oracle(grid, tmp_path / "sweep.csv")
+        records = grid_records(grid)
+        assert (len(records), records.counts["structural"], records.counts["unrepresentable"]) == (
+            8, 16, 8,
+        )
 
 
 class TestCsvReadInBulk:

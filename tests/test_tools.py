@@ -1,0 +1,105 @@
+"""The repository's scripts: the code-line counter and the experiment
+runner."""
+
+import hashlib
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COUNTER = ROOT / "scripts" / "count_code_lines.py"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+count_code_lines = load_script("count_code_lines")
+run_experiment = load_script("run_experiment")
+
+SOURCE = '''"""Module docstring,
+on two lines."""
+
+# a comment-only line
+
+import os  # a trailing comment counts
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method docstring,
+        also on two lines."""
+
+        def nested():
+            """Nested docstring."""
+            return 1
+
+        return nested()
+
+
+TEXT = """a string that is
+not a docstring"""
+CALL = os.path.join(
+    "a",
+
+    "b",
+)
+'''
+# import, class, def, def nested, return 1, return nested(), both lines of
+# TEXT and every line of CALL but the blank one
+SOURCE_LINES = 1 + 1 + 1 + 1 + 1 + 1 + 2 + 4
+
+
+def total(stdout: str) -> int:
+    last = stdout.strip().splitlines()[-1]
+    assert last.endswith("total")
+    return int(last.split()[0])
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    assert count_code_lines.code_lines(SOURCE) == SOURCE_LINES
+
+
+def test_docstring_lines_are_those_of_each_scope():
+    # module (1-2), class (10), method (13-14), nested function (17)
+    assert count_code_lines.docstring_lines(SOURCE) == {1, 2, 10, 13, 14, 17}
+
+
+def test_a_directory_without_python_files_exits_nonzero(tmp_path, capsys):
+    assert count_code_lines.main(["count", str(tmp_path / "missing")]) != 0
+    assert "no .py file" in capsys.readouterr().err
+    assert count_code_lines.main(["count", str(tmp_path)]) != 0
+
+
+def test_the_default_root_does_not_depend_on_the_working_directory(tmp_path):
+    runs = [
+        subprocess.run([sys.executable, str(COUNTER)], cwd=cwd, capture_output=True,
+                       text=True, check=True).stdout
+        for cwd in (ROOT, tmp_path)
+    ]
+    assert total(runs[0]) == total(runs[1]) > 0
+    package = ROOT / "src" / "opmdeploy"
+    assert total(runs[0]) == sum(
+        count_code_lines.code_lines(p.read_text()) for p in package.rglob("*.py")
+    )
+
+
+def test_run_experiment_writes_the_pinned_outputs(tmp_path, capsys):
+    assert run_experiment.run(tmp_path) == 0
+    digests = json.loads((GOLDEN / "digests.json").read_text())
+    sweep_csv = (tmp_path / "sweep.csv").read_bytes()
+    assert hashlib.sha256(sweep_csv).hexdigest() == digests["sweep.csv"]
+    for name in ("sign_table.csv", "harm_table.csv"):
+        assert (tmp_path / "tables" / name).read_bytes() == (GOLDEN / name).read_bytes()
+    # each SVG embeds its CSV path, so only their presence is pinned
+    for name in ("fig-bt-vs-diff.svg", "fig-bt-vs-diff-all.svg",
+                 "fig-bxt-vs-diff.svg", "fig-auc-pre-vs-diff.svg"):
+        assert (tmp_path / "figures" / name).stat().st_size > 0
