@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -52,6 +53,14 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _touch(*paths) -> None:
+    """Create or empty each output file given, so that a path that cannot
+    be written fails before the command's work."""
+    for path in paths:
+        if path is not None:
+            open(path, "w").close()
 
 
 def _check_keys(raw: dict, keys: tuple[str, ...]) -> None:
@@ -102,8 +111,10 @@ def _grid_echo(grid: sweep.GridSpec) -> dict:
 
 
 def _records_from_args(args) -> tuple[sweep.Stream, dict]:
-    """The records, streamed a chunk at a time, and their source echo."""
+    """The records, streamed a chunk at a time, and their source echo. A
+    CSV that cannot be opened fails here, before any output is made."""
     if args.csv is not None:
+        open(args.csv, "rb").close()
         return sweep.csv_records(args.csv), {"csv": str(args.csv)}
     grid = _load_grid("default" if args.grid is None else args.grid)
     return sweep.grid_records(grid), {"grid": _grid_echo(grid)}
@@ -220,6 +231,7 @@ def _print_report(report: DeploymentReport) -> None:
 def cmd_eval(args) -> int:
     params, raw = _scenario_from_args(args)
     report = evaluate_scenario(params)
+    _touch(args.out)
     _print_report(report)
     if args.out is not None:
         _write_json(args.out, report_to_json(report, raw))
@@ -288,6 +300,8 @@ _POLARITY_WORD = {
 
 def cmd_tables(args) -> int:
     records, source = _records_from_args(args)
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)  # "" raises, where Path("") is the working directory
     sign_table, harm_table = sweep.aggregate_tables(records)
     tables = (
         (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
@@ -317,7 +331,6 @@ def cmd_tables(args) -> int:
         print(f"  note: {delta['orientation_note']}")
 
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)  # "" raises, where Path("") is the working directory
         out = Path(args.out)
         for (name, columns, _, _), rows in tables:
             with open(out / name, "w", newline="") as fh:
@@ -358,11 +371,10 @@ _FIGURES = (
 
 def cmd_plot(args) -> int:
     records, source = _records_from_args(args)
+    os.makedirs(args.out, exist_ok=True)
     # the chunks are joined, so a grid is evaluated and a file read once
     records = sweep.Records.join(records.chunks())
     beneficial = records.where(avg_treatment_beneficial=True)
-
-    os.makedirs(args.out, exist_ok=True)
     out = Path(args.out)
     for name, restricted, title, axes in _FIGURES:
         recs = beneficial if restricted else records
@@ -405,6 +417,8 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
         scenario_index=args.scenario_index,
     )
+    dump = args.dump_samples  # its first file opens the prefix's directory
+    _touch(args.out, None if dump is None else f"{dump}.pre.csv")
     mc_echo = dict(vars(cfg))
     policies = {"pre": report.policy_pre, "post": report.policy_post}
     counts = mc.cell_counts(params, tuple(policies.values()), cfg)
@@ -540,9 +554,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: built on the first call, not at import,
+    with the `cmd_*` functions of that moment. Parsing leaves it as it was,
+    so no call sees an earlier one's state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -35,14 +35,14 @@ class McConfig:
     scenario_index: int = 0
 
     def __post_init__(self):
-        problems = []
-        if not (isinstance(self.n_samples, int) and 1 <= self.n_samples <= MAX_SAMPLES):
+        problems = []  # `type() is int` refuses a bool, which would echo as `true`
+        if not (type(self.n_samples) is int and 1 <= self.n_samples <= MAX_SAMPLES):
             problems.append(
                 f"n_samples: must be an integer from 1 to {MAX_SAMPLES}, got {self.n_samples!r}"
             )
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
+        if not (type(self.master_seed) is int and 0 <= self.master_seed < 2**64):
             problems.append(f"master_seed: must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if not (isinstance(self.scenario_index, int) and self.scenario_index >= 0):
+        if not (type(self.scenario_index) is int and self.scenario_index >= 0):
             problems.append(f"scenario_index: must be a nonnegative integer, got {self.scenario_index!r}")
         if problems:
             raise ConfigError(problems)

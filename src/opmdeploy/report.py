@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import classify, metrics
 from .classify import CheckResult, HarmAssessment, SubcaseRow, Verdict
@@ -44,7 +45,12 @@ class DeploymentReport:
     verdict: Verdict
 
     def checks(self) -> dict[str, CheckResult | SubcaseRow]:
-        """The consistency checkers, run against this report."""
+        """The consistency checkers' results on this report, computed once
+        per report; each call returns a new dict."""
+        return dict(self._checks)
+
+    @cached_property
+    def _checks(self) -> dict[str, CheckResult | SubcaseRow]:
         return {
             "uniform_effect_rule": classify.check_uniform_effect_rule(self),
             "shift_subcase": classify.classify_shift_subcase(self),

@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from opmdeploy import sweep
+from opmdeploy import OutcomePolarity, ScenarioParams, classify, cli, evaluate_scenario, mc, sweep
 from opmdeploy.cli import main
 from opmdeploy.sweep import default_grid
 
@@ -526,9 +527,22 @@ INLINE_SCENARIO = [
 ]
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command reads records, evaluates a grid or draws
+    a sample."""
+    def refused(*args, **kwargs):
+        raise AssertionError("work began before the paths were checked")
+
+    for module, name in ((sweep, "record_columns"), (sweep, "read_csv_chunks"),
+                         (mc, "cell_counts"), (mc, "sample")):
+        monkeypatch.setattr(module, name, refused)
+
+
 class TestEmptyPath:
     """An empty path names no file: every path option refuses it with exit
-    4, and none reads it as the built-in grid or the working directory."""
+    4 before any work or output, and none reads it as the built-in grid or
+    the working directory."""
 
     @pytest.mark.parametrize("argv", [
         ["tables", "--csv", ""],
@@ -544,10 +558,12 @@ class TestEmptyPath:
         ["plot", "--out", ""],
         ["sweep", "--out", ""],
     ], ids=lambda argv: " ".join(a for a in argv[:3] if a.startswith("-") or a.isalpha()))
-    def test_exits_4_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+    def test_exits_4_and_writes_nothing(self, no_work, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 4
-        assert "i/o error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "i/o error" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_dump_prefix_is_used_as_given(self, tmp_path, monkeypatch, capsys):
@@ -556,6 +572,165 @@ class TestEmptyPath:
         assert main(argv) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             ".post.csv", ".post.manifest.json", ".pre.csv", ".pre.manifest.json",
+        ]
+
+
+class TestOutputPathsFirst:
+    """Each command makes or opens its output paths before it reads
+    records, evaluates a grid, draws a sample or prints: a path that cannot
+    be written exits 4, with nothing on stdout and no new file. (Empty
+    paths: `TestEmptyPath`.)"""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--out", "missing/r.json"],
+        ["sweep", "--out", "missing/s.csv"],
+        ["tables", "--out", "taken/t"],
+        ["tables", "--csv", "taken", "--out", "taken/t"],
+        ["plot", "--out", "taken/f"],
+        ["plot", "--csv", "taken", "--out", "taken/f"],
+        ["simulate", "--out", "missing/s.json"],
+        ["simulate", "--dump-samples", "missing/x"],
+        ["simulate", "--dump-samples", "taken/x"],
+    ], ids=" ".join)
+    def test_exits_4_before_the_work(self, no_work, tmp_path, monkeypatch, capsys, argv):
+        if argv[0] in ("eval", "simulate"):
+            argv = [*argv, *INLINE_SCENARIO]
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("a file, so no path can go through it\n")
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+class TestOneParser:
+    """`main` builds its parser once per process and parses every argv
+    with it as a freshly built one would."""
+
+    @pytest.fixture(autouse=True)
+    def unbuilt(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_many_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser()
+        one_build = list(built)
+        built.clear()
+        for _ in range(3):
+            assert main(["eval", *INLINE_SCENARIO]) == 0
+            with pytest.raises(SystemExit):
+                main(["eval", "--no-such-option"])
+        assert built == one_build
+        assert cli.build_parser() is not cli._parser()  # the caller's own
+
+    def test_help_is_wrapped_to_the_width_at_the_call(self, monkeypatch, capsys):
+        widths = []
+        for columns in ("200", "50"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["--help"])
+            widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+        assert cli._parser.cache_info().misses == 1
+        assert widths[0] > 100 and widths[1] <= 50
+
+    def run(self, root: Path, monkeypatch, capsys, fresh: bool):
+        """Each step's exit code, stdout and stderr, then every written file."""
+        root.mkdir()
+        monkeypatch.chdir(root)
+        write_config(root, p_x=2.0)
+        steps = [
+            ["eval", "--no-such-option"],
+            ["--version"],
+            ["eval", "--config", "config.json"],
+            ["eval", *INLINE_SCENARIO, "--out", "eval.json"],
+            ["sweep", "--out", "sweep.csv"],
+            ["tables", "--csv", "sweep.csv", "--out", "tables"],
+        ]
+        seen = []
+        for argv in steps:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            seen.append((rc, *capsys.readouterr()))
+        files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        return seen, files
+
+    def test_reused_parser_gives_what_a_fresh_one_gives(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00+00:00")
+        reused = self.run(tmp_path / "reused", monkeypatch, capsys, fresh=False)
+        assert cli._parser.cache_info().misses == 1
+        fresh = self.run(tmp_path / "fresh", monkeypatch, capsys, fresh=True)
+        assert reused == fresh
+        steps, files = reused
+        assert [rc for rc, _, _ in steps] == [2, 0, 2, 0, 0, 0]
+        assert "unrecognized arguments: --no-such-option" in steps[0][2]
+        assert steps[1][1] == f"{cli.__version__}\n"
+        assert steps[2][2] == "config error: p_x: must lie strictly in (0,1), got 2.0\n"
+        assert sorted(files) == [
+            "config.json", "eval.json", "sweep.csv", "sweep.csv.manifest.json",
+            "tables/harm_table.csv", "tables/sign_table.csv", "tables/tables_manifest.json",
+        ]
+
+
+class TestChecksOnce:
+    """A report's checkers run once, whoever asks for its checks, and each
+    caller gets a dict of its own."""
+
+    PARAMS = ScenarioParams(
+        p_x=0.5, pi0=0, beta0=-0.5, beta_x=0.9, beta_t=0.3, beta_xt=-0.1,
+        polarity=OutcomePolarity.DESIRABLE,
+    )
+    CHECKERS = ("check_uniform_effect_rule", "classify_shift_subcase",
+                "check_calibration_preservation")
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+        for name in self.CHECKERS:
+            def counted(report, checker=getattr(classify, name), name=name):
+                runs.append(name)
+                return checker(report)
+
+            monkeypatch.setattr(classify, name, counted)
+        return runs
+
+    def test_each_checker_runs_once_per_report(self, runs, capsys):
+        report = evaluate_scenario(self.PARAMS)
+        for _ in range(3):
+            report.checks()
+            cli.report_to_json(report, {})
+            cli._print_report(report)
+        assert sorted(runs) == sorted(self.CHECKERS)
+        evaluate_scenario(self.PARAMS).checks()  # another report runs them again
+        assert sorted(runs) == sorted(self.CHECKERS * 2)
+
+    def test_eval_with_out_runs_each_checker_once(self, runs, tmp_path, capsys):
+        assert main(["eval", *INLINE_SCENARIO, "--out", str(tmp_path / "r.json")]) == 0
+        assert sorted(runs) == sorted(self.CHECKERS)
+
+    def test_each_call_returns_a_dict_of_its_own(self):
+        report = evaluate_scenario(self.PARAMS)
+        mine = report.checks()
+        mine.pop("shift_subcase")
+        mine["uniform_effect_rule"] = None
+        mine["extra"] = 1
+        assert report.checks() is not report.checks()
+        assert report.checks() == evaluate_scenario(self.PARAMS).checks()
+        assert list(report.checks()) == [
+            "uniform_effect_rule", "shift_subcase", "calibration_preservation",
         ]
 
 

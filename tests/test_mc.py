@@ -81,6 +81,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scenario_index: must be a nonnegative integer"):
             McConfig(n_samples=1, master_seed=1, scenario_index=-1)
 
+    def test_rejects_booleans(self):
+        # each would pass as an int and echo as `true`/`false` in the JSON
+        with pytest.raises(ConfigError) as exc:
+            McConfig(n_samples=True, master_seed=False, scenario_index=True)
+        assert [p.split(":")[0] for p in exc.value.problems] == [
+            "n_samples", "master_seed", "scenario_index",
+        ]
+        assert all(p.endswith(("got True", "got False")) for p in exc.value.problems)
+
 
 class TestSample:
     def test_policy_applied_deterministically(self):

@@ -8,9 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from opmdeploy import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COUNTER = ROOT / "scripts" / "count_code_lines.py"
+FIGURES = ("fig-bt-vs-diff.svg", "fig-bt-vs-diff-all.svg", "fig-bxt-vs-diff.svg",
+           "fig-auc-pre-vs-diff.svg")
 
 
 def load_script(name: str):
@@ -92,14 +96,27 @@ def test_the_default_root_does_not_depend_on_the_working_directory(tmp_path):
     )
 
 
-def test_run_experiment_writes_the_pinned_outputs(tmp_path, capsys):
-    assert run_experiment.run(tmp_path) == 0
+def test_run_experiment_writes_the_pinned_outputs(tmp_path, monkeypatch, capsys):
+    # Twice in one process, so the second run parses with the first's
+    # parser. Each run writes into its own directory under the same
+    # relative names, so the SVGs embed the pinned CSV path.
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00+00:00")
+    runs = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run_experiment.run(Path(".")) == 0
+        files = {str(p): p.read_bytes() for p in Path(".").rglob("*") if p.is_file()}
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+
+    stdout, files = runs[0]
+    golden_stdout = "".join(
+        (GOLDEN / f"{step}.stdout").read_text() for step in ("sweep", "tables", "plot")
+    )
+    assert stdout == golden_stdout + "\nall outputs under ./\n"
     digests = json.loads((GOLDEN / "digests.json").read_text())
-    sweep_csv = (tmp_path / "sweep.csv").read_bytes()
-    assert hashlib.sha256(sweep_csv).hexdigest() == digests["sweep.csv"]
+    for name in ("sweep.csv", *(f"figures/{svg}" for svg in FIGURES)):
+        assert hashlib.sha256(files[name]).hexdigest() == digests[Path(name).name], name
     for name in ("sign_table.csv", "harm_table.csv"):
-        assert (tmp_path / "tables" / name).read_bytes() == (GOLDEN / name).read_bytes()
-    # each SVG embeds its CSV path, so only their presence is pinned
-    for name in ("fig-bt-vs-diff.svg", "fig-bt-vs-diff-all.svg",
-                 "fig-bxt-vs-diff.svg", "fig-auc-pre-vs-diff.svg"):
-        assert (tmp_path / "figures" / name).stat().st_size > 0
+        assert files[f"tables/{name}"] == (GOLDEN / name).read_bytes()
