@@ -104,10 +104,10 @@ def check_uniform_effect_rule(report: "DeploymentReport") -> CheckResult:
     """Sufficient-condition check: treatment effects that never point down
     force a self-fulfilling deployment, effects that always point down
     (strictly) forbid one. Mixed signs are out of the rule's scope."""
-    signs = [effect_sign(report.params, x) for x in (0, 1)]
-    if all(s >= 0 for s in signs):
+    signs = [effect_sign(report.params, 0), effect_sign(report.params, 1)]
+    if min(signs) >= 0:
         expected = True
-    elif all(s < 0 for s in signs):
+    elif max(signs) < 0:
         expected = False
     else:
         return CheckResult(
@@ -178,10 +178,9 @@ def check_calibration_preservation(report: "DeploymentReport") -> CheckResult:
     calibrated after deployment iff, for every group, the assignment did
     not change or the group's treatment effect is zero — i.e. iff the
     deployment changed nothing consequential."""
-    condition = all(
-        report.policy_pre[x] == report.policy_post[x]
-        or effect_sign(report.params, x) == 0
-        for x in (0, 1)
+    pre, post, params = report.policy_pre, report.policy_post, report.params
+    condition = (pre[0] == post[0] or effect_sign(params, 0) == 0) and (
+        pre[1] == post[1] or effect_sign(params, 1) == 0
     )
     calibrated_both = (
         report.calibration_pre.is_calibrated and report.calibration_post.is_calibrated

@@ -8,6 +8,7 @@ are deterministic given their inputs (plus the seed, for simulate).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -49,18 +50,37 @@ def _load_json(path: str):
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _write_json(fh, payload) -> None:
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
 
 
-def _touch(*paths) -> None:
-    """Create or empty each output file given, so that a path that cannot
-    be written fails before the command's work."""
-    for path in paths:
-        if path is not None:
-            open(path, "w").close()
+@contextlib.contextmanager
+def _outputs(*outputs):
+    """Open every output file, each a (path, newline) pair or None, for
+    writing before the command's work, and yield the handles (None for
+    None), so that a name that cannot be written fails first. If a name
+    cannot be opened or the work fails, the files opened here that did not
+    exist before are removed again."""
+    created = []
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for spec in outputs:
+                if spec is None:
+                    handles.append(None)
+                    continue
+                path, newline = spec
+                new = not os.path.lexists(path)
+                handles.append(stack.enter_context(open(path, "w", newline=newline)))
+                if new:
+                    created.append(path)
+            yield handles
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _check_keys(raw: dict, keys: tuple[str, ...]) -> None:
@@ -127,7 +147,9 @@ def _records_from_args(args) -> tuple[sweep.Stream, dict]:
 def _check_to_json(check) -> dict:
     if isinstance(check, CheckResult):
         return {"status": check.status.value, "detail": check.detail}
-    return {**vars(check), "consistent": check.consistent}
+    block = vars(check).copy()
+    block["consistent"] = check.consistent
+    return block
 
 
 def _dist_block(report: DeploymentReport, which: str) -> dict:
@@ -145,15 +167,18 @@ def _dist_block(report: DeploymentReport, which: str) -> dict:
 
 
 def _calibration_block(calib) -> dict:
-    return {**vars(calib), "levels": [dict(vars(l)) for l in calib.levels]}
+    block = vars(calib).copy()
+    block["levels"] = [vars(l).copy() for l in calib.levels]
+    return block
 
 
 def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
+    verdict = report.verdict.value
     return {
         "tool": _tool_stamp(),
         "config": config_echo,
         "potential_outcomes": {
-            "q": [list(row) for row in report.po.q],
+            "q": list(map(list, report.po.q)),
             "cate": list(report.po.cate),
         },
         "opm": {"f": list(report.opm.f), "lambda": report.opm.lam},
@@ -171,8 +196,8 @@ def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
             "post": _calibration_block(report.calibration_post),
         },
         "harm": dict(vars(report.harm)),
-        "verdict": report.verdict.value,
-        "sign_verdict": report.verdict.value,
+        "verdict": verdict,
+        "sign_verdict": verdict,
         "checks": {name: _check_to_json(c) for name, c in report.checks().items()},
     }
 
@@ -231,11 +256,11 @@ def _print_report(report: DeploymentReport) -> None:
 def cmd_eval(args) -> int:
     params, raw = _scenario_from_args(args)
     report = evaluate_scenario(params)
-    _touch(args.out)
-    _print_report(report)
-    if args.out is not None:
-        _write_json(args.out, report_to_json(report, raw))
-        print(f"wrote {args.out}")
+    with _outputs(None if args.out is None else (args.out, None)) as (out,):
+        _print_report(report)
+        if out is not None:
+            _write_json(out, report_to_json(report, raw))
+            print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -246,26 +271,28 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     grid = _load_grid(args.grid)
     records = sweep.grid_records(grid)
-    sweep.write_records_csv(records, args.out)
-    retained = len(records)
-    counts = {
-        "cardinality": grid.cardinality,
-        "removed_degenerate": grid.cardinality - retained,
-        "retained": retained,
-    }
-    manifest = {
-        "tool": _tool_stamp(),
-        "grid": _grid_echo(grid),
-        "counts": counts,
-        "exclusions": {k: records.counts[k] for k in ("structural", "unrepresentable")},
-    }
-    if sweep.is_default_grid(records):
-        manifest["reference_delta"] = sweep.reference_delta(
-            sweep.aggregate_sign_table(records), retained
-        )
-    manifest["timestamp"] = _timestamp()
     manifest_path = str(args.out) + ".manifest.json"
-    _write_json(manifest_path, manifest)
+    # the CSV's writer opens it before the grid's first chunk is evaluated
+    with _outputs((manifest_path, None)) as (manifest_fh,):
+        sweep.write_records_csv(records, args.out)
+        retained = len(records)
+        counts = {
+            "cardinality": grid.cardinality,
+            "removed_degenerate": grid.cardinality - retained,
+            "retained": retained,
+        }
+        manifest = {
+            "tool": _tool_stamp(),
+            "grid": _grid_echo(grid),
+            "counts": counts,
+            "exclusions": {k: records.counts[k] for k in ("structural", "unrepresentable")},
+        }
+        if sweep.is_default_grid(records):
+            manifest["reference_delta"] = sweep.reference_delta(
+                sweep.aggregate_sign_table(records), retained
+            )
+        manifest["timestamp"] = _timestamp()
+        _write_json(manifest_fh, manifest)
     print(
         f"grid settings: {counts['cardinality']}  removed: "
         f"{counts['removed_degenerate']}  retained: {counts['retained']}"
@@ -300,51 +327,55 @@ _POLARITY_WORD = {
 
 def cmd_tables(args) -> int:
     records, source = _records_from_args(args)
+    outputs = []
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)  # "" raises, where Path("") is the working directory
-    sign_table, harm_table = sweep.aggregate_tables(records)
-    tables = (
-        (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
-        (_HARM_TABLE, [
-            (_POLARITY_WORD[pol], pi0, str(sf).lower(), total,
-             "" if total == 0 else repr(harmed / total))
-            for (pol, pi0, sf), (harmed, total) in harm_table.items()
-        ]),
-    )
-
-    for (_, _, header, row_format), rows in tables:
-        print("\n".join([header] + [row_format.format(*row) for row in rows]))
-        print()
-    reference = {}
-    if sweep.is_default_grid(records):  # the only records the reference describes
-        delta = sweep.reference_delta(sign_table, len(records))
-        reference["reference_delta"] = delta
-        print("reference tabulation cross-check:")
-        print(
-            f"  retained here: {delta['retained']}   reference total: "
-            f"{delta['reference_total']}   count delta: {delta['count_delta']}"
-        )
-        print(
-            f"  cell count differences after orientation swap: "
-            f"{delta['cell_deltas_after_orientation_swap'] or 'none'}"
-        )
-        print(f"  note: {delta['orientation_note']}")
-
-    if args.out is not None:
         out = Path(args.out)
-        for (name, columns, _, _), rows in tables:
-            with open(out / name, "w", newline="") as fh:
+        outputs = [(out / _SIGN_TABLE[0], ""), (out / _HARM_TABLE[0], ""),
+                   (out / "tables_manifest.json", None)]
+    with _outputs(*outputs) as handles:
+        sign_table, harm_table = sweep.aggregate_tables(records)
+        tables = (
+            (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
+            (_HARM_TABLE, [
+                (_POLARITY_WORD[pol], pi0, str(sf).lower(), total,
+                 "" if total == 0 else repr(harmed / total))
+                for (pol, pi0, sf), (harmed, total) in harm_table.items()
+            ]),
+        )
+
+        for (_, _, header, row_format), rows in tables:
+            print("\n".join([header] + [row_format.format(*row) for row in rows]))
+            print()
+        reference = {}
+        if sweep.is_default_grid(records):  # the only records the reference describes
+            delta = sweep.reference_delta(sign_table, len(records))
+            reference["reference_delta"] = delta
+            print("reference tabulation cross-check:")
+            print(
+                f"  retained here: {delta['retained']}   reference total: "
+                f"{delta['reference_total']}   count delta: {delta['count_delta']}"
+            )
+            print(
+                f"  cell count differences after orientation swap: "
+                f"{delta['cell_deltas_after_orientation_swap'] or 'none'}"
+            )
+            print(f"  note: {delta['orientation_note']}")
+
+        if handles:
+            *csv_handles, manifest_fh = handles
+            for ((_, columns, _, _), rows), fh in zip(tables, csv_handles):
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(columns)
                 writer.writerows(rows)
-        _write_json(out / "tables_manifest.json", {
-            "tool": _tool_stamp(),
-            "source": source,
-            **reference,
-            "timestamp": _timestamp(),
-        })
-        print(f"\nwrote {out / 'sign_table.csv'}, {out / 'harm_table.csv'}, "
-              f"{out / 'tables_manifest.json'}")
+            _write_json(manifest_fh, {
+                "tool": _tool_stamp(),
+                "source": source,
+                **reference,
+                "timestamp": _timestamp(),
+            })
+            print(f"\nwrote {out / 'sign_table.csv'}, {out / 'harm_table.csv'}, "
+                  f"{out / 'tables_manifest.json'}")
     return EXIT_OK
 
 
@@ -372,26 +403,26 @@ _FIGURES = (
 def cmd_plot(args) -> int:
     records, source = _records_from_args(args)
     os.makedirs(args.out, exist_ok=True)
-    # the chunks are joined, so a grid is evaluated and a file read once
-    records = sweep.Records.join(records.chunks())
-    beneficial = records.where(avg_treatment_beneficial=True)
     out = Path(args.out)
-    for name, restricted, title, axes in _FIGURES:
-        recs = beneficial if restricted else records
-        manifest = {
-            "tool": _tool_stamp(),
-            "figure": name,
-            "source": source,
-            "subset": "avg-beneficial" if restricted else "all",
-            "points": len(recs),
-        }
-        if axes is None:
-            svg = figures.auc_pre_panel(recs, title, manifest)
-        else:
-            svg = figures.odds_ratio_panels(recs, *axes, title, manifest)
-        with open(out / name, "w") as fh:
+    with _outputs(*[(out / name, None) for name, *_ in _FIGURES]) as handles:
+        # the chunks are joined, so a grid is evaluated and a file read once
+        records = sweep.Records.join(records.chunks())
+        beneficial = records.where(avg_treatment_beneficial=True)
+        for (name, restricted, title, axes), fh in zip(_FIGURES, handles):
+            recs = beneficial if restricted else records
+            manifest = {
+                "tool": _tool_stamp(),
+                "figure": name,
+                "source": source,
+                "subset": "avg-beneficial" if restricted else "all",
+                "points": len(recs),
+            }
+            if axes is None:
+                svg = figures.auc_pre_panel(recs, title, manifest)
+            else:
+                svg = figures.odds_ratio_panels(recs, *axes, title, manifest)
             fh.write(svg)
-        print(f"wrote {out / name}")
+            print(f"wrote {out / name}")
     return EXIT_OK
 
 
@@ -417,66 +448,71 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
         scenario_index=args.scenario_index,
     )
-    dump = args.dump_samples  # its first file opens the prefix's directory
-    _touch(args.out, None if dump is None else f"{dump}.pre.csv")
-    mc_echo = dict(vars(cfg))
-    policies = {"pre": report.policy_pre, "post": report.policy_post}
-    counts = mc.cell_counts(params, tuple(policies.values()), cfg)
-    blocks = {}
-    for (which, policy), cells in zip(policies.items(), counts):
-        emp = _empirical_block(mc.empirical_metrics(cells, report.top))
-        if args.dump_samples is not None:
-            path = f"{args.dump_samples}.{which}.csv"
-            mc.write_sample_csv(mc.sample(params, policy, cfg), path)
-            print(f"wrote {path}")
-            _write_json(f"{args.dump_samples}.{which}.manifest.json", {
-                "tool": _tool_stamp(),
-                "config": raw,
-                "policy": list(policy),
-                "mc": mc_echo,
-            })
-        closed = _dist_block(report, which)
-        blocks[which] = {
-            "closed_form": closed,
-            "empirical": emp,
-            "agreement": {
-                "mu0_abs_err": _abs_err(emp["mu_hat"][0], closed["mu"][0]),
-                "mu1_abs_err": _abs_err(emp["mu_hat"][1], closed["mu"][1]),
-                **{
-                    f"{k}_abs_err": _abs_err(emp[f"{k}_hat"], closed[k])
-                    for k in ("sens", "spec", "auc")
+    dump = args.dump_samples
+    dump_names = [] if dump is None else [
+        (f"{dump}.{which}{suffix}", newline)
+        for which in ("pre", "post")
+        for suffix, newline in ((".csv", ""), (".manifest.json", None))
+    ]
+    out_spec = None if args.out is None else (args.out, None)
+    with _outputs(out_spec, *dump_names) as (out, *dumps):
+        dumps = iter(dumps)  # in write order: each policy's CSV, then its manifest
+        mc_echo = dict(vars(cfg))
+        policies = {"pre": report.policy_pre, "post": report.policy_post}
+        counts = mc.cell_counts(params, tuple(policies.values()), cfg)
+        blocks = {}
+        for (which, policy), cells in zip(policies.items(), counts):
+            emp = _empirical_block(mc.empirical_metrics(cells, report.top))
+            if dump is not None:
+                mc.write_sample_csv(mc.sample(params, policy, cfg), next(dumps))
+                print(f"wrote {dump}.{which}.csv")
+                _write_json(next(dumps), {
+                    "tool": _tool_stamp(),
+                    "config": raw,
+                    "policy": list(policy),
+                    "mc": mc_echo,
+                })
+            closed = _dist_block(report, which)
+            blocks[which] = {
+                "closed_form": closed,
+                "empirical": emp,
+                "agreement": {
+                    "mu0_abs_err": _abs_err(emp["mu_hat"][0], closed["mu"][0]),
+                    "mu1_abs_err": _abs_err(emp["mu_hat"][1], closed["mu"][1]),
+                    **{
+                        f"{k}_abs_err": _abs_err(emp[f"{k}_hat"], closed[k])
+                        for k in ("sens", "spec", "auc")
+                    },
                 },
-            },
-        }
+            }
 
-    auc_hats = (blocks["pre"]["empirical"]["auc_hat"],
-                blocks["post"]["empirical"]["auc_hat"])
-    text = json.dumps({
-        "tool": _tool_stamp(),
-        "config": raw,
-        "mc": mc_echo,
-        "pre": blocks["pre"],
-        "post": blocks["post"],
-        "auc_delta": {
-            "closed_form": report.auc_delta,
-            "empirical": (
-                None if None in auc_hats else auc_hats[1] - auc_hats[0]
-            ),
-        },
-        "self_fulfilling": report.self_fulfilling,
-        "harmful_marginal": report.harm.harmful_marginal,
-    }, indent=2)
-    print(text)
-    for which in ("pre", "post"):
-        if blocks[which]["empirical"]["insufficient_cases"]:
-            print(
-                f"note: {which} sample is missing an outcome class; "
-                "rank metrics unavailable (insufficient cases)",
-                file=sys.stderr,
-            )
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        auc_hats = (blocks["pre"]["empirical"]["auc_hat"],
+                    blocks["post"]["empirical"]["auc_hat"])
+        text = json.dumps({
+            "tool": _tool_stamp(),
+            "config": raw,
+            "mc": mc_echo,
+            "pre": blocks["pre"],
+            "post": blocks["post"],
+            "auc_delta": {
+                "closed_form": report.auc_delta,
+                "empirical": (
+                    None if None in auc_hats else auc_hats[1] - auc_hats[0]
+                ),
+            },
+            "self_fulfilling": report.self_fulfilling,
+            "harmful_marginal": report.harm.harmful_marginal,
+        }, indent=2)
+        print(text)
+        for which in ("pre", "post"):
+            if blocks[which]["empirical"]["insufficient_cases"]:
+                print(
+                    f"note: {which} sample is missing an outcome class; "
+                    "rank metrics unavailable (insufficient cases)",
+                    file=sys.stderr,
+                )
+        if out is not None:
+            out.write(text + "\n")
     return EXIT_OK
 
 

@@ -94,7 +94,9 @@ class _Svg:
         )
 
     def finish(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+        """The document, built by one join; the last call on this object."""
+        self.parts += ["</svg>", ""]
+        return "\n".join(self.parts)
 
 
 class _Axis:

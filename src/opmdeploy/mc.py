@@ -166,9 +166,9 @@ _ROW_TEXT = np.array(
 )
 
 
-def write_sample_csv(tables, path) -> None:
-    """Write `sample`'s tables as one x,t,y CSV, a table at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,t,y\n")
-        for rows in tables:
-            fh.writelines(_ROW_TEXT[4 * rows[:, 0] + 2 * rows[:, 1] + rows[:, 2]])
+def write_sample_csv(tables, fh) -> None:
+    """Write `sample`'s tables as one x,t,y CSV, a table at a time, to a
+    text file opened with newline=""."""
+    fh.write("x,t,y\n")
+    for rows in tables:
+        fh.writelines(_ROW_TEXT[4 * rows[:, 0] + 2 * rows[:, 1] + rows[:, 2]])

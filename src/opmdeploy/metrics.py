@@ -66,7 +66,7 @@ def discrimination(dist: ObservedDistribution, top: int) -> DiscriminationMetric
         raise DegenerateOutcome(
             f"p(Y=1)={dist.p_y1!r}: sensitivity/specificity undefined"
         ) from None
-    return DiscriminationMetrics(sens=sens, spec=spec, auc=0.5 * (sens + spec))
+    return DiscriminationMetrics(sens, spec, 0.5 * (sens + spec))
 
 
 def calibration(
@@ -79,18 +79,12 @@ def calibration(
     has the single level (f, p(Y=1), 1). Whether the predictor is calibrated
     is decided by the caller from coefficient signs; the gaps are reported.
     """
-    if opm.f[0] == opm.f[1]:
-        levels = (
-            CalibrationLevel(alpha=opm.f[0], conditional_mean=dist.p_y1, mass=1.0),
-        )
+    f0, f1 = opm.f
+    if f0 == f1:
+        levels = (CalibrationLevel(f0, dist.p_y1, 1.0),)
     else:
         levels = (
-            CalibrationLevel(
-                alpha=opm.f[0], conditional_mean=dist.mu[0], mass=1.0 - p_x
-            ),
-            CalibrationLevel(alpha=opm.f[1], conditional_mean=dist.mu[1], mass=p_x),
+            CalibrationLevel(f0, dist.mu[0], 1.0 - p_x),
+            CalibrationLevel(f1, dist.mu[1], p_x),
         )
-    max_gap = max(level.gap for level in levels)
-    return CalibrationReport(
-        levels=levels, max_gap=max_gap, is_calibrated=is_calibrated
-    )
+    return CalibrationReport(levels, max([level.gap for level in levels]), is_calibrated)

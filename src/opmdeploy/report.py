@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import classify, metrics
 from .classify import CheckResult, HarmAssessment, SubcaseRow, Verdict
@@ -46,16 +45,16 @@ class DeploymentReport:
 
     def checks(self) -> dict[str, CheckResult | SubcaseRow]:
         """The consistency checkers' results on this report, computed once
-        per report; each call returns a new dict."""
-        return dict(self._checks)
-
-    @cached_property
-    def _checks(self) -> dict[str, CheckResult | SubcaseRow]:
-        return {
-            "uniform_effect_rule": classify.check_uniform_effect_rule(self),
-            "shift_subcase": classify.classify_shift_subcase(self),
-            "calibration_preservation": classify.check_calibration_preservation(self),
-        }
+        per report; each call returns a new dict. The memo takes no lock:
+        two threads may each run the pure checkers once."""
+        found = self.__dict__.get("_checks")
+        if found is None:
+            found = self.__dict__["_checks"] = {
+                "uniform_effect_rule": classify.check_uniform_effect_rule(self),
+                "shift_subcase": classify.classify_shift_subcase(self),
+                "calibration_preservation": classify.check_calibration_preservation(self),
+            }
+        return dict(found)
 
 
 def evaluate_scenario(params: ScenarioParams) -> DeploymentReport:

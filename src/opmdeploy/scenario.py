@@ -182,10 +182,10 @@ def log_odds(params, t: int, x: int):
 def potential_outcomes(params: ScenarioParams) -> PotentialOutcomes:
     """Evaluate the log-odds model at all four (t, x) cells, of a scenario
     or of columns of them."""
-    q = tuple(
-        tuple(logistic(log_odds(params, t, x)) for x in (0, 1)) for t in (0, 1)
-    )
-    return PotentialOutcomes(q=q)
+    return PotentialOutcomes((
+        (logistic(log_odds(params, 0, 0)), logistic(log_odds(params, 0, 1))),
+        (logistic(log_odds(params, 1, 0)), logistic(log_odds(params, 1, 1))),
+    ))
 
 
 def observed_distribution(
@@ -199,16 +199,15 @@ def observed_distribution(
     exactly; p_x is unchanged by deployment.
     """
     a0, a1 = assign
-    mu = (
-        (1 - a0) * po.q[0][0] + a0 * po.q[1][0],
-        (1 - a1) * po.q[0][1] + a1 * po.q[1][1],
+    (q00, q01), (q10, q11) = po.q
+    mu0 = (1 - a0) * q00 + a0 * q10
+    mu1 = (1 - a1) * q01 + a1 * q11
+    w0 = 1.0 - p_x
+    return ObservedDistribution(
+        (mu0, mu1),
+        w0 * mu0 + p_x * mu1,
+        ((w0 * (1.0 - mu0), w0 * mu0), (p_x * (1.0 - mu1), p_x * mu1)),
     )
-    p_y1 = (1.0 - p_x) * mu[0] + p_x * mu[1]
-    joint = (
-        ((1.0 - p_x) * (1.0 - mu[0]), (1.0 - p_x) * mu[0]),
-        (p_x * (1.0 - mu[1]), p_x * mu[1]),
-    )
-    return ObservedDistribution(mu=mu, p_y1=p_y1, joint=joint)
 
 
 def historic_step_sign(pi0, beta_x, beta_xt):
@@ -274,7 +273,7 @@ def fit_opm(historic: ObservedDistribution, top: int) -> Opm:
     and f(1), swaps their order or puts the midpoint on f(top). The
     deployed policy treats `top` either way.
     """
-    f = (historic.mu[0], historic.mu[1])
+    f = historic.mu
     lam = 0.5 * (f[0] + f[1])
-    return Opm(f=f, lam=lam if f[1 - top] <= lam < f[top] else None)
+    return Opm(f, lam if f[1 - top] <= lam < f[top] else None)
 

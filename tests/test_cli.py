@@ -603,6 +603,47 @@ class TestOutputPathsFirst:
         assert captured.err.startswith("i/o error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    # Each output name that cannot be opened is not the first one a command
+    # opens: its earlier names are opened, then removed again.
+    @pytest.mark.parametrize("dirs, argv", [
+        ((), ["sweep", "--out", "a" * 247 + ".csv"]),  # the manifest name is too long
+        (("d",), ["sweep", "--out", "d"]),  # the manifest can be made, the CSV not
+        (("t",), ["simulate", "--dump-samples", "t/" + "b" * 240]),
+        (("d/x.post.manifest.json",), ["simulate", "--dump-samples", "d/x"]),
+        (("d/x.pre.csv",), ["simulate", "--out", "s.json", "--dump-samples", "d/x"]),
+        (("d/harm_table.csv",), ["tables", "--out", "d"]),
+        (("d/tables_manifest.json",), ["tables", "--csv", "taken", "--out", "d"]),
+        (("d/fig-auc-pre-vs-diff.svg",), ["plot", "--out", "d"]),
+        (("d/fig-bt-vs-diff-all.svg",), ["plot", "--csv", "taken", "--out", "d"]),
+    ], ids=["sweep-long-name", "sweep-into-a-directory", "simulate-long-prefix",
+            "simulate-post-manifest", "simulate-dump-after-out", "tables-harm-csv",
+            "tables-manifest", "plot-last-figure", "plot-csv-second-figure"])
+    def test_every_name_is_opened_before_the_work(
+        self, no_work, tmp_path, monkeypatch, capsys, dirs, argv
+    ):
+        if argv[0] == "simulate":
+            argv = [*argv, *INLINE_SCENARIO]
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("a sweep CSV that is never read\n")
+        for d in dirs:
+            Path(d).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["tables", "plot"])
+    def test_a_run_that_fails_later_removes_the_files_it_opened(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.csv").write_text("not,a,sweep,header\n")
+        assert main([command, "--csv", "bad.csv", "--out", "d"]) == 2
+        assert "unexpected CSV header" in capsys.readouterr().err
+        assert list(Path("d").iterdir()) == []
+
 
 class TestOneParser:
     """`main` builds its parser once per process and parses every argv

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import mannwhitneyu
+from scipy.stats import chi2, mannwhitneyu, norm
 
 from conftest import LN25, random_params
 from opmdeploy.errors import ConfigError, DegenerateScenario
@@ -132,7 +132,8 @@ class TestSample:
     def test_sample_dump_columns(self, tmp_path):
         cfg = McConfig(n_samples=3, master_seed=5)
         path = tmp_path / "s.csv"
-        write_sample_csv(sample(BASE, (0, 0), cfg), path)
+        with open(path, "w", newline="") as fh:
+            write_sample_csv(sample(BASE, (0, 0), cfg), fh)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,t,y"
         assert len(lines) == 4
@@ -146,7 +147,8 @@ class TestSample:
             cfg = McConfig(n_samples=n, master_seed=seed)
             table = np.concatenate(list(sample(BASE, policy, cfg)))
             path = tmp_path / "s.csv"
-            write_sample_csv(sample(BASE, policy, cfg), path)
+            with open(path, "w", newline="") as fh:
+                write_sample_csv(sample(BASE, policy, cfg), fh)
             oracle = tmp_path / "oracle.csv"
             with open(oracle, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
@@ -234,30 +236,6 @@ class TestOracleAgreement:
         m = empirical_metrics(post, r.top)
         assert abs(m.auc_hat - r.discrimination_post.auc) <= 0.005
 
-    def test_classification_agreement_on_grid_scenarios(self):
-        # 20 seeded draws from the retained grid: empirical AUC-shift sign
-        # and empirical harm direction must match the closed-form booleans
-        # whenever the closed-form magnitudes are macroscopic.
-        retained = expand_and_filter(default_grid())
-        rng = np.random.default_rng(90210)
-        picks = rng.choice(len(retained), size=20, replace=False)
-        n = 1_000_000
-        for idx in sorted(int(i) for i in picks):
-            params = retained[idx]
-            cfg = McConfig(n_samples=n, master_seed=77, scenario_index=idx)
-            r, counts = deployed_counts(params, cfg)
-            pre, post = (empirical_metrics(c, r.top) for c in counts)
-            if abs(r.auc_delta) > 0.01:
-                emp_delta = post.auc_hat - pre.auc_hat
-                assert (emp_delta > 0) == (r.auc_delta > 0)
-            c = r.harm.changed_group
-            shift = r.harm.outcome_shift[c]
-            if abs(shift) > 0.01:
-                emp_shift = post.mu_hat[c] - pre.mu_hat[c]
-                assert (emp_shift > 0) == (shift > 0)
-                favorable = params.polarity.favorable_sign * emp_shift
-                assert (favorable < 0) == r.harm.harmful_marginal
-
     def test_random_scenarios_group_mean_rate(self):
         rng = np.random.default_rng(555)
         n = 200_000
@@ -270,3 +248,127 @@ class TestOracleAgreement:
                 continue
             m = empirical_metrics(post, r.top)
             assert abs(m.auc_hat - r.discrimination_post.auc) <= 6 * 0.5 / math.sqrt(n)
+
+
+GRID_N = 20_000
+# The tail probability of a 5 SE normal deviation, both sides.
+FIVE_SE_TAIL = 2 * norm.sf(5.0)
+
+
+@pytest.fixture(scope="module")
+def grid_draws():
+    """Every retained default-grid setting drawn once through `cell_counts`
+    (its own substream, `scenario_index` = row), under the policies the
+    closed form deploys, next to the values those draws estimate.
+
+    The expected values come from `potential_outcomes` alone (q and cate)
+    and the model's definition: the fitted predictor ranks the group with
+    the higher historic q on top, the deployed policy treats that group,
+    and the changed group's outcome moves by its treatment effect, granted
+    (pi0 = 0) or withdrawn (pi0 = 1). Each standard error is the binomial
+    one given the realised group and class sizes, so each standardised
+    error is close to N(0, 1).
+    """
+    est, exp, se = {}, {}, {}
+
+    def add(name, estimate, expected, error):
+        est.setdefault(name, []).append(estimate)
+        exp.setdefault(name, []).append(expected)
+        se.setdefault(name, []).append(error)
+
+    decisions = []
+    for row, params in enumerate(expand_and_filter(default_grid())):
+        r = evaluate_scenario(params)
+        cfg = McConfig(n_samples=GRID_N, master_seed=20261019, scenario_index=row)
+        counts = cell_counts(params, (r.policy_pre, r.policy_post), cfg)
+        po = potential_outcomes(params)
+        q, pi0, p_x = po.q, params.pi0, params.p_x
+        top = int(q[pi0][1] > q[pi0][0])
+        changed = top if pi0 == 0 else 1 - top
+        add("p_x", (counts[0][2] + counts[0][3]) / GRID_N, p_x,
+            math.sqrt(p_x * (1 - p_x) / GRID_N))
+        auc = []
+        for which, assign, cells in zip(("pre", "post"), ((pi0, pi0), (1 - top, top)), counts):
+            m = empirical_metrics(cells, top)
+            mu = [q[assign[0]][0], q[assign[1]][1]]
+            for x in (0, 1):
+                n_x = int(cells[2 * x] + cells[2 * x + 1])
+                add(f"mu_{which}{x}", m.mu_hat[x], mu[x], math.sqrt(mu[x] * (1 - mu[x]) / n_x))
+            w = (1 - p_x, p_x)
+            p_y1 = w[0] * mu[0] + w[1] * mu[1]
+            sens = w[top] * mu[top] / p_y1
+            spec = w[1 - top] * (1 - mu[1 - top]) / (1 - p_y1)
+            var_sens, var_spec = sens * (1 - sens) / m.n_pos, spec * (1 - spec) / m.n_neg
+            add(f"sens_{which}", m.sens_hat, sens, math.sqrt(var_sens))
+            add(f"spec_{which}", m.spec_hat, spec, math.sqrt(var_spec))
+            add(f"auc_{which}", m.auc_hat, 0.5 * (sens + spec), 0.5 * math.sqrt(var_sens + var_spec))
+            auc.append((m.auc_hat, 0.5 * (sens + spec), se["auc_" + which][-1]))
+        # pre and post share the patients: the changed group's shift counts
+        # those whose u_y falls between its two thresholds, a binomial
+        shift = (1 - 2 * pi0) * po.cate[changed]
+        n_c = int(counts[0][2 * changed] + counts[0][2 * changed + 1])
+        emp_shift = est[f"mu_post{changed}"][-1] - est[f"mu_pre{changed}"][-1]
+        add("shift", emp_shift, shift, math.sqrt(abs(shift) * (1 - abs(shift)) / n_c))
+        (pre_hat, pre, pre_se), (post_hat, post, post_se) = auc
+        decisions.append({
+            "report": r,
+            "changed": changed,
+            # the two AUCs are correlated: the sum of their SEs bounds the
+            # SE of their difference whatever the correlation
+            "auc_delta": (post_hat - pre_hat, post - pre, pre_se + post_se),
+            "shift": (emp_shift, shift, se["shift"][-1]),
+        })
+    arrays = {k: (np.array(est[k]), np.array(exp[k]), np.array(se[k])) for k in est}
+    return arrays, decisions
+
+
+class TestWholeGridAgreement:
+    """The seeded Monte Carlo draws of every retained default-grid setting
+    agree with the closed form: each estimate, each estimate pooled over the
+    grid, the standardised errors' mean and spread, and the AUC-change sign
+    and harm direction wherever the sample decides them."""
+
+    def test_the_grid_is_whole(self, grid_draws):
+        arrays, decisions = grid_draws
+        assert len(decisions) == 4620
+        assert len(arrays) == 12
+
+    def test_each_estimate_within_6_se(self, grid_draws):
+        arrays, _ = grid_draws
+        for name, (est, exp, se) in arrays.items():
+            bad = np.flatnonzero(np.abs(est - exp) > 6 * se)
+            assert bad.size == 0, (name, bad[:5], est[bad[:5]], exp[bad[:5]])
+
+    def test_each_estimate_pooled_over_the_grid_within_5_se(self, grid_draws):
+        arrays, _ = grid_draws
+        for name, (est, exp, se) in arrays.items():
+            pooled_se = math.sqrt(np.sum(se**2)) / se.size
+            assert abs(np.mean(est - exp)) <= 5 * pooled_se, name
+
+    def test_standardised_errors_are_standard(self, grid_draws):
+        arrays, _ = grid_draws
+        for name, (est, exp, se) in arrays.items():
+            kept = se > 0  # a zero shift has a zero SE, and is exact above
+            z = (est[kept] - exp[kept]) / se[kept]
+            n = z.size
+            assert n > 3000, name
+            assert abs(np.mean(z)) <= 5 / math.sqrt(n), name
+            assert chi2.ppf(FIVE_SE_TAIL, n) <= np.sum(z**2) <= chi2.isf(FIVE_SE_TAIL, n), name
+
+    def test_decided_signs_match_the_closed_form(self, grid_draws):
+        _, decisions = grid_draws
+        decided_auc = decided_shift = 0
+        for d in decisions:
+            r = d["report"]
+            emp, exp, se = d["auc_delta"]
+            if abs(exp) > 6 * se:
+                decided_auc += 1
+                assert np.sign(emp) == r.auc_sign
+            emp, exp, se = d["shift"]
+            if abs(exp) > 6 * se:
+                decided_shift += 1
+                assert r.harm.changed_group == d["changed"]
+                assert np.sign(emp) == np.sign(r.harm.outcome_shift[d["changed"]])
+                favorable = r.params.polarity.favorable_sign * emp
+                assert (favorable < 0) == r.harm.harmful_marginal
+        assert decided_auc > 2500 and decided_shift > 4000  # most settings decide both
