@@ -1,10 +1,15 @@
-"""Harm classification, the verdict lookup, and consistency checkers.
+"""Harm classification, the verdict rule, and consistency checkers.
 
-Sign conventions live in one place: `verdict_from_signs` maps (polarity,
-historic policy, sign of the changed group's log-odds effect) to a verdict,
-so "the inequality signs reverse" for undesirable outcomes is implemented
-exactly once. The harm flags follow from that verdict, and the checkers
-read the same coefficient signs.
+Sign conventions live in one place, `benefit_sign`: a deployment benefits
+the changed group when favorable_sign * (1 - 2*pi0) * s is +1, harms it
+when it is -1, and changes nothing when it is 0, where s is the sign of
+that group's log-odds treatment effect (the AUC sign). Under treat no one
+deployment grants the group treatment, which moves its outcome with the
+effect; under treat everyone it withdraws treatment, which moves the
+outcome against it; polarity says whether that direction is good. So "the
+inequality signs reverse" for undesirable outcomes is implemented exactly
+once. The harm flags follow from the verdict, and the checkers read the
+same coefficient signs.
 """
 
 from __future__ import annotations
@@ -72,22 +77,21 @@ def assess_harm(
     )
 
 
-# Verdict by (polarity, historic assignment, sign of the AUC change). The
-# mechanism: a fitted OPM treats the higher-predicted group, so under
-# "treat no one" the changed group is the one the model can see improving
-# (AUC up <=> outcome up), while under "treat everyone" it is the
-# lower-predicted group (AUC up <=> outcome down). Either way the AUC sign
-# is the sign of the changed group's log-odds treatment effect.
-_VERDICT_BY_SIGNS = {
-    (OutcomePolarity.UNDESIRABLE, 0, +1): Verdict.HARMFUL,
-    (OutcomePolarity.UNDESIRABLE, 0, -1): Verdict.BENEFICIAL,
-    (OutcomePolarity.UNDESIRABLE, 1, +1): Verdict.BENEFICIAL,
-    (OutcomePolarity.UNDESIRABLE, 1, -1): Verdict.HARMFUL,
-    (OutcomePolarity.DESIRABLE, 0, +1): Verdict.BENEFICIAL,
-    (OutcomePolarity.DESIRABLE, 0, -1): Verdict.HARMFUL,
-    (OutcomePolarity.DESIRABLE, 1, +1): Verdict.HARMFUL,
-    (OutcomePolarity.DESIRABLE, 1, -1): Verdict.BENEFICIAL,
-}
+def benefit_sign(favorable_sign, pi0, auc_sign):
+    """+1 if deployment benefits the changed group, -1 if it harms it, 0 if
+    it changes nothing: on ints, or elementwise on columns of them.
+
+    The mechanism: a fitted OPM treats the higher-predicted group, so under
+    "treat no one" the changed group is the one the model can see improving
+    (AUC up <=> outcome up), while under "treat everyone" it is the
+    lower-predicted group (AUC up <=> outcome down). Either way the AUC sign
+    is the sign of the changed group's log-odds treatment effect.
+    """
+    return favorable_sign * (1 - 2 * pi0) * auc_sign
+
+
+# The verdict by benefit sign: index -1 is the last entry.
+VERDICT_BY_BENEFIT = (Verdict.NO_CHANGE, Verdict.BENEFICIAL, Verdict.HARMFUL)
 
 
 def verdict_from_signs(
@@ -95,9 +99,7 @@ def verdict_from_signs(
 ) -> Verdict:
     """Deployment verdict from post-deployment observables alone: what Y=1
     means, what the historic policy was, and whether AUC rose or fell."""
-    if auc_sign == 0:
-        return Verdict.NO_CHANGE
-    return _VERDICT_BY_SIGNS[(polarity, pi0, auc_sign)]
+    return VERDICT_BY_BENEFIT[benefit_sign(polarity.favorable_sign, pi0, auc_sign)]
 
 
 def check_uniform_effect_rule(report: "DeploymentReport") -> CheckResult:

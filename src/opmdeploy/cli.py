@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -56,23 +55,26 @@ def _write_json(fh, payload) -> None:
 
 
 @contextlib.contextmanager
-def _outputs(*outputs):
-    """Open every output file, each a (path, newline) pair or None, for
-    writing before the command's work, and yield the handles (None for
-    None), so that a name that cannot be written fails first. If a name
-    cannot be opened or the work fails, the files opened here that did not
-    exist before are removed again."""
+def _outputs(outputs: dict, others=()):
+    """Open every output file, given as {role: path}, for writing before the
+    command's work, and yield the handles by role, so that a name that
+    cannot be written fails first. Two outputs that are one file, or an
+    output that is one of `others` ((role, path) pairs of the files the
+    command reads or writes itself), are refused before any file is opened.
+    If a name cannot be opened or the work fails, the files opened here
+    that did not exist before are removed again."""
+    seen = {}
+    for role, path in (*others, *outputs.items()):
+        first = seen.setdefault(os.path.realpath(path), (role, path))
+        if first[0] != role:
+            raise OpmDeployError(f"{first[0]} {first[1]} and {role} {path} name one file")
     created = []
     try:
         with contextlib.ExitStack() as stack:
-            handles = []
-            for spec in outputs:
-                if spec is None:
-                    handles.append(None)
-                    continue
-                path, newline = spec
+            handles = {}
+            for role, path in outputs.items():
                 new = not os.path.lexists(path)
-                handles.append(stack.enter_context(open(path, "w", newline=newline)))
+                handles[role] = stack.enter_context(open(path, "w", newline=""))
                 if new:
                     created.append(path)
             yield handles
@@ -109,8 +111,9 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, dict]:
     return ScenarioParams(**values), raw
 
 
-def _load_grid(source: str) -> sweep.GridSpec:
-    if source == "default":
+def _load_grid(source: str | None) -> sweep.GridSpec:
+    """The built-in grid for None or "default", else the grid JSON file."""
+    if source is None or source == "default":
         return sweep.default_grid()
     raw = _load_json(source)
     if not isinstance(raw, dict):
@@ -130,13 +133,18 @@ def _grid_echo(grid: sweep.GridSpec) -> dict:
     return echo
 
 
+def _csv_role(args) -> list:
+    """The `--csv` that `tables` and `plot` read, as `_outputs`' others."""
+    return [] if args.csv is None else [("--csv", args.csv)]
+
+
 def _records_from_args(args) -> tuple[sweep.Stream, dict]:
     """The records, streamed a chunk at a time, and their source echo. A
     CSV that cannot be opened fails here, before any output is made."""
     if args.csv is not None:
         open(args.csv, "rb").close()
         return sweep.csv_records(args.csv), {"csv": str(args.csv)}
-    grid = _load_grid("default" if args.grid is None else args.grid)
+    grid = _load_grid(args.grid)
     return sweep.grid_records(grid), {"grid": _grid_echo(grid)}
 
 
@@ -217,13 +225,11 @@ def _print_report(report: DeploymentReport) -> None:
     lam = "none" if report.opm.lam is None else f"{report.opm.lam:.6f}"
     print(f"fitted predictor: f=({report.opm.f[0]:.6f}, {report.opm.f[1]:.6f})  lambda={lam}")
     print(f"policies: historic={report.policy_pre}  deployed={report.policy_post}")
-    for which, dist, disc in (
-        ("pre ", report.pre, report.discrimination_pre),
-        ("post", report.post, report.discrimination_post),
-    ):
+    for which in ("pre", "post"):
+        d = _dist_block(report, which)
         print(
-            f"{which}: mu=({dist.mu[0]:.6f}, {dist.mu[1]:.6f})  p(Y=1)={dist.p_y1:.6f}"
-            f"  sens={disc.sens:.6f} spec={disc.spec:.6f} auc={disc.auc:.6f}"
+            f"{which:4}: mu=({d['mu'][0]:.6f}, {d['mu'][1]:.6f})  p(Y=1)={d['p_y1']:.6f}"
+            f"  sens={d['sens']:.6f} spec={d['spec']:.6f} auc={d['auc']:.6f}"
         )
     print(
         f"auc_delta={report.auc_delta:+.6f} (sign {report.auc_sign:+d})  "
@@ -256,10 +262,10 @@ def _print_report(report: DeploymentReport) -> None:
 def cmd_eval(args) -> int:
     params, raw = _scenario_from_args(args)
     report = evaluate_scenario(params)
-    with _outputs(None if args.out is None else (args.out, None)) as (out,):
+    with _outputs({} if args.out is None else {"--out": args.out}) as handles:
         _print_report(report)
-        if out is not None:
-            _write_json(out, report_to_json(report, raw))
+        if handles:
+            _write_json(handles["--out"], report_to_json(report, raw))
             print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -273,7 +279,7 @@ def cmd_sweep(args) -> int:
     records = sweep.grid_records(grid)
     manifest_path = str(args.out) + ".manifest.json"
     # the CSV's writer opens it before the grid's first chunk is evaluated
-    with _outputs((manifest_path, None)) as (manifest_fh,):
+    with _outputs({"manifest": manifest_path}, [("--out", args.out)]) as handles:
         sweep.write_records_csv(records, args.out)
         retained = len(records)
         counts = {
@@ -292,7 +298,7 @@ def cmd_sweep(args) -> int:
                 sweep.aggregate_sign_table(records), retained
             )
         manifest["timestamp"] = _timestamp()
-        _write_json(manifest_fh, manifest)
+        _write_json(handles["manifest"], manifest)
     print(
         f"grid settings: {counts['cardinality']}  removed: "
         f"{counts['removed_degenerate']}  retained: {counts['retained']}"
@@ -327,13 +333,13 @@ _POLARITY_WORD = {
 
 def cmd_tables(args) -> int:
     records, source = _records_from_args(args)
-    outputs = []
+    outputs = {}
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)  # "" raises, where Path("") is the working directory
         out = Path(args.out)
-        outputs = [(out / _SIGN_TABLE[0], ""), (out / _HARM_TABLE[0], ""),
-                   (out / "tables_manifest.json", None)]
-    with _outputs(*outputs) as handles:
+        outputs = {"sign table": out / _SIGN_TABLE[0], "harm table": out / _HARM_TABLE[0],
+                   "manifest": out / "tables_manifest.json"}
+    with _outputs(outputs, _csv_role(args)) as handles:
         sign_table, harm_table = sweep.aggregate_tables(records)
         tables = (
             (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
@@ -363,11 +369,10 @@ def cmd_tables(args) -> int:
             print(f"  note: {delta['orientation_note']}")
 
         if handles:
-            *csv_handles, manifest_fh = handles
+            *csv_handles, manifest_fh = handles.values()
             for ((_, columns, _, _), rows), fh in zip(tables, csv_handles):
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                writer.writerows(rows)
+                fh.write(",".join(columns) + "\n")
+                fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
             _write_json(manifest_fh, {
                 "tool": _tool_stamp(),
                 "source": source,
@@ -404,11 +409,11 @@ def cmd_plot(args) -> int:
     records, source = _records_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     out = Path(args.out)
-    with _outputs(*[(out / name, None) for name, *_ in _FIGURES]) as handles:
+    with _outputs({name: out / name for name, *_ in _FIGURES}, _csv_role(args)) as handles:
         # the chunks are joined, so a grid is evaluated and a file read once
         records = sweep.Records.join(records.chunks())
         beneficial = records.where(avg_treatment_beneficial=True)
-        for (name, restricted, title, axes), fh in zip(_FIGURES, handles):
+        for (name, restricted, title, axes), fh in zip(_FIGURES, handles.values()):
             recs = beneficial if restricted else records
             manifest = {
                 "tool": _tool_stamp(),
@@ -449,14 +454,14 @@ def cmd_simulate(args) -> int:
         scenario_index=args.scenario_index,
     )
     dump = args.dump_samples
-    dump_names = [] if dump is None else [
-        (f"{dump}.{which}{suffix}", newline)
-        for which in ("pre", "post")
-        for suffix, newline in ((".csv", ""), (".manifest.json", None))
-    ]
-    out_spec = None if args.out is None else (args.out, None)
-    with _outputs(out_spec, *dump_names) as (out, *dumps):
-        dumps = iter(dumps)  # in write order: each policy's CSV, then its manifest
+    outputs = {} if args.out is None else {"--out": args.out}
+    if dump is not None:
+        outputs.update(
+            (f"{which} sample {kind}", f"{dump}.{which}{suffix}")
+            for which in ("pre", "post")
+            for kind, suffix in (("CSV", ".csv"), ("manifest", ".manifest.json"))
+        )
+    with _outputs(outputs) as handles:
         mc_echo = dict(vars(cfg))
         policies = {"pre": report.policy_pre, "post": report.policy_post}
         counts = mc.cell_counts(params, tuple(policies.values()), cfg)
@@ -464,9 +469,9 @@ def cmd_simulate(args) -> int:
         for (which, policy), cells in zip(policies.items(), counts):
             emp = _empirical_block(mc.empirical_metrics(cells, report.top))
             if dump is not None:
-                mc.write_sample_csv(mc.sample(params, policy, cfg), next(dumps))
+                mc.write_sample_csv(mc.sample(params, policy, cfg), handles[f"{which} sample CSV"])
                 print(f"wrote {dump}.{which}.csv")
-                _write_json(next(dumps), {
+                _write_json(handles[f"{which} sample manifest"], {
                     "tool": _tool_stamp(),
                     "config": raw,
                     "policy": list(policy),
@@ -511,8 +516,8 @@ def cmd_simulate(args) -> int:
                     "rank metrics unavailable (insufficient cases)",
                     file=sys.stderr,
                 )
-        if out is not None:
-            out.write(text + "\n")
+        if "--out" in handles:
+            handles["--out"].write(text + "\n")
     return EXIT_OK
 
 
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run a parameter grid, write records CSV")
-    p.add_argument("--grid", default="default", help="'default' or a JSON grid path")
+    p.add_argument("--grid", help="'default' (the default) or a JSON grid path")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 

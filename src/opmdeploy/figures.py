@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .classify import Verdict, verdict_from_signs
+from .classify import benefit_sign
 from .scenario import OutcomePolarity
 from .sweep import Records, map_distinct
 
@@ -141,9 +141,9 @@ def _odds_label(log_odds: float) -> str:
 
 
 def _harmful_auc_sign(polarity: OutcomePolarity, pi0: int) -> int:
-    """Which AUC-shift sign the verdict lookup labels harmful in a panel:
-    the lookup labels one sign harmful and the other beneficial."""
-    return 1 if verdict_from_signs(polarity, pi0, 1) is Verdict.HARMFUL else -1
+    """Which AUC-shift sign the verdict rule labels harmful in a panel: the
+    rule labels one sign harmful and the other beneficial."""
+    return -benefit_sign(polarity.favorable_sign, pi0, 1)
 
 
 _PANEL_ROWS = (OutcomePolarity.UNDESIRABLE, OutcomePolarity.DESIRABLE)

@@ -67,9 +67,9 @@ class OutcomePolarity(Enum):
     UNDESIRABLE = "undesirable"
 
     @property
-    def favorable_sign(self) -> float:
+    def favorable_sign(self) -> int:
         """+1 if a higher p(Y=1) is good, -1 if it is bad."""
-        return 1.0 if self is OutcomePolarity.DESIRABLE else -1.0
+        return 1 if self is OutcomePolarity.DESIRABLE else -1
 
 
 def parse_polarity(value) -> OutcomePolarity:

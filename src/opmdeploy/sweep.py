@@ -33,7 +33,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .classify import Verdict, verdict_from_signs
+from .classify import VERDICT_BY_BENEFIT, Verdict, benefit_sign
 from .errors import ConfigError
 from .metrics import discrimination
 
@@ -212,15 +212,8 @@ _MEMBERS = {OutcomePolarity: _POLARITIES, Verdict: _VERDICTS}
 _NO_CHANGE = _VERDICTS.index(Verdict.NO_CHANGE)
 _HARMFUL = _VERDICTS.index(Verdict.HARMFUL)
 _FAVORABLE_SIGN = np.array([p.favorable_sign for p in _POLARITIES])
-# Verdict code by (polarity code, pi0, effect sign + 1), from the one lookup.
-_VERDICT_CODES = np.array(
-    [
-        [[_VERDICTS.index(verdict_from_signs(pol, pi0, s)) for s in (-1, 0, 1)]
-         for pi0 in (0, 1)]
-        for pol in _POLARITIES
-    ],
-    dtype=np.int8,
-)
+# Verdict code by benefit sign, from the one rule.
+_VERDICT_CODES = np.array([_VERDICTS.index(v) for v in VERDICT_BY_BENEFIT], dtype=np.int8)
 # int8 for the ints and the enum codes
 _COLUMN_DTYPES = {
     name: {float: np.float64, bool: np.bool_}.get(kind, np.int8)
@@ -315,7 +308,7 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
         c = SimpleNamespace(**s)
         po = potential_outcomes(c)
         _, top, _, sign = deployment_signs(c)
-        verdict = _VERDICT_CODES[c.polarity, c.pi0, sign + 1]
+        verdict = _VERDICT_CODES[benefit_sign(_FAVORABLE_SIGN[c.polarity], c.pi0, sign)]
         pre = observed_distribution(po, (c.pi0, c.pi0), c.p_x)
         post = observed_distribution(po, (1 - top, top), c.p_x)
         auc_pre, auc_post = (discrimination(d, top).auc for d in (pre, post))

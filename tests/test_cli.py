@@ -634,6 +634,41 @@ class TestOutputPathsFirst:
         assert captured.err.startswith("i/o error: ")
         assert sorted(tmp_path.rglob("*")) == before
 
+    # Two roles that name one file: each command refuses the run before it
+    # opens any output, so no file is made, emptied or removed.
+    @pytest.mark.parametrize("argv, message", [
+        (["tables", "--csv", "out/sign_table.csv", "--out", "out"],
+         "--csv out/sign_table.csv and sign table out/sign_table.csv name one file"),
+        (["plot", "--csv", "out/fig-bt-vs-diff.svg", "--out", "out"],
+         "--csv out/fig-bt-vs-diff.svg and fig-bt-vs-diff.svg "
+         "out/fig-bt-vs-diff.svg name one file"),
+        (["simulate", "--samples", "1000", "--dump-samples", "d", "--out", "d.pre.manifest.json"],
+         "--out d.pre.manifest.json and pre sample manifest d.pre.manifest.json name one file"),
+        (["sweep", "--out", "link.csv"],
+         "--out link.csv and manifest link.csv.manifest.json name one file"),
+    ], ids=["tables-reads-its-output", "plot-reads-its-output",
+            "simulate-report-is-a-dump-manifest", "sweep-manifest-links-to-the-csv"])
+    def test_one_file_in_two_roles_exits_2(
+        self, no_work, sweep_csv, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        if argv[0] == "simulate":
+            argv = [*argv, *INLINE_SCENARIO]
+        monkeypatch.chdir(tmp_path)
+        Path("out").mkdir()
+        for name in ("sign_table.csv", "fig-bt-vs-diff.svg"):
+            Path("out", name).write_bytes(sweep_csv.read_bytes())
+        Path("link.csv").write_text("an earlier sweep\n")
+        Path("link.csv.manifest.json").symlink_to("link.csv")
+        def files():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = files()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert files() == before
+
     @pytest.mark.parametrize("command", ["tables", "plot"])
     def test_a_run_that_fails_later_removes_the_files_it_opened(
         self, tmp_path, monkeypatch, capsys, command
@@ -800,6 +835,22 @@ class TestGridEvaluatedOnce:
         monkeypatch.chdir(tmp_path)
         assert main(command) == 0
         assert calls == [(0, default_grid().cardinality)]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_no_grid_is_grid_default(self, calls, tmp_path, monkeypatch, command, capsys):
+        # and `--grid ""` is no grid at all: TestEmptyPath
+        monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00+00:00")
+        runs = []
+        for name, source in (("none", []), ("named", ["--grid", "default"])):
+            root = tmp_path / name
+            root.mkdir()
+            monkeypatch.chdir(root)
+            assert main([*command, *source]) == 0
+            files = {str(p.relative_to(root)): p.read_bytes()
+                     for p in root.rglob("*") if p.is_file()}
+            runs.append((capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert calls == [(0, default_grid().cardinality)] * 2
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_grid_of_many_chunks(self, calls, tmp_path, monkeypatch, command, capsys):
