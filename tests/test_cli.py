@@ -659,6 +659,7 @@ class TestOutputPathsFirst:
             Path("out", name).write_bytes(sweep_csv.read_bytes())
         Path("link.csv").write_text("an earlier sweep\n")
         Path("link.csv.manifest.json").symlink_to("link.csv")
+
         def files():
             return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
 
