@@ -60,12 +60,19 @@ def _outputs(outputs: dict, others=()):
     command's work, and yield the handles by role, so that a name that
     cannot be written fails first. Two outputs that are one file, or an
     output that is one of `others` ((role, path) pairs of the files the
-    command reads or writes itself), are refused before any file is opened.
+    command reads or writes itself), are refused before any file is opened:
+    names of files that exist are one file when their (device, inode) are,
+    so hard links are, and other names when their resolved paths are.
     If a name cannot be opened or the work fails, the files opened here
     that did not exist before are removed again."""
     seen = {}
     for role, path in (*others, *outputs.items()):
-        first = seen.setdefault(os.path.realpath(path), (role, path))
+        try:
+            st = os.stat(path)
+            file = st.st_dev, st.st_ino
+        except OSError:
+            file = os.path.realpath(path)
+        first = seen.setdefault(file, (role, path))
         if first[0] != role:
             raise OpmDeployError(f"{first[0]} {first[1]} and {role} {path} name one file")
     created = []

@@ -20,16 +20,14 @@ _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 _POINT_R = 2.4
 # The largest |log odds| whose odds ratio a legend writes plainly.
 _PLAIN_LOG_ODDS = math.log(10.0)
+# XML-escapes text (xml.sax.saxutils.escape would import urllib and ssl).
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _n(v: float) -> str:
     """Fixed-precision SVG coordinate, normalized so -0 never appears."""
     s = f"{v:.2f}"
     return "0.00" if s == "-0.00" else s
-
-
-def _lerp(a: float, b: float, t: float) -> float:
-    return a + (b - a) * t
 
 
 def _hex(rgb) -> str:
@@ -40,22 +38,19 @@ def diverging_color(t: float) -> str:
     """Blue -> light gray -> red over t in [0, 1]."""
     t = min(1.0, max(0.0, t))
     blue, mid, red = (33, 102, 172), (224, 224, 224), (178, 24, 43)
-    if t < 0.5:
-        u = t / 0.5
-        rgb = [_lerp(blue[i], mid[i], u) for i in range(3)]
-    else:
-        u = (t - 0.5) / 0.5
-        rgb = [_lerp(mid[i], red[i], u) for i in range(3)]
-    return _hex(rgb)
+    lo, hi, u = (blue, mid, t / 0.5) if t < 0.5 else (mid, red, (t - 0.5) / 0.5)
+    return _hex(a + (b - a) * u for a, b in zip(lo, hi))
 
 
 def _nice_step(span: float, target: int = 5) -> float:
-    raw = span / max(target, 1)
+    """The first of 1, 2, 2.5, 5 and 10 times the power of ten at or below
+    span / target that is at least span / target: that power is above a
+    tenth of span / target, so ten times it always is."""
+    raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             return mult * mag
-    return 10.0 * mag
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -75,23 +70,49 @@ def _tick_label(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+_ZERO_LINE = 'stroke="#888" stroke-width="0.8"'
+
+
 class _Svg:
-    def __init__(self, width: int, height: int, desc: dict):
+    """The one writer of a figure's markup: its parts, in order, and their
+    join. The desc holds the manifest as XML-escaped JSON."""
+
+    def __init__(self, width: int, height: int, desc: dict, title: str, title_size: float):
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">',
-            f"<desc>{json.dumps(desc, sort_keys=True)}</desc>",
+            f"<desc>{json.dumps(desc, sort_keys=True).translate(_ESCAPE)}</desc>",
             f'<rect width="{width}" height="{height}" fill="white"/>',
         ]
+        self.text(width / 2, 26, title, size=title_size, extra='font-weight="bold"')
 
     def add(self, element: str) -> None:
         self.parts.append(element)
+
+    def line(self, x1, y1, x2, y2, style='stroke="#444"') -> None:
+        self.add(f'<line x1="{_n(x1)}" y1="{_n(y1)}" x2="{_n(x2)}" y2="{_n(y2)}" {style}/>')
+
+    def rect(self, x, y, w, h, style: str) -> None:
+        self.add(f'<rect x="{_n(x)}" y="{_n(y)}" width="{_n(w)}" height="{_n(h)}" {style}/>')
 
     def text(self, x, y, s, size=12, anchor="middle", fill="#222", extra=""):
         self.add(
             f'<text x="{_n(x)}" y="{_n(y)}" {_FONT} font-size="{size}" '
             f'text-anchor="{anchor}" fill="{fill}" {extra}>{s}</text>'
         )
+
+    def y_label(self, x: int, y: float) -> None:
+        """The AUC-change axis title, rotated to run up the left edge."""
+        self.text(x, y, "AUC change (post − pre)", size=13,
+                  extra=f'transform="rotate(-90 {x} {_n(y)})"')
+
+    def circles(self, cxs, cys, fills, opacity: float) -> None:
+        """One point per (cx, cy, fill) of the formatted columns."""
+        point = (
+            f'<circle cx="{{}}" cy="{{}}" r="{_POINT_R}" fill="{{}}" '
+            f'fill-opacity="{opacity}" stroke="#333" stroke-width="0.25"/>'
+        )
+        self.parts.extend(map(point.format, cxs, cys, fills))
 
     def finish(self) -> str:
         """The document, built by one join; the last call on this object."""
@@ -124,12 +145,8 @@ def _amplitude(column, empty: float, floor: float) -> float:
 def _scatter(svg: _Svg, ax: _Axis, ay: _Axis, xs, ys, cs, color, opacity: float) -> None:
     """One circle per point at (ax(x), ay(y)), filled color(c): each
     distinct coordinate and color value of the columns is formatted once."""
-    point = (
-        f'<circle cx="{{}}" cy="{{}}" r="{_POINT_R}" fill="{{}}" '
-        f'fill-opacity="{opacity}" stroke="#333" stroke-width="0.25"/>'
-    )
     cells = map_distinct(_n, ax(xs)), map_distinct(_n, ay(ys)), map_distinct(color, cs)
-    svg.parts.extend(map(point.format, *(column.tolist() for column in cells)))
+    svg.circles(*(column.tolist() for column in cells), opacity)
 
 
 def _odds_label(log_odds: float) -> str:
@@ -171,8 +188,7 @@ def odds_ratio_panels(
     an odds ratio, log x-scale, diverging color by a second odds ratio, and
     the panel's harmful half-plane shaded."""
     width, height = 900, 660
-    svg = _Svg(width, height, manifest)
-    svg.text(width / 2, 26, title, size=16, extra='font-weight="bold"')
+    svg = _Svg(width, height, manifest, title, 16)
 
     columns = records.columns
     xs = columns[x_field].tolist()
@@ -196,45 +212,27 @@ def odds_ratio_panels(
             ax = _Axis(x_lo, x_hi, px, px + panel_w)
             ay = _Axis(-y_amp, y_amp, py + panel_h, py)
 
-            svg.add(
-                f'<rect x="{_n(px)}" y="{_n(py)}" width="{_n(panel_w)}" '
-                f'height="{_n(panel_h)}" fill="none" stroke="#444"/>'
-            )
+            svg.rect(px, py, panel_w, panel_h, 'fill="none" stroke="#444"')
             harmful_sign = _harmful_auc_sign(polarity, pi0)
             shade_top = py if harmful_sign > 0 else ay(0.0)
-            svg.add(
-                f'<rect x="{_n(px)}" y="{_n(shade_top)}" width="{_n(panel_w)}" '
-                f'height="{_n(panel_h / 2)}" fill="#d73027" fill-opacity="0.12"/>'
-            )
+            svg.rect(px, shade_top, panel_w, panel_h / 2, 'fill="#d73027" fill-opacity="0.12"')
             label_y = py + 16 if harmful_sign > 0 else py + panel_h - 9
             svg.text(px + panel_w - 8, label_y, "harmful", size=11,
                      anchor="end", fill="#a63126")
 
-            svg.add(
-                f'<line x1="{_n(px)}" y1="{_n(ay(0.0))}" x2="{_n(px + panel_w)}" '
-                f'y2="{_n(ay(0.0))}" stroke="#888" stroke-width="0.8"/>'
-            )
+            svg.line(px, ay(0.0), px + panel_w, ay(0.0), _ZERO_LINE)
             if x_lo < 0.0 < x_hi:
-                svg.add(
-                    f'<line x1="{_n(ax(0.0))}" y1="{_n(py)}" x2="{_n(ax(0.0))}" '
-                    f'y2="{_n(py + panel_h)}" stroke="#888" stroke-width="0.8" '
-                    'stroke-dasharray="3,3"/>'
-                )
+                svg.line(ax(0.0), py, ax(0.0), py + panel_h,
+                         _ZERO_LINE + ' stroke-dasharray="3,3"')
 
             for t in _OR_TICKS:
                 x = math.log(t)
                 if not x_lo <= x <= x_hi:
                     continue
-                svg.add(
-                    f'<line x1="{_n(ax(x))}" y1="{_n(py + panel_h)}" '
-                    f'x2="{_n(ax(x))}" y2="{_n(py + panel_h + 4)}" stroke="#444"/>'
-                )
+                svg.line(ax(x), py + panel_h, ax(x), py + panel_h + 4)
                 svg.text(ax(x), py + panel_h + 16, _tick_label(t), size=10)
             for t in _ticks(-y_amp, y_amp, 4):
-                svg.add(
-                    f'<line x1="{_n(px - 4)}" y1="{_n(ay(t))}" x2="{_n(px)}" '
-                    f'y2="{_n(ay(t))}" stroke="#444"/>'
-                )
+                svg.line(px - 4, ay(t), px, ay(t))
                 if col == 0:
                     svg.text(px - 7, ay(t) + 3, _tick_label(t), size=10, anchor="end")
 
@@ -248,12 +246,10 @@ def odds_ratio_panels(
                      columns[color_field][keep], color, 0.75)
 
     svg.text(margin_l + panel_w + gap / 2, height - 22, x_label, size=13)
-    svg.text(
-        20, margin_t + panel_h + gap / 2, "AUC change (post − pre)", size=13,
-        extra=f'transform="rotate(-90 20 {_n(margin_t + panel_h + gap / 2)})"',
-    )
+    svg.y_label(20, margin_t + panel_h + gap / 2)
 
-    # color legend: vertical gradient bar on the log-odds scale
+    # color legend: vertical gradient bar on the log-odds scale; its x and
+    # width are written as bare ints (x="812"), which `_n` would write "812.00"
     lx = width - legend_w + 8
     ly, lh = margin_t + 20, 180
     steps = 24
@@ -277,8 +273,7 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
     """Single-panel scatter: pre-deployment AUC against AUC change, points
     colored by the marginal-harm flag."""
     width, height = 640, 500
-    svg = _Svg(width, height, manifest)
-    svg.text(width / 2, 26, title, size=15, extra='font-weight="bold"')
+    svg = _Svg(width, height, manifest, title, 15)
 
     margin_l, margin_t = 76, 56
     panel_w, panel_h = width - margin_l - 36, height - margin_t - 84
@@ -289,19 +284,18 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
     ax = _Axis(x_lo, x_hi, margin_l, margin_l + panel_w)
     ay = _Axis(-y_amp, y_amp, margin_t + panel_h, margin_t)
 
+    # The frame, the zero line's x1 and the y ticks' x2 are written as bare
+    # ints (x="76"), which `_n` would write "76.00".
     svg.add(
         f'<rect x="{margin_l}" y="{margin_t}" width="{_n(panel_w)}" '
         f'height="{_n(panel_h)}" fill="none" stroke="#444"/>'
     )
     svg.add(
         f'<line x1="{margin_l}" y1="{_n(ay(0.0))}" x2="{_n(margin_l + panel_w)}" '
-        f'y2="{_n(ay(0.0))}" stroke="#888" stroke-width="0.8"/>'
+        f'y2="{_n(ay(0.0))}" {_ZERO_LINE}/>'
     )
     for t in _ticks(x_lo, x_hi, 6):
-        svg.add(
-            f'<line x1="{_n(ax(t))}" y1="{_n(margin_t + panel_h)}" '
-            f'x2="{_n(ax(t))}" y2="{_n(margin_t + panel_h + 4)}" stroke="#444"/>'
-        )
+        svg.line(ax(t), margin_t + panel_h, ax(t), margin_t + panel_h + 4)
         svg.text(ax(t), margin_t + panel_h + 17, _tick_label(t), size=10)
     for t in _ticks(-y_amp, y_amp, 5):
         svg.add(
@@ -315,10 +309,8 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
              lambda harmful: "#d73027" if harmful else "#2c7fb8", 0.6)
 
     svg.text(margin_l + panel_w / 2, height - 34, "AUC before deployment", size=13)
-    svg.text(
-        22, margin_t + panel_h / 2, "AUC change (post − pre)", size=13,
-        extra=f'transform="rotate(-90 22 {_n(margin_t + panel_h / 2)})"',
-    )
+    svg.y_label(22, margin_t + panel_h / 2)
+    # the swatches' centres are bare ints (cx="86"), which `_n` would write "86.00"
     ly = height - 16
     svg.add(f'<circle cx="{margin_l + 10}" cy="{ly - 4}" r="4" fill="#d73027"/>')
     svg.text(margin_l + 20, ly, "harmful", size=11, anchor="start")

@@ -34,3 +34,12 @@ def test_one_operation_passes_its_gates(make, tmp_path, monkeypatch, capsys):
     out = workload.op(0)
     assert workload.check(0, out) == []
     assert workload.finish() == {}
+
+
+def test_mc_simulate_passes_its_gates(monkeypatch):
+    # The workload reads configs/ by relative path and writes no file.
+    monkeypatch.chdir(ROOT)
+    workload = workloads.McSimulate(ROOT, 0)
+    for i in range(len(workload.configs)):
+        assert workload.check(i, workload.op(i)) == []
+    assert workload.finish() == {}

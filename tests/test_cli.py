@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -431,6 +433,20 @@ class TestPlot:
             assert body.startswith("<svg ")
             assert "<desc>" in body and "circle" in body
 
+    def test_a_csv_path_with_markup_characters_gives_well_formed_figures(
+        self, sweep_csv, tmp_path
+    ):
+        # The manifest JSON in <desc> is XML-escaped, so it reads back whole.
+        csv_path = tmp_path / "a&b<c>.csv"
+        csv_path.write_bytes(sweep_csv.read_bytes())
+        out = tmp_path / "figs"
+        assert main(["plot", "--csv", str(csv_path), "--out", str(out)]) == 0
+        figures = sorted(out.glob("*.svg"))
+        assert len(figures) == 4
+        for p in figures:
+            desc = ElementTree.parse(p).find("{http://www.w3.org/2000/svg}desc")
+            assert json.loads(desc.text)["source"] == {"csv": str(csv_path)}
+
     def test_four_panels_per_odds_ratio_figure(self, sweep_csv, tmp_path):
         out = tmp_path / "figs"
         assert main(["plot", "--csv", str(sweep_csv), "--out", str(out)]) == 0
@@ -646,8 +662,15 @@ class TestOutputPathsFirst:
          "--out d.pre.manifest.json and pre sample manifest d.pre.manifest.json name one file"),
         (["sweep", "--out", "link.csv"],
          "--out link.csv and manifest link.csv.manifest.json name one file"),
+        # hard links: one file under two resolved paths
+        (["tables", "--csv", "h/in.csv", "--out", "h"],
+         "--csv h/in.csv and sign table h/sign_table.csv name one file"),
+        (["simulate", "--samples", "1000", "--out", "X", "--dump-samples", "d"],
+         "--out X and pre sample CSV d.pre.csv name one file"),
     ], ids=["tables-reads-its-output", "plot-reads-its-output",
-            "simulate-report-is-a-dump-manifest", "sweep-manifest-links-to-the-csv"])
+            "simulate-report-is-a-dump-manifest", "sweep-manifest-links-to-the-csv",
+            "tables-output-is-a-hard-link-of-the-input",
+            "simulate-report-is-a-hard-link-of-a-dump"])
     def test_one_file_in_two_roles_exits_2(
         self, no_work, sweep_csv, tmp_path, monkeypatch, capsys, argv, message
     ):
@@ -659,6 +682,11 @@ class TestOutputPathsFirst:
             Path("out", name).write_bytes(sweep_csv.read_bytes())
         Path("link.csv").write_text("an earlier sweep\n")
         Path("link.csv.manifest.json").symlink_to("link.csv")
+        Path("h").mkdir()
+        Path("h/in.csv").write_bytes(sweep_csv.read_bytes())
+        os.link("h/in.csv", "h/sign_table.csv")
+        Path("d.pre.csv").write_text("an earlier dump\n")
+        os.link("d.pre.csv", "X")
 
         def files():
             return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}

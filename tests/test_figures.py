@@ -1,5 +1,6 @@
 import math
 from unittest import mock
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -146,6 +147,8 @@ def figure_bytes(records: Records) -> list[str]:
 
 def assert_matches_per_point_oracle(records: Records) -> None:
     columns = figure_bytes(records)
+    for svg in columns:
+        ElementTree.fromstring(svg)
     with mock.patch.object(figures, "_scatter", per_point_scatter):
         assert figure_bytes(records) == columns
 
