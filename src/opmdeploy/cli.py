@@ -417,8 +417,12 @@ def cmd_plot(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out = Path(args.out)
     with _outputs({name: out / name for name, *_ in _FIGURES}, _csv_role(args)) as handles:
-        # the chunks are joined, so a grid is evaluated and a file read once
-        records = sweep.Records.join(records.chunks())
+        # the chunks are joined, so a grid is evaluated and a file read once,
+        # keeping only the columns the figures read
+        records = sweep.Records.join(records.chunks(), (
+            "beta_t", "beta_xt", "auc_delta", "auc_pre", "harmful_marginal",
+            "polarity", "pi0", "avg_treatment_beneficial",
+        ))
         beneficial = records.where(avg_treatment_beneficial=True)
         for (name, restricted, title, axes), fh in zip(_FIGURES, handles.values()):
             recs = beneficial if restricted else records

@@ -106,13 +106,16 @@ class _Svg:
         self.text(x, y, "AUC change (post − pre)", size=13,
                   extra=f'transform="rotate(-90 {x} {_n(y)})"')
 
-    def circles(self, cxs, cys, fills, opacity: float) -> None:
-        """One point per (cx, cy, fill) of the formatted columns."""
-        point = (
-            f'<circle cx="{{}}" cy="{{}}" r="{_POINT_R}" fill="{{}}" '
-            f'fill-opacity="{opacity}" stroke="#333" stroke-width="0.25"/>'
-        )
-        self.parts.extend(map(point.format, cxs, cys, fills))
+    def circles(self, cxs: list, cys: list, fills: list, opacity: float) -> None:
+        """One point per (cx, cy, fill) of the formatted columns, the points
+        one part joined at once (none without points): six texts a point,
+        the formatted cells between the constant fragments."""
+        if cxs:
+            end = f'" fill-opacity="{opacity}" stroke="#333" stroke-width="0.25"/>'
+            point = [None, '" cy="', None, f'" r="{_POINT_R}" fill="', None, end + '\n<circle cx="']
+            text = ['<circle cx="'] + point * len(cxs)
+            text[1::6], text[3::6], text[5::6], text[-1] = cxs, cys, fills, end
+            self.add("".join(text))
 
     def finish(self) -> str:
         """The document, built by one join; the last call on this object."""
@@ -137,9 +140,15 @@ class _Axis:
         return self.px_lo + (v / 2 - self.half_lo) / self.half_span * self.px_span
 
 
+def _range(column, empty: tuple[float, float]) -> tuple[float, float]:
+    """The column's least and greatest values, `empty` without values."""
+    return (float(column.min()), float(column.max())) if len(column) else empty
+
+
 def _amplitude(column, empty: float, floor: float) -> float:
     """The column's largest |value| (`empty` without values), at least `floor`."""
-    return max(max(abs(column).tolist(), default=empty), floor)
+    lo, hi = _range(column, (-empty, empty))
+    return max(-lo, hi, floor)
 
 
 def _scatter(svg: _Svg, ax: _Axis, ay: _Axis, xs, ys, cs, color, opacity: float) -> None:
@@ -191,9 +200,9 @@ def odds_ratio_panels(
     svg = _Svg(width, height, manifest, title, 16)
 
     columns = records.columns
-    xs = columns[x_field].tolist()
     # Without points the x-range is fixed around an odds ratio of 1.
-    x_lo, x_hi = min(xs, default=0.0) - _X_PAD, max(xs, default=0.0) + _X_PAD
+    x_lo, x_hi = _range(columns[x_field], (0.0, 0.0))
+    x_lo, x_hi = x_lo - _X_PAD, x_hi + _X_PAD
     y_amp = _amplitude(columns["auc_delta"], 0.1, 1e-3) * 1.1
     c_amp = _amplitude(columns[color_field], 1.0, 1e-9)
 
@@ -277,9 +286,8 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
 
     margin_l, margin_t = 76, 56
     panel_w, panel_h = width - margin_l - 36, height - margin_t - 84
-    xs = records.columns["auc_pre"].tolist()
-    x_lo = min(xs + [0.5]) - 0.02
-    x_hi = max(xs + [0.6]) + 0.02
+    x_lo, x_hi = _range(records.columns["auc_pre"], (0.5, 0.6))
+    x_lo, x_hi = min(x_lo, 0.5) - 0.02, max(x_hi, 0.6) + 0.02
     y_amp = _amplitude(records.columns["auc_delta"], 0.1, 1e-3) * 1.1
     ax = _Axis(x_lo, x_hi, margin_l, margin_l + panel_w)
     ay = _Axis(-y_amp, y_amp, margin_t + panel_h, margin_t)

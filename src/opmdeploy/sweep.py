@@ -237,15 +237,16 @@ class Records:
         self.columns = columns
 
     @staticmethod
-    def join(chunks) -> Records:
-        """One `Records` of the chunks' rows, in order."""
-        columns = [chunk.columns for chunk in chunks]
+    def join(chunks, names=CSV_COLUMNS) -> Records:
+        """One `Records` of the chunks' rows, in order, holding the named
+        columns: a chunk's other columns are not kept."""
+        columns = [{name: chunk.columns[name] for name in names} for chunk in chunks]
         if not columns:
-            return Records({name: np.empty(0, dtype) for name, dtype in _COLUMN_DTYPES.items()})
-        return Records({name: np.concatenate([c[name] for c in columns]) for name in CSV_COLUMNS})
+            return Records({name: np.empty(0, _COLUMN_DTYPES[name]) for name in names})
+        return Records({name: np.concatenate([c[name] for c in columns]) for name in names})
 
     def __len__(self) -> int:
-        return len(self.columns["p_x"])
+        return len(next(iter(self.columns.values())))
 
     def mask(self, **values) -> np.ndarray:
         """Which records' fields hold the given values (enum members for
@@ -553,7 +554,8 @@ def write_records_csv(records, path) -> None:
                 _column_cells(_COLUMN_TYPES[name], chunk.columns[name]).tolist()
                 for name in CSV_COLUMNS
             ]
-            fh.writelines(map("{}\n".format, map(",".join, zip(*cells))))
+            cells[-1] = [cell + "\n" for cell in cells[-1]]  # each line ends in its last cell
+            fh.writelines(map(",".join, zip(*cells)))
 
 
 # Reading. The format is what `write_records_csv` writes; each line may end

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -275,3 +277,52 @@ class TestCalibrationPreservation:
         except DegenerateScenario:
             return
         assert check_calibration_preservation(r).status is CheckStatus.PASS
+
+
+class TestCheckersFail:
+    """Reports that contradict each theorem, built by replacing one decided
+    flag: every checker reaches its FAIL branch."""
+
+    UP = ScenarioParams(
+        p_x=0.5, pi0=0, beta0=-0.5, beta_x=LN25, beta_t=LN25, beta_xt=0.0,
+        polarity=DESIRABLE,
+    )
+    DOWN = ScenarioParams(
+        p_x=0.5, pi0=0, beta0=-0.5, beta_x=LN25, beta_t=-LN25, beta_xt=0.0,
+        polarity=DESIRABLE,
+    )
+    NO_EFFECT = ScenarioParams(
+        p_x=0.5, pi0=0, beta0=-0.5, beta_x=LN25, beta_t=0.0, beta_xt=0.0,
+        polarity=DESIRABLE,
+    )
+
+    @pytest.mark.parametrize("params, detail", [
+        (UP, "effect signs [1, 1] expected self_fulfilling=True, got False"),
+        (NO_EFFECT, "effect signs [0, 0] expected self_fulfilling=True, got False"),
+        (DOWN, "effect signs [-1, -1] expected self_fulfilling=False, got True"),
+    ], ids=["up", "no-effect", "down"])
+    def test_uniform_effect_rule_fails_on_a_flipped_flag(self, params, detail):
+        r = evaluate_scenario(params)
+        result = check_uniform_effect_rule(replace(r, self_fulfilling=not r.self_fulfilling))
+        assert result.status is CheckStatus.FAIL
+        assert result.detail == detail
+
+    @pytest.mark.parametrize("params", [UP, DOWN, NO_EFFECT, RADIOTHERAPY],
+                             ids=["up", "down", "no-effect", "radiotherapy"])
+    def test_shift_subcase_is_inconsistent_on_a_flipped_flag(self, params):
+        r = evaluate_scenario(params)
+        row = classify_shift_subcase(replace(r, self_fulfilling=not r.self_fulfilling))
+        assert row.expected_self_fulfilling is r.self_fulfilling
+        assert row.observed_self_fulfilling is not r.self_fulfilling
+        assert not row.consistent
+
+    @pytest.mark.parametrize("params, detail", [
+        (NO_EFFECT, "calibrated_pre_and_post=False but inconsequential=True"),
+        (UP, "calibrated_pre_and_post=True but inconsequential=False"),
+    ], ids=["no-effect", "up"])
+    def test_calibration_preservation_fails_on_a_flipped_flag(self, params, detail):
+        r = evaluate_scenario(params)
+        post = replace(r.calibration_post, is_calibrated=not r.calibration_post.is_calibrated)
+        result = check_calibration_preservation(replace(r, calibration_post=post))
+        assert result.status is CheckStatus.FAIL
+        assert result.detail == detail

@@ -145,12 +145,46 @@ def figure_bytes(records: Records) -> list[str]:
     return out
 
 
+def per_value_range(column, empty):
+    """The extremes as read off a list of the values: the oracle of
+    `figures._range`."""
+    values = column.tolist()
+    return (min(values), max(values)) if values else empty
+
+
+def per_value_amplitude(column, empty, floor):
+    """The oracle of `figures._amplitude`."""
+    return max(max(abs(column).tolist(), default=empty), floor)
+
+
 def assert_matches_per_point_oracle(records: Records) -> None:
     columns = figure_bytes(records)
     for svg in columns:
         ElementTree.fromstring(svg)
-    with mock.patch.object(figures, "_scatter", per_point_scatter):
+    with mock.patch.object(figures, "_scatter", per_point_scatter), \
+            mock.patch.object(figures, "_range", per_value_range), \
+            mock.patch.object(figures, "_amplitude", per_value_amplitude):
         assert figure_bytes(records) == columns
+
+
+@pytest.mark.parametrize("opacity", [0.6, 0.75])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_joined_circles_are_the_per_point_markup(n, opacity):
+    cxs = [_n(72.0 + 3.5 * i) for i in range(n)]
+    cys = [_n(120.25 - i / 3) for i in range(n)]
+    fills = [diverging_color(i / 4) for i in range(n)]
+    joined = figures._Svg(100, 80, {}, "t", 12)
+    joined.circles(cxs, cys, fills, opacity)
+    per_point = figures._Svg(100, 80, {}, "t", 12)
+    before = len(per_point.parts)
+    for cx, cy, fill in zip(cxs, cys, fills):
+        per_point.add(
+            '<circle cx="{}" cy="{}" r="2.4" fill="{}" fill-opacity="{}" '
+            'stroke="#333" stroke-width="0.25"/>'.format(cx, cy, fill, opacity)
+        )
+    # one part for the points, none without points
+    assert len(joined.parts) == before + min(n, 1)
+    assert joined.finish() == per_point.finish()
 
 
 def test_default_grid_renders_as_the_per_point_oracle(records):
@@ -198,6 +232,15 @@ def one_grid(**lists) -> GridSpec:
 def test_custom_grids_render_as_the_per_point_oracle(grid):
     records, _, _ = record_columns(grid)
     assert_matches_per_point_oracle(records)
+
+
+def test_empty_panels_render_as_the_per_point_oracle():
+    # no setting has pi0 = 1, so both "treat everyone" panels are empty
+    records, _, _ = record_columns(one_grid(pi0_values=[0]))
+    assert len(records) and not records.columns["pi0"].any()
+    assert_matches_per_point_oracle(records)
+    svg = odds_ratio_panels(records, "beta_t", "beta_xt", "x", "c", "t", {})
+    assert svg.count("<circle") == len(records)
 
 
 def test_oracle_examples_cover_the_edge_cases():

@@ -224,6 +224,31 @@ class TestRecordsColumns:
             assert np.array_equal(column, default_records.columns[name]), name
 
 
+    def test_join_keeps_the_named_columns(self, default_records, monkeypatch):
+        monkeypatch.setattr(sweep, "CHUNK", 97)
+        names = ("polarity", "auc_delta", "pi0", "avg_treatment_beneficial")
+        joined = Records.join(grid_records(default_grid()).chunks(), names)
+        assert tuple(joined.columns) == names
+        for name in names:
+            column = joined.columns[name]
+            assert column.dtype == default_records.columns[name].dtype, name
+            assert np.array_equal(column, default_records.columns[name]), name
+        assert len(joined) == len(default_records) == 4620
+        picked = joined.where(polarity=OutcomePolarity.DESIRABLE, pi0=1)
+        assert tuple(picked.columns) == names
+        assert len(picked) == len(default_records.where(polarity=OutcomePolarity.DESIRABLE, pi0=1))
+
+    def test_join_of_no_chunks_gives_empty_columns(self):
+        names = ("auc_pre", "verdict", "harmful_marginal")
+        joined = Records.join([], names)
+        assert tuple(joined.columns) == names
+        for name in names:
+            assert joined.columns[name].shape == (0,)
+            assert joined.columns[name].dtype == sweep._COLUMN_DTYPES[name]
+        assert len(joined) == 0
+        assert tuple(Records.join([]).columns) == CSV_COLUMNS
+
+
 class TestSignTable:
     def test_canonical_counts(self, default_records):
         assert aggregate_sign_table(default_records) == CANONICAL_SIGN_TABLE
