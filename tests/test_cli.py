@@ -8,6 +8,7 @@ import pytest
 
 from opmdeploy import OutcomePolarity, ScenarioParams, classify, cli, evaluate_scenario, mc, sweep
 from opmdeploy.cli import main
+from opmdeploy.errors import OpmDeployError
 from opmdeploy.sweep import default_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -707,6 +708,28 @@ class TestOutputPathsFirst:
         assert main([command, "--csv", "bad.csv", "--out", "d"]) == 2
         assert "unexpected CSV header" in capsys.readouterr().err
         assert list(Path("d").iterdir()) == []
+
+    def test_a_sweep_that_fails_later_removes_its_csv_and_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the grid's second chunk fails after the first is in the CSV
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sweep, "CHUNK", 1000)
+        evaluate, calls = sweep.record_columns, []
+
+        def second_chunk_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OpmDeployError("the second chunk fails")
+            return evaluate(*args)
+
+        monkeypatch.setattr(sweep, "record_columns", second_chunk_fails)
+        assert main(["sweep", "--out", "out.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the second chunk fails\n"
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOneParser:

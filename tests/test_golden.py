@@ -109,3 +109,33 @@ def test_simulate(config, tmp_path, monkeypatch, capsys):
     written = Path("simulate.json").read_bytes()
     assert stdout == written
     assert_golden(f"simulate-{config}.json", written)
+
+
+# Runs whose report holds nulls: a sample with no case leaves the rank
+# metrics, their errors and the empirical AUC change unavailable (and a
+# note on stderr); a sample with no X=0 patient leaves mu0 unavailable.
+NULL_RUNS = {
+    "missing_class": (["--p-x", "0.5", "--beta0", "-12", "--samples", "10"],
+                      ("pre", "agreement", "auc_abs_err")),
+    "empty_group": (["--p-x", "0.99", "--beta0", "0", "--samples", "5"],
+                    ("pre", "agreement", "mu0_abs_err")),
+}
+
+
+@pytest.mark.parametrize("name", NULL_RUNS)
+def test_simulate_with_nulls(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flags, null_path = NULL_RUNS[name]
+    argv = ["simulate", *flags, "--pi0", "0", "--beta-x", "0.9", "--beta-t", "0.3",
+            "--beta-xt", "0", "--polarity", "desirable", "--seed", "1",
+            "--out", "simulate.json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    written = Path("simulate.json").read_bytes()
+    assert captured.out.encode() == written
+    block = json.loads(written)
+    for key in null_path:
+        block = block[key]
+    assert block is None
+    assert_golden(f"simulate-{name}.json", written)
+    assert_golden(f"simulate-{name}.stderr", captured.err.encode())
