@@ -157,20 +157,15 @@ def classify_shift_subcase(report: "DeploymentReport") -> SubcaseRow:
     """
     changed = report.harm.changed_group
     pi0 = report.params.pi0
-    # Granting treatment (pi0=0) moves the outcome with the effect,
-    # withdrawing it (pi0=1) against the effect.
-    s = effect_sign(report.params, changed) * (1 - 2 * pi0)
-    if s == 0:
-        direction, expected = "=", True
-    elif s > 0:
-        direction, expected = ">", pi0 == 0
-    else:
-        direction, expected = "<", pi0 == 1
+    # The sign of the changed group's outcome shift: granting treatment
+    # (pi0=0) moves the outcome with the effect, withdrawing it (pi0=1)
+    # against it. "=><"[-1] is "<".
+    s = benefit_sign(1, pi0, effect_sign(report.params, changed))
     return SubcaseRow(
         changed_group=changed,
         pi0=pi0,
-        direction=direction,
-        expected_self_fulfilling=expected,
+        direction="=><"[s],
+        expected_self_fulfilling=s == 0 or (s > 0) == (pi0 == 0),
         observed_self_fulfilling=report.self_fulfilling,
     )
 

@@ -284,9 +284,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     grid = _load_grid(args.grid)
     records = sweep.grid_records(grid)
-    manifest_path = str(args.out) + ".manifest.json"
-    # the CSV's writer opens it before the grid's first chunk is evaluated
-    with _outputs({"manifest": manifest_path}, [("--out", args.out)]) as handles:
+    outputs = {"--out": args.out, "manifest": str(args.out) + ".manifest.json"}
+    with _outputs(outputs) as handles:
         sweep.write_records_csv(records, args.out)
         retained = len(records)
         counts = {
@@ -310,8 +309,8 @@ def cmd_sweep(args) -> int:
         f"grid settings: {counts['cardinality']}  removed: "
         f"{counts['removed_degenerate']}  retained: {counts['retained']}"
     )
-    print(f"wrote {args.out}")
-    print(f"wrote {manifest_path}")
+    for path in outputs.values():
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -386,8 +385,7 @@ def cmd_tables(args) -> int:
                 **reference,
                 "timestamp": _timestamp(),
             })
-            print(f"\nwrote {out / 'sign_table.csv'}, {out / 'harm_table.csv'}, "
-                  f"{out / 'tables_manifest.json'}")
+            print("\nwrote " + ", ".join(map(str, outputs.values())))
     return EXIT_OK
 
 
@@ -446,14 +444,8 @@ def cmd_plot(args) -> int:
 # simulate
 
 
-def _empirical_block(m: mc.EmpiricalMetrics) -> dict:
-    return {**vars(m), "insufficient_cases": m.insufficient_cases}
-
-
 def _abs_err(a, b):
-    if a is None or b is None:
-        return None
-    return abs(a - b)
+    return None if a is None else abs(a - b)
 
 
 def cmd_simulate(args) -> int:
@@ -473,12 +465,11 @@ def cmd_simulate(args) -> int:
             for kind, suffix in (("CSV", ".csv"), ("manifest", ".manifest.json"))
         )
     with _outputs(outputs) as handles:
-        mc_echo = dict(vars(cfg))
         policies = {"pre": report.policy_pre, "post": report.policy_post}
         counts = mc.cell_counts(params, tuple(policies.values()), cfg)
-        blocks = {}
+        payload = {"tool": _tool_stamp(), "config": raw, "mc": dict(vars(cfg))}
         for (which, policy), cells in zip(policies.items(), counts):
-            emp = _empirical_block(mc.empirical_metrics(cells, report.top))
+            emp = mc.empirical_metrics(cells, report.top)
             if dump is not None:
                 mc.write_sample_csv(mc.sample(params, policy, cfg), handles[f"{which} sample CSV"])
                 print(f"wrote {dump}.{which}.csv")
@@ -486,42 +477,32 @@ def cmd_simulate(args) -> int:
                     "tool": _tool_stamp(),
                     "config": raw,
                     "policy": list(policy),
-                    "mc": mc_echo,
+                    "mc": payload["mc"],
                 })
             closed = _dist_block(report, which)
-            blocks[which] = {
+            payload[which] = {
                 "closed_form": closed,
-                "empirical": emp,
+                "empirical": {**vars(emp), "insufficient_cases": emp.insufficient_cases},
                 "agreement": {
-                    "mu0_abs_err": _abs_err(emp["mu_hat"][0], closed["mu"][0]),
-                    "mu1_abs_err": _abs_err(emp["mu_hat"][1], closed["mu"][1]),
+                    "mu0_abs_err": _abs_err(emp.mu_hat[0], closed["mu"][0]),
+                    "mu1_abs_err": _abs_err(emp.mu_hat[1], closed["mu"][1]),
                     **{
-                        f"{k}_abs_err": _abs_err(emp[f"{k}_hat"], closed[k])
+                        f"{k}_abs_err": _abs_err(getattr(emp, f"{k}_hat"), closed[k])
                         for k in ("sens", "spec", "auc")
                     },
                 },
             }
-
-        auc_hats = (blocks["pre"]["empirical"]["auc_hat"],
-                    blocks["post"]["empirical"]["auc_hat"])
-        text = json.dumps({
-            "tool": _tool_stamp(),
-            "config": raw,
-            "mc": mc_echo,
-            "pre": blocks["pre"],
-            "post": blocks["post"],
-            "auc_delta": {
-                "closed_form": report.auc_delta,
-                "empirical": (
-                    None if None in auc_hats else auc_hats[1] - auc_hats[0]
-                ),
-            },
-            "self_fulfilling": report.self_fulfilling,
-            "harmful_marginal": report.harm.harmful_marginal,
-        }, indent=2)
+        pre, post = (payload[which]["empirical"]["auc_hat"] for which in policies)
+        payload["auc_delta"] = {
+            "closed_form": report.auc_delta,
+            "empirical": None if None in (pre, post) else post - pre,
+        }
+        payload["self_fulfilling"] = report.self_fulfilling
+        payload["harmful_marginal"] = report.harm.harmful_marginal
+        text = json.dumps(payload, indent=2)
         print(text)
-        for which in ("pre", "post"):
-            if blocks[which]["empirical"]["insufficient_cases"]:
+        for which in policies:
+            if payload[which]["empirical"]["insufficient_cases"]:
                 print(
                     f"note: {which} sample is missing an outcome class; "
                     "rank metrics unavailable (insufficient cases)",

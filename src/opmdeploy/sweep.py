@@ -498,8 +498,8 @@ def reference_delta(
 
     Compares the reference against this table with columns exchanged (the
     orientation difference) and reports every remaining count difference,
-    plus the total gap; the reference's equality filter retained a few
-    settings this tool removes structurally.
+    plus the total gap. The reference has twelve more rows than this tool
+    retains, which its published description does not explain.
     """
     cell_deltas = {}
     for cell in SIGN_CELLS:

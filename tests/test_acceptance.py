@@ -119,7 +119,7 @@ def test_criterion_3_uniform_effect_rule_and_sign_counts(grid_reports):
     if table[(-1, -1)] != (0, 1500):
         failures.append(("cell (-1,-1)", table[(-1, -1)]))
     # The full delta map to the printed reference: a column swap plus the
-    # twelve float-filter escapees (8 in (-1,-1), 4 in (1,-1)).
+    # twelve unexplained extra reference rows (8 in (-1,-1), 4 in (1,-1)).
     for cell, (sf, nsf) in table.items():
         ref = REFERENCE_SIGN_TABLE[cell]
         expected = {
@@ -130,7 +130,7 @@ def test_criterion_3_uniform_effect_rule_and_sign_counts(grid_reports):
             failures.append(("reference delta", cell, ref, expected))
     _report_line(3, "uniform-effect rule holds with zero exceptions; sign "
                     "table matches the reference up to the documented "
-                    "orientation swap and twelve-setting filter delta", failures)
+                    "orientation swap and twelve-setting count delta", failures)
 
 
 def test_criterion_4_calibration_preservation(grid_reports, random_reports):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import LN25
 from opmdeploy.classify import (
     CheckStatus,
+    SubcaseRow,
     Verdict,
     check_calibration_preservation,
     check_uniform_effect_rule,
@@ -226,6 +227,37 @@ class TestShiftSubcase:
         row = classify_shift_subcase(evaluate_scenario(params))
         assert row.direction == "="
         assert row.expected_self_fulfilling and row.consistent
+
+    # Every (pi0, direction) subcase, from explicit coefficients: with
+    # beta_x > 0 and beta_xt = 0 group 1 ranks higher, so treat no one
+    # grants treatment to group 1 and treat everyone withdraws it from
+    # group 0, and the shift follows sign(beta_t) under pi0=0 and opposes
+    # it under pi0=1. Self-fulfilling: shift up under pi0=0, shift down
+    # under pi0=1, or no shift.
+    @pytest.mark.parametrize("pi0, beta_t, changed, direction, expected", [
+        (0, LN25, 1, ">", True),
+        (0, -LN25, 1, "<", False),
+        (0, 0.0, 1, "=", True),
+        (1, -LN25, 0, ">", False),
+        (1, LN25, 0, "<", True),
+        (1, 0.0, 0, "=", True),
+    ])
+    def test_each_subcase(self, pi0, beta_t, changed, direction, expected):
+        params = ScenarioParams(
+            p_x=0.5, pi0=pi0, beta0=-0.5, beta_x=LN25, beta_t=beta_t, beta_xt=0.0,
+            polarity=DESIRABLE,
+        )
+        report = evaluate_scenario(params)
+        row = classify_shift_subcase(report)
+        assert row == SubcaseRow(
+            changed_group=changed,
+            pi0=pi0,
+            direction=direction,
+            expected_self_fulfilling=expected,
+            observed_self_fulfilling=expected,
+        )
+        shift = report.harm.outcome_shift[changed]
+        assert (shift > 0, shift < 0) == (direction == ">", direction == "<")
 
     @given(scenario_st)
     def test_every_scenario_lands_in_a_consistent_subcase(self, params):

@@ -120,3 +120,25 @@ def test_run_experiment_writes_the_pinned_outputs(tmp_path, monkeypatch, capsys)
         assert hashlib.sha256(files[name]).hexdigest() == digests[Path(name).name], name
     for name in ("sign_table.csv", "harm_table.csv"):
         assert files[f"tables/{name}"] == (GOLDEN / name).read_bytes()
+
+
+mutants = load_script("mutants")
+# The shift directions exchanged: the cheapest listed mutant to kill.
+DIRECTIONS = next(m for m in mutants.MUTANTS if m[1] == '"=><"[s]')
+
+
+def test_a_listed_mutant_is_killed_by_a_narrow_selection(capsys):
+    selection = ["tests/test_classify.py::TestShiftSubcase::test_each_subcase"]
+    assert mutants.run([DIRECTIONS], selection) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("1 mutants: 1 killed, 0 survived")
+
+
+def test_a_mutant_whose_text_is_not_in_its_file_exits_2(capsys):
+    assert mutants.run([("classify.py", "no such text", "")], []) == 2
+    assert "not in classify.py exactly once" in capsys.readouterr().err
+
+
+def test_a_mutant_that_no_selected_test_notices_survives(capsys):
+    selection = ["tests/test_tools.py::test_code_lines_skip_docstrings_comments_and_blanks"]
+    assert mutants.run([DIRECTIONS], selection) == 1
+    assert capsys.readouterr().out.startswith("survived")
