@@ -139,3 +139,47 @@ def test_simulate_with_nulls(name, tmp_path, monkeypatch, capsys):
     assert block is None
     assert_golden(f"simulate-{name}.json", written)
     assert_golden(f"simulate-{name}.stderr", captured.err.encode())
+
+
+# A config that lacks `polarity` and holds a `beta_t` the flag overrides:
+# the echo keeps the file's key order, the overridden value in its place
+# and the flag-only key last.
+PARTIAL_CONFIG = """{"beta_t": -0.2, "p_x": 0.5, "pi0": 0, "beta0": -0.5,
+ "beta_xt": 0.0, "beta_x": 0.9}
+"""
+
+
+def test_eval_with_flags_over_a_partial_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("partial.json").write_text(PARTIAL_CONFIG)
+    stdout = run(["eval", "--config", "partial.json", "--beta-t", "0.3",
+                  "--polarity", "desirable", "--out", "r.json"], capsys)
+    assert_golden("eval-partial.stdout", stdout)
+    assert_golden("eval-partial.json", Path("r.json").read_bytes())
+
+
+# Input files each refused with exit 2 before any output is made: the
+# command, its input file's name and text.
+REFUSED_INPUTS = {
+    "config-not-object": (["eval", "--config", "list.json", "--out", "r.json"],
+                          "list.json", "[1, 2]\n"),
+    "grid-not-object": (["sweep", "--grid", "list.json", "--out", "s.csv"],
+                        "list.json", '"default"\n'),
+    "grid-missing-and-unknown": (
+        ["sweep", "--grid", "grid.json", "--out", "s.csv"], "grid.json",
+        json.dumps({**{k: [0] for k in sweep.GRID_KEYS if k != "beta_x_values"},
+                    "beta_x_value": [0.5], "extra": 1}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_INPUTS)
+def test_refused_input_messages(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv, path, text = REFUSED_INPUTS[name]
+    Path(path).write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_golden(f"{name}.stderr", captured.err.encode())
+    assert [p.name for p in tmp_path.iterdir()] == [path]
