@@ -11,10 +11,11 @@ runs first and must pass, so that a failure is the mutant's.
 Usage: python scripts/mutants.py [TEST ...]
 
 TEST selects tests as pytest's arguments do; by default the whole suite
-runs. Prints one line per mutant and a summary. Exits 0 when every mutant
-is killed, 1 when one survives, and 2 when a mutant's old text is not in
-its file exactly once, the unmutated copy fails, or pytest cannot run the
-selection.
+runs. The tests that each listed old text is in its file are left out:
+every mutant fails them. Prints one line per mutant and a summary. Exits
+0 when every mutant is killed, 1 when one survives, and 2 when a mutant's
+old text is not in its file exactly once, the unmutated copy fails, or
+pytest cannot run the selection.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "opmdeploy"
+# the tier-1 guard on this list, which a mutated copy fails by construction
+_GUARD = "tests/test_tools.py::test_each_listed_mutant_applies_once"
 _NOT_COPIED = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-out", "*.egg-info"
 )
@@ -53,6 +56,39 @@ MUTANTS = (
      "\n        sweep.write_records_csv"),
     # An unavailable empirical metric subtracted as if it were a number.
     ("cli.py", "return None if a is None else abs(a - b)", "return abs(a - b)"),
+    # The chunked streams: the y stream one draw late, each patient given
+    # the other group's assignment, draws of 2*CHUNK patients, the harm
+    # totals over the no-change settings, the last chunk of a many-chunk
+    # stream kept as if it were all, and only the last chunk's
+    # unrepresentable settings counted.
+    ("mc.py", "bit_generator.advance(n))", "bit_generator.advance(n + 1))"),
+    ("mc.py", "        t = assign[x]\n", "        t = assign[1 - x]\n"),
+    ("mc.py", "np.empty(CHUNK), np.empty(CHUNK)\n    for start in range(0, n, CHUNK):\n"
+              "        k = min(CHUNK, n - start)",
+     "np.empty(2 * CHUNK), np.empty(2 * CHUNK)\n    for start in range(0, n, 2 * CHUNK):\n"
+     "        k = min(2 * CHUNK, n - start)"),
+    ("sweep.py", "total += np.bincount(key[changed]", "total += np.bincount(key[~changed]"),
+    ("sweep.py", "        if made == 1:\n", "        if made >= 1:\n"),
+    ("sweep.py", 'counts["unrepresentable"] += unrepresentable',
+     'counts["unrepresentable"] = unrepresentable'),
+    # The Monte Carlo gates: each patient counted with the previous one's
+    # outcome draw, the deployed policy reversed, and the groups' effects
+    # exchanged.
+    ("mc.py", "        n_x1 += np.count_nonzero(x)\n",
+     "        n_x1 += np.count_nonzero(x)\n        u_y = np.roll(u_y, 1)\n"),
+    ("report.py", "policy_post = (1 - top, top)", "policy_post = (top, 1 - top)"),
+    ("scenario.py", "return (self.q[1][0] - self.q[0][0], self.q[1][1] - self.q[0][1])",
+     "return (self.q[1][1] - self.q[0][1], self.q[1][0] - self.q[0][0])"),
+    # The figures' harmful AUC-shift sign flipped.
+    ("figures.py", "return -benefit_sign(", "return benefit_sign("),
+    # A config or grid key that is not known taken silently, a sample
+    # without a case or a control ranked, a `--csv` that an output may
+    # overwrite, and a failed run's earlier outputs left holding its bytes.
+    ("cli.py", '    problems += [f"{k}: unknown config key" for k in sorted(set(raw) - set(keys))]\n',
+     ""),
+    ("mc.py", "    if n_pos and n_neg:\n", "    if n_pos or n_neg:\n"),
+    ("cli.py", ', [("--csv", args.csv)]\n', ", []\n"),
+    ("cli.py", "os.truncate(path, 0)", "pass"),
 )
 
 
@@ -61,7 +97,7 @@ def _pytest(copy: Path, selection: list[str]) -> int:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", *selection],
+         "--continue-on-collection-errors", "--deselect", _GUARD, *selection],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     ).returncode
 

@@ -41,12 +41,25 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as exc:  # also bad bytes, huge ints, deep nesting
-        raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
+def _load_object(path: str | None, keys: tuple[str, ...], given=()) -> dict:
+    """The JSON object in the file at `path` (an empty one for None),
+    updated with the (key, value) pairs `given`: every one of `keys`, and
+    no other."""
+    raw = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also bad bytes, huge ints, deep nesting
+            raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
+        if not isinstance(raw, dict):
+            raise ConfigError([f"{path}: expected a JSON object"])
+    raw.update(given)
+    problems = [f"{k}: missing" for k in keys if k not in raw]
+    problems += [f"{k}: unknown config key" for k in sorted(set(raw) - set(keys))]
+    if problems:
+        raise ConfigError(problems)
+    return raw
 
 
 def _write_json(fh, payload) -> None:
@@ -63,8 +76,10 @@ def _outputs(outputs: dict, others=()):
     command reads or writes itself), are refused before any file is opened:
     names of files that exist are one file when their (device, inode) are,
     so hard links are, and other names when their resolved paths are.
-    If a name cannot be opened or the work fails, the files opened here
-    that did not exist before are removed again."""
+    If a name cannot be opened or the work fails, no file opened here
+    keeps a byte of the run: those that did not exist before are removed
+    again, and the others are left empty (what cannot be truncated, such
+    as /dev/null or a FIFO, is left as it is)."""
     seen = {}
     for role, path in (*others, *outputs.items()):
         try:
@@ -75,63 +90,42 @@ def _outputs(outputs: dict, others=()):
         first = seen.setdefault(file, (role, path))
         if first[0] != role:
             raise OpmDeployError(f"{first[0]} {first[1]} and {role} {path} name one file")
-    created = []
+    opened = []
     try:
         with contextlib.ExitStack() as stack:
             handles = {}
             for role, path in outputs.items():
                 new = not os.path.lexists(path)
                 handles[role] = stack.enter_context(open(path, "w", newline=""))
-                if new:
-                    created.append(path)
+                opened.append((path, new))
             yield handles
-    except BaseException:
-        for path in created:
+    except BaseException:  # the handles are closed, so nothing is flushed after this
+        for path, new in opened:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                if new:
+                    os.remove(path)
+                else:
+                    os.truncate(path, 0)
         raise
 
 
-def _check_keys(raw: dict, keys: tuple[str, ...]) -> None:
-    """Every key present, and no other."""
-    problems = [f"{k}: missing" for k in keys if k not in raw]
-    problems += [f"{k}: unknown config key" for k in sorted(set(raw) - set(keys))]
-    if problems:
-        raise ConfigError(problems)
-
-
 def _scenario_from_args(args) -> tuple[ScenarioParams, dict]:
-    raw = {}
-    if args.config is not None:
-        loaded = _load_json(args.config)
-        if not isinstance(loaded, dict):
-            raise ConfigError([f"{args.config}: expected a JSON object"])
-        raw.update(loaded)
-    for key in PARAM_FIELDS:
-        v = getattr(args, key)
-        if v is not None:
-            raw[key] = v
-
-    _check_keys(raw, PARAM_FIELDS)
-    values = {k: raw[k] for k in PARAM_FIELDS}
-    values["polarity"] = parse_polarity(raw["polarity"])
-    return ScenarioParams(**values), raw
+    """The scenario and its config echo: the config file's keys in its
+    order, each flag given replacing its value or following them."""
+    given = {k: v for k in PARAM_FIELDS if (v := getattr(args, k)) is not None}
+    raw = _load_object(args.config, PARAM_FIELDS, given)
+    return ScenarioParams(**{**raw, "polarity": parse_polarity(raw["polarity"])}), raw
 
 
 def _load_grid(source: str | None) -> sweep.GridSpec:
     """The built-in grid for None or "default", else the grid JSON file."""
     if source is None or source == "default":
         return sweep.default_grid()
-    raw = _load_json(source)
-    if not isinstance(raw, dict):
-        raise ConfigError([f"{source}: expected a JSON object"])
-    _check_keys(raw, sweep.GRID_KEYS)
+    raw = _load_object(source, sweep.GRID_KEYS)
     not_lists = [k for k in sweep.GRID_KEYS if not isinstance(raw[k], list)]
     if not_lists:
         raise ConfigError([f"{k}: expected a list" for k in not_lists])
-    values = {k: raw[k] for k in sweep.GRID_KEYS}
-    values["polarities"] = [parse_polarity(p) for p in raw["polarities"]]
-    return sweep.GridSpec(**values)
+    return sweep.GridSpec(**{**raw, "polarities": list(map(parse_polarity, raw["polarities"]))})
 
 
 def _grid_echo(grid: sweep.GridSpec) -> dict:
@@ -140,19 +134,15 @@ def _grid_echo(grid: sweep.GridSpec) -> dict:
     return echo
 
 
-def _csv_role(args) -> list:
-    """The `--csv` that `tables` and `plot` read, as `_outputs`' others."""
-    return [] if args.csv is None else [("--csv", args.csv)]
-
-
-def _records_from_args(args) -> tuple[sweep.Stream, dict]:
-    """The records, streamed a chunk at a time, and their source echo. A
-    CSV that cannot be opened fails here, before any output is made."""
+def _records_from_args(args) -> tuple[sweep.Stream, dict, list]:
+    """The records, streamed a chunk at a time, their source echo, and the
+    `--csv` they are read from as `_outputs`' others. A CSV that cannot be
+    opened fails here, before any output is made."""
     if args.csv is not None:
         open(args.csv, "rb").close()
-        return sweep.csv_records(args.csv), {"csv": str(args.csv)}
+        return sweep.csv_records(args.csv), {"csv": str(args.csv)}, [("--csv", args.csv)]
     grid = _load_grid(args.grid)
-    return sweep.grid_records(grid), {"grid": _grid_echo(grid)}
+    return sweep.grid_records(grid), {"grid": _grid_echo(grid)}, []
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +246,12 @@ def _print_report(report: DeploymentReport) -> None:
     )
     print(f"verdict: {report.verdict.value}  (sign lookup: {report.verdict.value})")
     for name, check in report.checks().items():
-        if isinstance(check, CheckResult):
-            print(f"check {name}: {check.status.value}  {check.detail}")
+        c = _check_to_json(check)
+        if "status" in c:
+            print(f"check {name}: {c['status']}  {c['detail']}")
         else:
-            print(
-                f"check {name}: changed_group={check.changed_group} "
-                f"direction={check.direction!r} expected_sf={check.expected_self_fulfilling} "
-                f"consistent={check.consistent}"
-            )
+            print(f"check {name}: changed_group={c['changed_group']} direction={c['direction']!r} "
+                  f"expected_sf={c['expected_self_fulfilling']} consistent={c['consistent']}")
 
 
 def cmd_eval(args) -> int:
@@ -338,14 +326,14 @@ _POLARITY_WORD = {
 
 
 def cmd_tables(args) -> int:
-    records, source = _records_from_args(args)
+    records, source, read = _records_from_args(args)
     outputs = {}
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)  # "" raises, where Path("") is the working directory
         out = Path(args.out)
         outputs = {"sign table": out / _SIGN_TABLE[0], "harm table": out / _HARM_TABLE[0],
                    "manifest": out / "tables_manifest.json"}
-    with _outputs(outputs, _csv_role(args)) as handles:
+    with _outputs(outputs, read) as handles:
         sign_table, harm_table = sweep.aggregate_tables(records)
         tables = (
             (_SIGN_TABLE, [(*cell, *counts) for cell, counts in sign_table.items()]),
@@ -411,10 +399,10 @@ _FIGURES = (
 
 
 def cmd_plot(args) -> int:
-    records, source = _records_from_args(args)
+    records, source, read = _records_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     out = Path(args.out)
-    with _outputs({name: out / name for name, *_ in _FIGURES}, _csv_role(args)) as handles:
+    with _outputs({name: out / name for name, *_ in _FIGURES}, read) as handles:
         # the chunks are joined, so a grid is evaluated and a file read once,
         # keeping only the columns the figures read
         records = sweep.Records.join(records.chunks(), (

@@ -139,25 +139,15 @@ def empirical_metrics(counts: np.ndarray, top: int) -> EmpiricalMetrics:
         counts[1] / (n - n_x1) if n - n_x1 > 0 else None,
         counts[3] / n_x1 if n_x1 > 0 else None,
     )
-    if n_pos == 0 or n_neg == 0:
-        return EmpiricalMetrics(
-            auc_hat=None, sens_hat=None, spec_hat=None,
-            mu_hat=mu_hat, n_pos=n_pos, n_neg=n_neg,
-        )
-
-    pos_top, pos_other = counts[2 * top + 1], counts[3 - 2 * top]
-    neg_top, neg_other = counts[2 * top], counts[2 - 2 * top]
-    auc_hat = (
-        pos_top * neg_other + 0.5 * (pos_top * neg_top + pos_other * neg_other)
-    ) / (n_pos * n_neg)
-    return EmpiricalMetrics(
-        auc_hat=auc_hat,
-        sens_hat=pos_top / n_pos,
-        spec_hat=neg_other / n_neg,
-        mu_hat=mu_hat,
-        n_pos=n_pos,
-        n_neg=n_neg,
-    )
+    sens_hat = spec_hat = auc_hat = None  # without a case or a control
+    if n_pos and n_neg:
+        pos_top, pos_other = counts[2 * top + 1], counts[3 - 2 * top]
+        neg_top, neg_other = counts[2 * top], counts[2 - 2 * top]
+        sens_hat, spec_hat = pos_top / n_pos, neg_other / n_neg
+        auc_hat = (
+            pos_top * neg_other + 0.5 * (pos_top * neg_top + pos_other * neg_other)
+        ) / (n_pos * n_neg)
+    return EmpiricalMetrics(mu_hat, sens_hat, spec_hat, auc_hat, n_pos, n_neg)
 
 
 # The CSV text of each (x, t, y) row, indexed by its code 4*x + 2*t + y.

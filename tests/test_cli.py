@@ -731,6 +731,31 @@ class TestOutputPathsFirst:
         assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_sweep_that_fails_over_earlier_outputs_leaves_them_empty(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # an earlier sweep's files are emptied, not left holding the failed
+        # run's first chunk, which `tables` would read as a whole grid
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--out", "out.csv"]) == 0
+        monkeypatch.setattr(sweep, "CHUNK", 1000)
+        evaluate, calls = sweep.record_columns, []
+
+        def second_chunk_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OpmDeployError("the second chunk fails")
+            return evaluate(*args)
+
+        monkeypatch.setattr(sweep, "record_columns", second_chunk_fails)
+        assert main(["sweep", "--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == "error: the second chunk fails\n"
+        assert len(calls) == 2
+        sizes = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+        assert sizes == {"out.csv": 0, "out.csv.manifest.json": 0}
+        assert main(["tables", "--csv", "out.csv"]) == 2
+        assert capsys.readouterr().err == "config error: out.csv: unexpected CSV header: ''\n"
+
 
 class TestOneParser:
     """`main` builds its parser once per process and parses every argv

@@ -1,5 +1,5 @@
-"""The repository's scripts: the code-line counter and the experiment
-runner."""
+"""The repository's scripts: the code-line counter, the experiment
+runner and the mutant runner."""
 
 import hashlib
 import importlib.util
@@ -7,6 +7,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from opmdeploy import cli
 
@@ -142,3 +144,11 @@ def test_a_mutant_that_no_selected_test_notices_survives(capsys):
     selection = ["tests/test_tools.py::test_code_lines_skip_docstrings_comments_and_blanks"]
     assert mutants.run([DIRECTIONS], selection) == 1
     assert capsys.readouterr().out.startswith("survived")
+
+
+@pytest.mark.parametrize("name, old, new", mutants.MUTANTS,
+                         ids=[f"{i}-{m[0]}" for i, m in enumerate(mutants.MUTANTS)])
+def test_each_listed_mutant_applies_once(name, old, new):
+    # An edit that moves a listed text fails here, not only in the script.
+    assert (ROOT / mutants.PACKAGE / name).read_text().count(old) == 1
+    assert new != old
