@@ -89,6 +89,18 @@ MUTANTS = (
     ("mc.py", "    if n_pos and n_neg:\n", "    if n_pos or n_neg:\n"),
     ("cli.py", ', [("--csv", args.csv)]\n', ", []\n"),
     ("cli.py", "os.truncate(path, 0)", "pass"),
+    # The sweep's counts and grid echo read from its record stream: the
+    # unrepresentable settings left out of the removed ones, the echo
+    # dropped; the reference total summed over one column, a retained
+    # count other than the default grid's, and a polarity the tool does
+    # not know read as desirable.
+    ("cli.py", "removed = sum(exclusions.values())", 'removed = exclusions["structural"]'),
+    ("cli.py", '**source, "counts"', '"counts"'),
+    ("sweep.py", "sum(map(sum, REFERENCE_SIGN_TABLE.values()))",
+     "sum(sf for sf, _ in REFERENCE_SIGN_TABLE.values())"),
+    ("sweep.py", '"retained": DEFAULT_RETAINED,', '"retained": len(sign_table),'),
+    ("scenario.py", "    except ValueError:\n        return value\n",
+     "    except ValueError:\n        return OutcomePolarity.DESIRABLE\n"),
 )
 
 

@@ -128,21 +128,19 @@ def _load_grid(source: str | None) -> sweep.GridSpec:
     return sweep.GridSpec(**{**raw, "polarities": list(map(parse_polarity, raw["polarities"]))})
 
 
-def _grid_echo(grid: sweep.GridSpec) -> dict:
-    echo = {k: list(getattr(grid, k)) for k in sweep.GRID_KEYS}
-    echo["polarities"] = [p.value for p in grid.polarities]
-    return echo
-
-
 def _records_from_args(args) -> tuple[sweep.Stream, dict, list]:
-    """The records, streamed a chunk at a time, their source echo, and the
-    `--csv` they are read from as `_outputs`' others. A CSV that cannot be
-    opened fails here, before any output is made."""
+    """The records of `--csv`, or else of `--grid` (`sweep` has no `--csv`:
+    it is None), streamed a chunk at a time; their source echo; and the
+    `--csv` they are read from, as `_outputs`' others. A grid with
+    problems, all of them reported, and a CSV that cannot be opened fail
+    here, before any output is made."""
     if args.csv is not None:
         open(args.csv, "rb").close()
         return sweep.csv_records(args.csv), {"csv": str(args.csv)}, [("--csv", args.csv)]
     grid = _load_grid(args.grid)
-    return sweep.grid_records(grid), {"grid": _grid_echo(grid)}, []
+    echo = {k: list(getattr(grid, k)) for k in sweep.GRID_KEYS}
+    echo["polarities"] = [p.value for p in grid.polarities]
+    return sweep.grid_records(grid), {"grid": echo}, []
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +268,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = _load_grid(args.grid)
-    records = sweep.grid_records(grid)
+    records, source, _ = _records_from_args(args)
     outputs = {"--out": args.out, "manifest": str(args.out) + ".manifest.json"}
     with _outputs(outputs) as handles:
         sweep.write_records_csv(records, args.out)
-        retained = len(records)
+        exclusions = {k: records.counts[k] for k in ("structural", "unrepresentable")}
+        removed = sum(exclusions.values())
         counts = {
-            "cardinality": grid.cardinality,
-            "removed_degenerate": grid.cardinality - retained,
-            "retained": retained,
+            "cardinality": len(records) + removed,
+            "removed_degenerate": removed,
+            "retained": len(records),
         }
-        manifest = {
-            "tool": _tool_stamp(),
-            "grid": _grid_echo(grid),
-            "counts": counts,
-            "exclusions": {k: records.counts[k] for k in ("structural", "unrepresentable")},
-        }
+        manifest = {"tool": _tool_stamp(), **source, "counts": counts, "exclusions": exclusions}
         if sweep.is_default_grid(records):
-            manifest["reference_delta"] = sweep.reference_delta(
-                sweep.aggregate_sign_table(records), retained
-            )
+            manifest["reference_delta"] = sweep.reference_delta(sweep.aggregate_sign_table(records))
         manifest["timestamp"] = _timestamp()
         _write_json(handles["manifest"], manifest)
     print(
@@ -349,7 +340,7 @@ def cmd_tables(args) -> int:
             print()
         reference = {}
         if sweep.is_default_grid(records):  # the only records the reference describes
-            delta = sweep.reference_delta(sign_table, len(records))
+            delta = sweep.reference_delta(sign_table)
             reference["reference_delta"] = delta
             print("reference tabulation cross-check:")
             print(
@@ -545,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid, write records CSV")
     p.add_argument("--grid", help="'default' (the default) or a JSON grid path")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, csv=None)
 
     p = sub.add_parser("tables", help="aggregate sign and harm tables")
     _add_records_arguments(p)

@@ -72,13 +72,14 @@ class OutcomePolarity(Enum):
         return 1 if self is OutcomePolarity.DESIRABLE else -1
 
 
-def parse_polarity(value) -> OutcomePolarity:
+def parse_polarity(value):
+    """The member a config's text names ('desirable' or 'undesirable', in
+    any case, blanks around it aside), or else the value itself, which
+    `field_problems` then refuses beside every other field's problem."""
     try:
         return OutcomePolarity(str(value).strip().lower())
     except ValueError:
-        raise ConfigError(
-            [f"polarity: expected 'desirable' or 'undesirable', got {value!r}"]
-        ) from None
+        return value
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def field_problems(pairs) -> list[str]:
                 problems.append(f"pi0: must be 0 or 1, got {value!r}")
         elif name == "polarity":
             if not isinstance(value, OutcomePolarity):
-                problems.append(f"polarity: got {value!r}")
+                problems.append(f"polarity: got {value!r}, expected 'desirable' or 'undesirable'")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             problems.append(f"{name}: must be a real number, got {value!r}")
         elif not abs(value) <= _FLOAT_MAX:  # NaN, inf, ints too large for a float

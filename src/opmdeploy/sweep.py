@@ -460,7 +460,7 @@ REFERENCE_SIGN_TABLE = {
     (1, 0): (0, 180),
     (1, 1): (0, 1560),
 }
-REFERENCE_SIGN_TOTAL = 4632  # sum of the printed counts
+REFERENCE_SIGN_TOTAL = sum(map(sum, REFERENCE_SIGN_TABLE.values()))
 
 ORIENTATION_NOTE = (
     "The reference tabulation's self-fulfilling columns are oriented the "
@@ -490,11 +490,9 @@ def is_default_grid(records) -> bool:
     )
 
 
-def reference_delta(
-    sign_table: dict[tuple[int, int], tuple[int, int]],
-    retained: int,
-) -> dict:
-    """Per-cell comparison with the reference tabulation.
+def reference_delta(sign_table: dict[tuple[int, int], tuple[int, int]]) -> dict:
+    """Per-cell comparison of the default grid's sign table with the
+    reference tabulation.
 
     Compares the reference against this table with columns exchanged (the
     orientation difference) and reports every remaining count difference,
@@ -509,9 +507,9 @@ def reference_delta(
         if d != (0, 0):
             cell_deltas[cell] = d
     return {
-        "retained": retained,
+        "retained": DEFAULT_RETAINED,
         "reference_total": REFERENCE_SIGN_TOTAL,
-        "count_delta": REFERENCE_SIGN_TOTAL - retained,
+        "count_delta": REFERENCE_SIGN_TOTAL - DEFAULT_RETAINED,
         "cell_deltas_after_orientation_swap": {
             f"({a},{b})": list(d) for (a, b), d in sorted(cell_deltas.items())
         },

@@ -222,6 +222,17 @@ class TestSweep:
         # 1*2*1*1*3*2*2 = 24 settings, minus pi0=1 & beta_x+beta_xt=0: 3*2=6
         assert len(out.read_text().splitlines()) == 1 + 24 - 6
 
+    def test_manifests_echo_the_grid_as_it_is_evaluated(self, tmp_path):
+        # floats, and each polarity as its member's value
+        grid = write_grid(tmp_path, beta0_values=[-1], polarities=[" Undesirable", "desirable"])
+        echo = {**json.loads(Path(grid).read_text()), "beta0_values": [-1.0],
+                "polarities": ["undesirable", "desirable"]}
+        assert main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 0
+        assert json.loads((tmp_path / "x.csv.manifest.json").read_text())["grid"] == echo
+        assert main(["tables", "--grid", grid, "--out", str(tmp_path / "t")]) == 0
+        manifest = json.loads((tmp_path / "t" / "tables_manifest.json").read_text())
+        assert manifest["source"] == {"grid": echo}
+
 
     def test_reference_cross_check_only_for_the_default_grid(self, tmp_path, capsys):
         manifest = tmp_path / "x.csv.manifest.json"
@@ -931,7 +942,7 @@ class TestGridEvaluatedOnce:
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_grid_of_many_chunks(self, calls, tmp_path, monkeypatch, command, capsys):
-        # tables reads it twice: the sign table and the harm table
+        # one kernel call per chunk of 97 settings, in grid order
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sweep, "CHUNK", 97)
         grid = write_grid(tmp_path, beta0_values=[-0.5, 0.5])
@@ -992,7 +1003,7 @@ class TestDefaultGridCheck:
 
     def test_default_grid_writes_its_reference_delta(self, grids, tmp_path, capsys):
         records, _, _ = sweep.record_columns(default_grid())
-        delta = sweep.reference_delta(sweep.aggregate_sign_table(records), len(records))
+        delta = sweep.reference_delta(sweep.aggregate_sign_table(records))
         block = '  "reference_delta": ' + json.dumps(delta, indent=2).replace("\n", "\n  ")
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--out", str(out)]) == 0

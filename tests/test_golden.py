@@ -170,6 +170,18 @@ REFUSED_INPUTS = {
         json.dumps({**{k: [0] for k in sweep.GRID_KEYS if k != "beta_x_values"},
                     "beta_x_value": [0.5], "extra": 1}),
     ),
+    # every problem of the file, in field order, polarities among them
+    "grid-bad-values": (
+        ["sweep", "--grid", "grid.json", "--out", "s.csv"], "grid.json",
+        json.dumps({"p_x_values": [0.5], "pi0_values": [0], "beta0_values": [-0.5],
+                    "beta_x_values": [0.5], "beta_t_values": [0.1, "x"], "beta_xt_values": [0],
+                    "polarities": ["desirable", "bogus", 7]}),
+    ),
+    "config-bad-values": (
+        ["eval", "--config", "config.json", "--out", "r.json"], "config.json",
+        json.dumps({"p_x": 1.5, "pi0": 0, "beta0": -0.5, "beta_x": 0.9, "beta_t": 0.3,
+                    "beta_xt": "0.1", "polarity": "bogus"}),
+    ),
 }
 
 

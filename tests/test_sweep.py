@@ -266,7 +266,7 @@ class TestSignTable:
 
     def test_reference_delta_is_swap_plus_twelve(self, default_records):
         table = aggregate_sign_table(default_records)
-        delta = reference_delta(table, len(default_records))
+        delta = reference_delta(table)
         assert delta["retained"] == 4620
         assert delta["reference_total"] == REFERENCE_SIGN_TOTAL == 4632
         assert delta["count_delta"] == 12
