@@ -101,6 +101,21 @@ MUTANTS = (
     ("sweep.py", '"retained": DEFAULT_RETAINED,', '"retained": len(sign_table),'),
     ("scenario.py", "    except ValueError:\n        return value\n",
      "    except ValueError:\n        return OutcomePolarity.DESIRABLE\n"),
+    # The memo of the last one-chunk sweep CSV: a hit on an equal size
+    # alone, the kept columns not cast to the reader's dtypes, a memo kept
+    # for a write of many chunks, one not forgotten by a later write, a
+    # pipe read for the comparison, kept records the file does not hold,
+    # kept columns left writeable, one chunk served past the chunk size,
+    # and text naming a polarity answered as if it named none.
+    ("sweep.py", "fh.read(len(data) + 1) == data", "len(fh.read(len(data) + 1)) == len(data)"),
+    ("sweep.py", "chunk.columns[name].astype(_COLUMN_DTYPES[name])", "chunk.columns[name].copy()"),
+    ("sweep.py", "    if made == 1 and len(chunk)", "    if made >= 1 and len(chunk)"),
+    ("sweep.py", "_written, made = None, 0", "made = 0"),
+    ("sweep.py", "fh.seekable() and fh.read", "fh.read"),
+    ("sweep.py", "CHUNK and all(\n", "CHUNK and any(\n"),
+    ("sweep.py", "            column.flags.writeable = False\n", "            pass\n"),
+    ("sweep.py", "data is not None and len(records) <= CHUNK:", "data is not None:"),
+    ("scenario.py", "if member is value else", "if True else"),
 )
 
 

@@ -130,7 +130,9 @@ def field_problems(pairs) -> list[str]:
                 problems.append(f"pi0: must be 0 or 1, got {value!r}")
         elif name == "polarity":
             if not isinstance(value, OutcomePolarity):
-                problems.append(f"polarity: got {value!r}, expected 'desirable' or 'undesirable'")
+                member = parse_polarity(value)  # the member that text names, which is not one
+                expected = "'desirable' or 'undesirable'" if member is value else f"{member}, not its text"
+                problems.append(f"polarity: got {value!r}, expected {expected}")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             problems.append(f"{name}: must be a real number, got {value!r}")
         elif not abs(value) <= _FLOAT_MAX:  # NaN, inf, ints too large for a float

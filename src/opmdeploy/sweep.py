@@ -393,8 +393,23 @@ def grid_records(grid: GridSpec) -> Stream:
 
 def csv_records(path) -> Stream:
     """A sweep CSV's records, parsed by `read_csv_chunks` as they are read,
-    so the tables of a file of any size are summed in flat memory."""
-    return Stream(lambda counts: read_csv_chunks(path))
+    so the tables of a file of any size are summed in flat memory. A file
+    that holds exactly the bytes of the last one-chunk CSV this process
+    wrote (`write_records_csv`) is not parsed: its kept records are the
+    stream's one chunk. Only the bytes decide, compared whole (at most one
+    byte past the kept length is read), so an edited, truncated, CRLF or
+    rewritten file is parsed; a file that cannot seek, such as a pipe, is
+    parsed with no byte read for the comparison."""
+
+    def make(counts):
+        data, records = _written or (None, ())  # one read: a pair replaced whole
+        if data is not None and len(records) <= CHUNK:  # one chunk, as when parsed
+            with open(path, "rb") as fh:
+                if fh.seekable() and fh.read(len(data) + 1) == data:
+                    return (records,)
+        return read_csv_chunks(path)
+
+    return Stream(make)
 
 
 SIGN_CELLS = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
@@ -542,18 +557,43 @@ def _column_cells(kind: type, values: np.ndarray) -> np.ndarray:
     return _CELL_TEXT[kind][values.astype(np.intp)]
 
 
+# The last sweep CSV this process wrote in one chunk, as (its bytes, its
+# records as `read_csv_chunks` reads them back, read-only), or None.
+_written = None
+
+
 def write_records_csv(records, path) -> None:
     """Write `Records` or a `Stream` as a sweep CSV, one chunk at a time,
-    each column formatted at once."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for chunk in records.chunks():
+    each column formatted at once.
+
+    One chunk of at most CHUNK records whose values all read back
+    unchanged is kept, with the bytes written, as the memo `csv_records`
+    serves while a file holds exactly those bytes: the bytes formatted,
+    not read back from the path, which may be /dev/null, a pipe or a
+    terminal. Any other write forgets the memo."""
+    global _written
+    _written, made = None, 0
+    with open(path, "wb") as fh:
+        fh.write(_HEADER + b"\n")
+        for made, chunk in enumerate(records.chunks(), 1):
             cells = [
                 _column_cells(_COLUMN_TYPES[name], chunk.columns[name]).tolist()
                 for name in CSV_COLUMNS
             ]
             cells[-1] = [cell + "\n" for cell in cells[-1]]  # each line ends in its last cell
-            fh.writelines(map(",".join, zip(*cells)))
+            body = bytearray()  # a line at a time: neither a list of lines nor a str is held
+            for line in map(",".join, zip(*cells)):
+                body += line.encode()
+            fh.write(body)
+    if made == 1 and len(chunk) <= CHUNK and all(
+        np.isin(chunk.columns[name], _CELL_TOKENS[name][1]).all() if name in _CELL_TOKENS
+        else np.isfinite(chunk.columns[name]).all()
+        for name in CSV_COLUMNS
+    ):
+        columns = {name: chunk.columns[name].astype(_COLUMN_DTYPES[name]) for name in CSV_COLUMNS}
+        for column in columns.values():
+            column.flags.writeable = False
+        _written = _HEADER + b"\n" + body, Records(columns)
 
 
 # Reading. The format is what `write_records_csv` writes; each line may end

@@ -8,8 +8,10 @@ from X=0 to X=1 (never 0: a zero step is refused), and the signs of
 derived from the paper's statements and the eight-row verdict oracle
 `TestVerdictFromSigns.CASES` alone, and each case is realized by one
 scenario at |beta| about 1 and one at |beta| about 20. Both the
-per-scenario path and a one-setting sweep must give the row. Only discrete
-outputs are compared: float agreement at |beta| about 20 is not yet exact.
+per-scenario path and a one-setting sweep must give the row, and the AUC
+sign must be the sign of the AUC change in `test_decisions.oracle`'s
+120-digit arithmetic. Only discrete outputs are compared: float agreement
+at |beta| about 20 is not yet exact.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from opmdeploy.report import evaluate_scenario
 from opmdeploy.scenario import OutcomePolarity, ScenarioParams
 from opmdeploy.sweep import GridSpec, record_columns
 import test_classify
+import test_decisions
 
 VERDICTS = {
     (pol, pi0, sign): v for pol, pi0, sign, v in test_classify.TestVerdictFromSigns.CASES
@@ -98,6 +101,7 @@ def test_case(case, scale):
     assert (sign(p.beta_x + p.beta_xt * pi0), sign(p.beta_t), sign(p.beta_t + p.beta_xt)) == (
         step, s0, s1)
     row = expected_row(*case)
+    assert test_decisions.oracle(p) == row["auc_sign"]
 
     r = evaluate_scenario(p)
     assert {

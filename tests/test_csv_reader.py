@@ -5,7 +5,11 @@ narrowed to what a sweep writes: the reader returns its columns, or raises
 its problems, on any input."""
 
 import math
+import os
 import re
+import sys
+import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +24,7 @@ from opmdeploy.errors import ConfigError
 from opmdeploy.scenario import OutcomePolarity
 from opmdeploy.sweep import (
     CSV_COLUMNS,
+    GridSpec,
     Records,
     default_grid,
     grid_records,
@@ -27,6 +32,7 @@ from opmdeploy.sweep import (
     read_records_csv,
     write_records_csv,
 )
+import test_sweep
 
 
 @pytest.fixture(scope="module")
@@ -467,8 +473,10 @@ def reads(monkeypatch):
     return calls
 
 
-def test_tables_streams_the_file(sweep_csv, tmp_path, reads, capsys):
-    # one chunk: read once and kept for the default-grid check
+def test_tables_streams_the_file(sweep_csv, tmp_path, reads, capsys, monkeypatch):
+    # a file this process did not just write, in one chunk: read once and
+    # kept for the default-grid check
+    monkeypatch.setattr(sweep, "_written", None)
     assert main(["tables", "--csv", str(sweep_csv), "--out", str(tmp_path / "t")]) == 0
     assert reads == {"chunks": 1, "whole": 0}
 
@@ -483,8 +491,10 @@ def test_tables_in_many_chunks_keeps_none(sweep_csv, tmp_path, reads, chunk_97, 
     assert records._chunk is None
 
 
-def test_plot_reads_the_whole_file_once(sweep_csv, tmp_path, reads, capsys):
-    # through the same chunk stream as tables, joined
+def test_plot_reads_the_whole_file_once(sweep_csv, tmp_path, reads, capsys, monkeypatch):
+    # a file this process did not just write, through the same chunk
+    # stream as tables, joined
+    monkeypatch.setattr(sweep, "_written", None)
     assert main(["plot", "--csv", str(sweep_csv), "--out", str(tmp_path / "f")]) == 0
     assert reads == {"chunks": 1, "whole": 0}
 
@@ -495,3 +505,200 @@ def test_chunk_columns_own_their_data(sweep_csv, monkeypatch):
     for chunk in read_csv_chunks(sweep_csv):
         for name, column in chunk.columns.items():
             assert column.base is None, name
+
+
+# ---------------------------------------------------------------------------
+# The memo of the last one-chunk CSV this process wrote: a file holding
+# exactly its bytes is not parsed, and any other file is, as before.
+
+
+@pytest.fixture
+def swept(tmp_path, capsys) -> Path:
+    """The default grid's CSV, written by `sweep --out` in this process."""
+    path = tmp_path / "swept" / "sweep.csv"
+    path.parent.mkdir()
+    assert main(["sweep", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+def memo_columns():
+    data, records = sweep._written
+    return data, {name: (c.dtype, c.tobytes()) for name, c in records.columns.items()}
+
+
+def tables_and_plot(path, out, capsys):
+    """What `tables --csv` and `plot --csv` print and write, with the run's
+    output directory and the tables manifest's timestamp left out."""
+    assert main(["tables", "--csv", str(path), "--out", str(out / "tables")]) == 0
+    assert main(["plot", "--csv", str(path), "--out", str(out / "figures")]) == 0
+    files = {
+        f.relative_to(out).as_posix(): re.sub(rb'"timestamp": "[^"]*"', b"", f.read_bytes())
+        for f in sorted(out.rglob("*")) if f.is_file()
+    }
+    return capsys.readouterr().out.replace(str(out), "OUT"), files
+
+
+def test_tables_and_plot_reuse_what_sweep_wrote(swept, tmp_path, reads, capsys, monkeypatch):
+    kept = tables_and_plot(swept, tmp_path / "kept", capsys)
+    assert reads == {"chunks": 0, "whole": 0}
+    monkeypatch.setattr(sweep, "_written", None)
+    parsed = tables_and_plot(swept, tmp_path / "parsed", capsys)
+    assert reads == {"chunks": 2, "whole": 0}
+    assert kept == parsed
+    assert len(parsed[1]) == 7 and "count delta: 12" in parsed[0]
+
+
+def one_digit_changed(data: bytes) -> bytes:
+    return data.replace(b"\n0.2,", b"\n0.3,", 1)  # the first line's p_x
+
+
+def one_cell_refused(data: bytes) -> bytes:
+    return data.replace(b"true\n", b"tru3\n", 1)
+
+
+def crlf_copy(data: bytes) -> bytes:
+    return data.replace(b"\n", b"\r\n")
+
+
+def last_line_dropped(data: bytes) -> bytes:
+    return data[: data.rindex(b"\n", 0, -1) + 1]
+
+
+def written_in_chunks_of_97(data: bytes) -> bytes:
+    return data  # the bytes are the same; the sweep that wrote them kept no memo
+
+
+@pytest.mark.parametrize("edit", [
+    one_digit_changed, one_cell_refused, crlf_copy, last_line_dropped, written_in_chunks_of_97,
+])
+def test_any_other_file_is_parsed_once(swept, tmp_path, reads, capsys, monkeypatch, edit):
+    if edit is written_in_chunks_of_97:
+        with monkeypatch.context() as chunked:
+            chunked.setattr(sweep, "CHUNK", 97)
+            assert main(["sweep", "--out", str(swept)]) == 0
+        capsys.readouterr()
+    data = swept.read_bytes()
+    swept.write_bytes(edit(data))
+    if edit in (one_digit_changed, one_cell_refused):
+        assert len(edit(data)) == len(data) and edit(data) != data
+
+    def run(out):
+        code = main(["tables", "--csv", str(swept), "--out", str(out)])
+        printed = capsys.readouterr()
+        return code, printed.out.replace(str(out), "OUT"), printed.err
+
+    held = run(tmp_path / "held")
+    assert reads == {"chunks": 1, "whole": 0}
+    monkeypatch.setattr(sweep, "_written", None)
+    assert held == run(tmp_path / "cleared")
+    assert reads == {"chunks": 2, "whole": 0}
+    if edit is one_cell_refused:
+        assert held[:2] == (2, "")
+        assert held[2].startswith(f"config error: {swept}: line ")
+        assert held[2].endswith(", column avg_treatment_beneficial: expected true/false, got 'tru3'\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(test_sweep.grids())
+def test_kept_records_are_what_the_file_parses_to(grid):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "sweep.csv"
+        write_records_csv(grid_records(grid), path)
+        data, kept = memo_columns()
+        assert data == path.read_bytes()
+        assert kept == outcome(lambda p: Records.join(read_csv_chunks(p)), path)
+
+
+def test_kept_columns_are_read_only_copies(tmp_path):
+    records, _, _ = sweep.record_columns(default_grid())
+    write_records_csv(records, tmp_path / "sweep.csv")
+    for name, column in sweep._written[1].columns.items():
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+        assert records.columns[name].flags.writeable, name  # the writer's own are left alone
+
+
+def test_a_memo_past_the_chunk_size_is_not_served(swept, reads, chunk_97):
+    # the kept records are one chunk; in chunks of 97 the file is not
+    assert [len(c) for c in sweep.csv_records(swept).chunks()] == [97] * 47 + [61]
+    assert reads == {"chunks": 1, "whole": 0}
+
+
+class Failing:
+    def chunks(self):
+        raise RuntimeError("no records")
+
+
+@pytest.mark.parametrize("later", ["many chunks", "failed"])
+def test_a_later_write_forgets_the_memo(swept, tmp_path, monkeypatch, later):
+    assert sweep._written is not None
+    if later == "failed":
+        with pytest.raises(RuntimeError):
+            write_records_csv(Failing(), tmp_path / "other.csv")
+    else:
+        monkeypatch.setattr(sweep, "CHUNK", 97)
+        write_records_csv(grid_records(default_grid()), tmp_path / "other.csv")
+    assert sweep._written is None
+
+
+@pytest.mark.parametrize("name, value, exit_code", [
+    ("auc_delta", np.inf, 2), ("cate0", np.nan, 2), ("pi0", 2, 2),
+    ("sign_bt", 2, 0),  # written as -1, so the file holds another value than the records
+])
+def test_records_the_file_does_not_hold_are_not_kept(tmp_path, capsys, name, value, exit_code):
+    records, _, _ = sweep.record_columns(default_grid())
+    records.columns[name][5] = value
+    path = tmp_path / "sweep.csv"
+    write_records_csv(records, path)
+    assert sweep._written is None
+    assert main(["tables", "--csv", str(path)]) == exit_code
+    if exit_code:
+        assert f"{path}: line 7, column {name}" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="names a pipe by /proc/self/fd")
+def test_a_pipe_is_parsed_without_a_byte_read_for_the_memo(tmp_path, reads):
+    # a pipe cannot be read twice: the memo's comparison must leave it whole
+    grid = GridSpec(*([v] for v in (0.5, 0, -0.5, 1.0, 0.5, 0.0, OutcomePolarity.DESIRABLE)))
+    write_records_csv(grid_records(grid), tmp_path / "sweep.csv")
+    data, kept = memo_columns()
+    r, w = os.pipe()
+    try:
+        os.write(w, data)  # one short line: the pipe holds it all
+        os.close(w)
+        assert outcome(lambda p: Records.join(sweep.csv_records(p).chunks()), f"/proc/self/fd/{r}") == kept
+    finally:
+        os.close(r)
+    assert reads == {"chunks": 1, "whole": 0}
+
+
+def test_threads_never_read_one_file_as_another(tmp_path):
+    # the memo is shared by the process: each thread writes and reads back
+    # its own one-row CSV while the others replace the memo
+    def work(k, failures):
+        grid = GridSpec(*([v] for v in (0.5, 0, float(k), 1.0, 0.5, 0.0, OutcomePolarity.DESIRABLE)))
+        path = tmp_path / f"sweep{k}.csv"
+        try:
+            for _ in range(100):
+                write_records_csv(grid_records(grid), path)
+                (chunk,) = sweep.csv_records(path).chunks()
+                if chunk.columns["beta0"].tolist() != [float(k)]:
+                    failures.append(k)
+        except Exception as exc:  # the thread's end: reported by the assertion below
+            failures.append(exc)
+
+    failures = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k, failures)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

@@ -65,6 +65,23 @@ class TestScenarioParams:
         with pytest.raises(ConfigError, match="polarity: got 'desirable'"):
             params_with(polarity="desirable")
 
+    @pytest.mark.parametrize("text, member", [
+        ("desirable", "OutcomePolarity.DESIRABLE"),
+        (" Undesirable ", "OutcomePolarity.UNDESIRABLE"),
+    ])
+    def test_text_naming_a_member_is_told_to_pass_the_member(self, text, member):
+        with pytest.raises(ConfigError) as err:
+            params_with(polarity=text)
+        assert err.value.problems == [f"polarity: got {text!r}, expected {member}, not its text"]
+
+    @pytest.mark.parametrize("value", ["bogus", 7, None])
+    def test_other_polarities_are_told_the_config_texts(self, value):
+        with pytest.raises(ConfigError) as err:
+            params_with(polarity=value)
+        assert err.value.problems == [
+            f"polarity: got {value!r}, expected 'desirable' or 'undesirable'"
+        ]
+
     def test_coerces_integer_inputs(self):
         p = params_with(beta_t=1, beta_x=2, pi0=1.0)
         assert p.beta_t == 1.0 and isinstance(p.beta_t, float)
