@@ -11,11 +11,14 @@ runs first and must pass, so that a failure is the mutant's.
 Usage: python scripts/mutants.py [TEST ...]
 
 TEST selects tests as pytest's arguments do; by default the whole suite
-runs. The tests that each listed old text is in its file are left out:
-every mutant fails them. Prints one line per mutant and a summary. Exits
-0 when every mutant is killed, 1 when one survives, and 2 when a mutant's
-old text is not in its file exactly once, the unmutated copy fails, or
-pytest cannot run the selection.
+runs, after the tests of the mutated module (`tests/test_<module>.py`,
+where there is one): a mutant they kill is not run on the rest. Either
+way a mutant is killed iff a selected test fails, so the verdicts are
+those of the whole selection. The tests that each listed old text is in
+its file are left out: every mutant fails them. Prints one line per
+mutant and a summary. Exits 0 when every mutant is killed, 1 when one
+survives, and 2 when a mutant's old text is not in its file exactly once,
+the unmutated copy fails, or pytest cannot run the selection.
 """
 
 from __future__ import annotations
@@ -104,18 +107,25 @@ MUTANTS = (
     # The memo of the last one-chunk sweep CSV: a hit on an equal size
     # alone, the kept columns not cast to the reader's dtypes, a memo kept
     # for a write of many chunks, one not forgotten by a later write, a
-    # pipe read for the comparison, kept records the file does not hold,
-    # kept columns left writeable, one chunk served past the chunk size,
-    # and text naming a polarity answered as if it named none.
+    # pipe read for the comparison, a value no cell holds written as
+    # another's text, kept columns left writeable, one chunk served past
+    # the chunk size, and text naming a polarity answered as if it named
+    # none.
     ("sweep.py", "fh.read(len(data) + 1) == data", "len(fh.read(len(data) + 1)) == len(data)"),
     ("sweep.py", "chunk.columns[name].astype(_COLUMN_DTYPES[name])", "chunk.columns[name].copy()"),
     ("sweep.py", "    if made == 1 and len(chunk)", "    if made >= 1 and len(chunk)"),
     ("sweep.py", "_written, made = None, 0", "made = 0"),
     ("sweep.py", "fh.seekable() and fh.read", "fh.read"),
-    ("sweep.py", "CHUNK and all(\n", "CHUNK and any(\n"),
+    ("sweep.py", "    if len(unwritable):\n", "    if False:\n"),
     ("sweep.py", "            column.flags.writeable = False\n", "            pass\n"),
     ("sweep.py", "data is not None and len(records) <= CHUNK:", "data is not None:"),
     ("scenario.py", "if member is value else", "if True else"),
+    # The result records: assignable, or built without their defaults; and
+    # `tables` holding its whole record stream at once.
+    ("scenario.py", "cls = dataclass(frozen=True)(cls)", "cls = dataclass()(cls)"),
+    ("scenario.py", 'f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}"', "f.name"),
+    ("cli.py", "sweep.aggregate_tables(records)",
+     "sweep.aggregate_tables(sweep.Records.join(records.chunks()))"),
 )
 
 
@@ -127,6 +137,12 @@ def _pytest(copy: Path, selection: list[str]) -> int:
          "--continue-on-collection-errors", "--deselect", _GUARD, *selection],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     ).returncode
+
+
+def _module_tests(name: str) -> list[str]:
+    """The mutated module's own test file, or none."""
+    path = Path("tests") / f"test_{Path(name).stem}.py"
+    return [str(path)] if (ROOT / path).is_file() else []
 
 
 def run(mutants, selection: list[str]) -> int:
@@ -149,7 +165,10 @@ def run(mutants, selection: list[str]) -> int:
             source = path.read_text()
             path.write_text(source.replace(old, new))
             began = time.perf_counter()
-            code = _pytest(copy, selection)
+            first = [] if selection else _module_tests(name)
+            code = _pytest(copy, first) if first else 0
+            if code == 0:
+                code = _pytest(copy, selection)
             path.write_text(source)
             if code not in (0, 1):
                 print(f"mutants: pytest exited {code} on {name}: {old!r}", file=sys.stderr)

@@ -14,11 +14,10 @@ same coefficient signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .scenario import ObservedDistribution, OutcomePolarity, effect_sign
+from .scenario import ObservedDistribution, OutcomePolarity, effect_sign, frozen_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .report import DeploymentReport
@@ -36,13 +35,13 @@ class CheckStatus(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CheckResult:
     status: CheckStatus
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HarmAssessment:
     """Per-group and marginal harm of a policy change.
 
@@ -127,7 +126,7 @@ def check_uniform_effect_rule(report: "DeploymentReport") -> CheckResult:
     )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SubcaseRow:
     """One row of the exhaustive policy-change case split: which group's
     assignment changed, the direction of its outcome shift, and whether that

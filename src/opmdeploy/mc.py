@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .scenario import ScenarioParams, potential_outcomes
+from .scenario import ScenarioParams, frozen_record, potential_outcomes
 
 
 # Patients per run at most. Counting and dumping both stream them CHUNK at
@@ -52,7 +52,7 @@ class McConfig:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EmpiricalMetrics:
     """Plug-in metrics on a finite sample. auc_hat is the tie-adjusted
     rank statistic (ties count one half), evaluated at the same operating

@@ -9,20 +9,18 @@ four-cell joint by Bayes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateOutcome
-from .scenario import ObservedDistribution, Opm
+from .scenario import ObservedDistribution, Opm, frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DiscriminationMetrics:
     sens: float
     spec: float
     auc: float
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CalibrationLevel:
     """One prediction level: its value alpha, the conditional outcome mean
     E[Y | f(X)=alpha] under the evaluated distribution, and its mass."""
@@ -36,7 +34,7 @@ class CalibrationLevel:
         return abs(self.conditional_mean - self.alpha)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CalibrationReport:
     levels: tuple[CalibrationLevel, ...]
     max_gap: float

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import classify, metrics
 from .classify import CheckResult, HarmAssessment, SubcaseRow, Verdict
 from .metrics import CalibrationReport, DiscriminationMetrics
@@ -14,13 +12,14 @@ from .scenario import (
     ScenarioParams,
     deployment_signs,
     fit_opm,
+    frozen_record,
     observed_distribution,
     potential_outcomes,
     zero_step_error,
 )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DeploymentReport:
     """Everything knowable in closed form about one deployment."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 from .errors import ConfigError, DegenerateScenario
@@ -142,7 +142,29 @@ def field_problems(pairs) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
+def frozen_record(cls):
+    """`dataclass(frozen=True)` whose `__init__` stores every field at once,
+    with one `object.__setattr__` of the instance's `__dict__`, where the
+    dataclass's stores each field with its own. Its signature is the
+    dataclass's; equality, hashing, repr, `fields`, `replace`, pickling and
+    FrozenInstanceError are the dataclass's own. For the result records
+    built on every call, whose fields have plain defaults or none; a
+    validated input keeps the dataclass's `__init__` and `__post_init__`."""
+    cls = dataclass(frozen=True)(cls)
+    given = fields(cls)
+    namespace = {f"_dflt_{f.name}": f.default for f in given if f.default is not MISSING}
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}" for f in given)
+    stored = ", ".join(f"{f.name!r}: {f.name}" for f in given)
+    exec(f"def __init__(self, {params}):\n"
+         f"    object.__setattr__(self, '__dict__', {{{stored}}})", namespace)
+    init = namespace["__init__"]
+    init.__annotations__ = {**{f.name: f.type for f in given}, "return": None}
+    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@frozen_record
 class PotentialOutcomes:
     """The four outcome probabilities q[t][x] = p(Y_t=1 | X=x)."""
 
@@ -154,7 +176,7 @@ class PotentialOutcomes:
         return (self.q[1][0] - self.q[0][0], self.q[1][1] - self.q[0][1])
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Opm:
     """A fitted predictor: one predicted probability per group, plus the
     decision threshold "treat group x iff f(x) > lam" that deploys it, or
@@ -164,7 +186,7 @@ class Opm:
     lam: float | None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ObservedDistribution:
     """The observable (X, Y) distribution induced by a policy.
 

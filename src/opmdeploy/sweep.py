@@ -551,10 +551,20 @@ def map_distinct(fn, column: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, bits.view(column.dtype).tolist())), dtype=object)[where]
 
 
-def _column_cells(kind: type, values: np.ndarray) -> np.ndarray:
-    if kind is float:
-        return map_distinct(repr, values)
-    return _CELL_TEXT[kind][values.astype(np.intp)]
+def _column_cells(name: str, values: np.ndarray) -> np.ndarray:
+    """The column's cell texts. A value no cell text stands for, a code
+    outside the column's range of tokens or a float that is not finite,
+    raises ConfigError naming the column."""
+    if name in _CELL_TOKENS:
+        codes = _CELL_TOKENS[name][1]
+        unwritable = values[(values < codes.min()) | (values > codes.max())]
+    else:
+        unwritable = values[~np.isfinite(values)]
+    if len(unwritable):
+        raise ConfigError([f"column {name}: no sweep CSV cell holds {unwritable[0].item()!r}"])
+    if name in _CELL_TOKENS:
+        return _CELL_TEXT[_COLUMN_TYPES[name]][values.astype(np.intp)]
+    return map_distinct(repr, values)
 
 
 # The last sweep CSV this process wrote in one chunk, as (its bytes, its
@@ -566,30 +576,24 @@ def write_records_csv(records, path) -> None:
     """Write `Records` or a `Stream` as a sweep CSV, one chunk at a time,
     each column formatted at once.
 
-    One chunk of at most CHUNK records whose values all read back
-    unchanged is kept, with the bytes written, as the memo `csv_records`
-    serves while a file holds exactly those bytes: the bytes formatted,
-    not read back from the path, which may be /dev/null, a pipe or a
-    terminal. Any other write forgets the memo."""
+    A chunk holding a value no cell stands for raises ConfigError (see
+    `_column_cells`) before its bytes are written. One chunk of at most
+    CHUNK records is kept, with the bytes written, as the memo
+    `csv_records` serves while a file holds exactly those bytes: the bytes
+    formatted, not read back from the path, which may be /dev/null, a pipe
+    or a terminal. Any other write forgets the memo."""
     global _written
     _written, made = None, 0
     with open(path, "wb") as fh:
         fh.write(_HEADER + b"\n")
         for made, chunk in enumerate(records.chunks(), 1):
-            cells = [
-                _column_cells(_COLUMN_TYPES[name], chunk.columns[name]).tolist()
-                for name in CSV_COLUMNS
-            ]
+            cells = [_column_cells(name, chunk.columns[name]).tolist() for name in CSV_COLUMNS]
             cells[-1] = [cell + "\n" for cell in cells[-1]]  # each line ends in its last cell
             body = bytearray()  # a line at a time: neither a list of lines nor a str is held
             for line in map(",".join, zip(*cells)):
                 body += line.encode()
             fh.write(body)
-    if made == 1 and len(chunk) <= CHUNK and all(
-        np.isin(chunk.columns[name], _CELL_TOKENS[name][1]).all() if name in _CELL_TOKENS
-        else np.isfinite(chunk.columns[name]).all()
-        for name in CSV_COLUMNS
-    ):
+    if made == 1 and len(chunk) <= CHUNK:
         columns = {name: chunk.columns[name].astype(_COLUMN_DTYPES[name]) for name in CSV_COLUMNS}
         for column in columns.values():
             column.flags.writeable = False

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -643,19 +644,53 @@ def test_a_later_write_forgets_the_memo(swept, tmp_path, monkeypatch, later):
     assert sweep._written is None
 
 
-@pytest.mark.parametrize("name, value, exit_code", [
-    ("auc_delta", np.inf, 2), ("cate0", np.nan, 2), ("pi0", 2, 2),
-    ("sign_bt", 2, 0),  # written as -1, so the file holds another value than the records
-])
-def test_records_the_file_does_not_hold_are_not_kept(tmp_path, capsys, name, value, exit_code):
+# Each token column's code one past its range, on either side for some,
+# and the floats that are not finite. The writer used to write a sign_bt
+# of 2 as -1, and a pi0 of 2 as -1.
+UNWRITABLE = [
+    ("auc_delta", np.inf), ("cate0", np.nan), ("cate1", -np.inf),
+    ("pi0", 2), ("pi0", -1), ("sign_bt", 2), ("sign_bt", -2), ("sign_bt_plus_bxt", 2),
+    ("polarity", 2), ("polarity", -1), ("verdict", 3), ("self_fulfilling", 2),
+    ("harmful_marginal", 2), ("calibrated_post", -1), ("avg_treatment_beneficial", 2),
+]
+
+
+def with_value(records, name, row, value):
+    """`records` with one cell set to `value`, in a column wide enough for it."""
+    column = records.columns[name].astype(np.int64 if isinstance(value, int) else np.float64)
+    column[row] = value
+    return Records({**records.columns, name: column})
+
+
+@pytest.mark.parametrize("name, value", UNWRITABLE)
+def test_a_value_no_cell_holds_is_refused(tmp_path, name, value):
     records, _, _ = sweep.record_columns(default_grid())
-    records.columns[name][5] = value
     path = tmp_path / "sweep.csv"
-    write_records_csv(records, path)
+    write_records_csv(records, path)  # the memo a refused write forgets
+    with pytest.raises(ConfigError) as refused:
+        write_records_csv(with_value(records, name, 5, value), path)
+    assert refused.value.problems == [f"column {name}: no sweep CSV cell holds {value!r}"]
     assert sweep._written is None
-    assert main(["tables", "--csv", str(path)]) == exit_code
-    if exit_code:
-        assert f"{path}: line 7, column {name}" in capsys.readouterr().err
+    assert path.read_bytes() == sweep._HEADER + b"\n"
+
+
+@pytest.mark.parametrize("name, value", UNWRITABLE)
+def test_a_refused_chunk_writes_no_byte(tmp_path, name, value):
+    # the chunks before it are written whole, and none of its lines
+    records, _, _ = sweep.record_columns(default_grid())
+    head, bad = (Records({n: c[at] for n, c in records.columns.items()}) for at in (slice(97), slice(97, 194)))
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigError, match=f"column {name}"):
+        write_records_csv(SimpleNamespace(chunks=lambda: [head, with_value(bad, name, 96, value)]), path)
+    write_records_csv(head, tmp_path / "head.csv")
+    assert path.read_bytes() == (tmp_path / "head.csv").read_bytes()
+
+
+def test_each_token_columns_codes_are_one_range():
+    # the writer's range check refuses exactly the codes with no text
+    for name, (_, codes) in sweep._CELL_TOKENS.items():
+        codes = sorted(map(int, codes.tolist()))
+        assert codes == list(range(codes[0], codes[-1] + 1)), name
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="names a pipe by /proc/self/fd")

@@ -146,6 +146,37 @@ def test_a_mutant_that_no_selected_test_notices_survives(capsys):
     assert capsys.readouterr().out.startswith("survived")
 
 
+@pytest.mark.parametrize("mutant, outcomes, runs", [
+    # killed by its module's tests: the rest of the suite is not run
+    (DIRECTIONS, {"tests/test_classify.py": 1}, [["tests/test_classify.py"]]),
+    # survives them: the whole suite decides
+    (DIRECTIONS, {"tests/test_classify.py": 0, "": 1},
+     [["tests/test_classify.py"], []]),
+    (DIRECTIONS, {"tests/test_classify.py": 0, "": 0},
+     [["tests/test_classify.py"], []]),
+    # a module with no test file of its own
+    (("report.py", "policy_post = (1 - top, top)", "policy_post = (top, 1 - top)"), {"": 1}, [[]]),
+])
+def test_the_mutated_modules_tests_run_first(monkeypatch, capsys, mutant, outcomes, runs):
+    ran = []
+
+    def pytest_run(copy, selection):
+        ran.append(selection)
+        return 0 if len(ran) == 1 else outcomes["".join(selection)]  # the unmutated copy passes
+
+    monkeypatch.setattr(mutants, "_pytest", pytest_run)
+    assert mutants.run([mutant], []) == (outcomes["".join(runs[-1])] == 0)
+    assert ran == [[], *runs]
+    assert capsys.readouterr().out.startswith("killed" if outcomes["".join(runs[-1])] else "survived")
+
+
+def test_a_given_selection_runs_alone(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(mutants, "_pytest", lambda copy, selection: ran.append(selection) or len(ran) - 1)
+    assert mutants.run([DIRECTIONS], ["tests/test_tools.py"]) == 0
+    assert ran == [["tests/test_tools.py"]] * 2
+
+
 @pytest.mark.parametrize("name, old, new", mutants.MUTANTS,
                          ids=[f"{i}-{m[0]}" for i, m in enumerate(mutants.MUTANTS)])
 def test_each_listed_mutant_applies_once(name, old, new):
