@@ -78,20 +78,18 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("name", COMMANDS)
-def test_memory_is_flat_in_the_grid(name, grids, capsys, record_property):
+def test_memory_is_flat_in_the_grid(name, grids, capsys):
     if name == "tables --csv":  # the files it reads, in many chunks: none is kept
         for path in grids[0].values():
             assert main(COMMANDS["sweep"](path, grids[1])) == 0
     found = peaks(COMMANDS[name], grids, capsys)
-    record_property("peak_bytes_by_chunks", found)
     assert found[16] <= found[4] + SLACK, found
 
 
-def test_plot_peak_is_linear_in_the_grid(grids, capsys, record_property):
+def test_plot_peak_is_linear_in_the_grid(grids, capsys):
     # `plot` joins the columns it draws, so its peak grows with the grid:
-    # recorded, not held flat. When it streams its figures, it joins the
+    # checked to grow, not held flat. When it streams its figures, it joins the
     # commands above.
     found = peaks(lambda grid, work: ["plot", "--grid", str(grid), "--out", str(work / "figures")],
                   grids, capsys)
-    record_property("peak_bytes_by_chunks", found)
     assert found[16] > 2 * found[4], found
