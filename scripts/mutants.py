@@ -107,8 +107,8 @@ MUTANTS = (
     # The memo of the last one-chunk sweep CSV: a hit on an equal size
     # alone, the kept columns not cast to the reader's dtypes, a memo kept
     # for a write of many chunks, one not forgotten by a later write, a
-    # pipe read for the comparison, a value no cell holds written as
-    # another's text, kept columns left writeable, one chunk served past
+    # pipe read for the comparison, a token code past its column's range
+    # written as another's text, kept columns left writeable, one chunk served past
     # the chunk size, and text naming a polarity answered as if it named
     # none.
     ("sweep.py", "fh.read(len(data) + 1) == data", "len(fh.read(len(data) + 1)) == len(data)"),
@@ -116,10 +116,19 @@ MUTANTS = (
     ("sweep.py", "    if made == 1 and len(chunk)", "    if made >= 1 and len(chunk)"),
     ("sweep.py", "_written, made = None, 0", "made = 0"),
     ("sweep.py", "fh.seekable() and fh.read", "fh.read"),
-    ("sweep.py", "    if len(unwritable):\n", "    if False:\n"),
+    ("sweep.py", "    if len(values) and (values.min() < low or values.max() >= low + len(texts)):\n",
+     "    if False:\n"),
     ("sweep.py", "            column.flags.writeable = False\n", "            pass\n"),
     ("sweep.py", "data is not None and len(records) <= CHUNK:", "data is not None:"),
     ("scenario.py", "if member is value else", "if True else"),
+    # The writer's cells: a token code that is not a whole number cut to
+    # one, merged columns indexed without the radix (two rows' pairs of
+    # cells read as one), a line skipped after each full slice, and the
+    # default grid's settings built again on each check.
+    ("sweep.py", '    if values.dtype.kind not in "biu":\n', "    if False:\n"),
+    ("sweep.py", "head_where * len(texts) + where", "head_where + where"),
+    ("sweep.py", "range(0, len(chunk), _SLICE)", "range(0, len(chunk), _SLICE + 1)"),
+    ("sweep.py", "@cache\ndef _default_settings", "def _default_settings"),
     # The result records: assignable, or built without their defaults; and
     # `tables` holding its whole record stream at once.
     ("scenario.py", "cls = dataclass(frozen=True)(cls)", "cls = dataclass()(cls)"),

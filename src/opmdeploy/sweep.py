@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import get_type_hints
 
@@ -497,12 +497,22 @@ def is_default_grid(records) -> bool:
     not read again, and the default grid is not built for them."""
     if len(records) != DEFAULT_RETAINED:
         return False
-    grid = default_grid()
-    settings, _ = _settings(grid, 0, grid.cardinality)
+    settings = _default_settings()
     records = Records.join(records.chunks())
     return all(
         np.array_equal(records.columns[name], settings[name]) for name in PARAM_FIELDS
     )
+
+
+@cache
+def _default_settings() -> dict[str, np.ndarray]:
+    """The default grid's retained settings, built once per process:
+    read-only columns, as `_settings` makes them."""
+    grid = default_grid()
+    settings, _ = _settings(grid, 0, grid.cardinality)
+    for column in settings.values():
+        column.flags.writeable = False
+    return settings
 
 
 def reference_delta(sign_table: dict[tuple[int, int], tuple[int, int]]) -> dict:
@@ -536,35 +546,74 @@ def reference_delta(sign_table: dict[tuple[int, int], tuple[int, int]]) -> dict:
 # CSV round trip, a column at a time. Floats use repr (shortest round-trip
 # form) so reruns are byte-identical; booleans are true/false, signs -1/0/1.
 
-# Cell text by value (ints: index -1 is the last entry) or code.
-_CELL_TEXT = {
-    int: np.array(["0", "1", "-1"], dtype=object),
-    bool: np.array(["false", "true"], dtype=object),
-    **{t: np.array([m.value for m in members], dtype=object) for t, members in _MEMBERS.items()},
+# Each token column's lowest value and its cell texts in value order: the
+# values are one range.
+_TOKENS = {
+    name: (0, ["false", "true"]) if kind is bool
+    else (0, ["0", "1"]) if name == "pi0"
+    else (-1, ["-1", "0", "1"]) if kind is int
+    else (0, [m.value for m in _MEMBERS[kind]])
+    for name, kind in _COLUMN_TYPES.items() if kind is not float
 }
+# What follows each column's cells on a line, and the token texts with it.
+_SEPARATOR = dict.fromkeys(CSV_COLUMNS, ",") | {CSV_COLUMNS[-1]: "\n"}
+_TOKEN_CELLS = {name: (low, np.array(texts, dtype=object) + _SEPARATOR[name])
+                for name, (low, texts) in _TOKENS.items()}
+# Lines the writer joins into one string at once: bounds the text held
+# beside a chunk's bytes. At 1024 the wide-grid benchmark's peak RSS rose
+# 0.4 MB over joining one line at a time; at 512 it did not.
+_SLICE = 1 << 9
+
+
+def _distinct(fn, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fn of each distinct value of the column, as an object array, and
+    each value's index in it: fn is called once per distinct bit pattern,
+    which keeps 0.0 and -0.0 apart."""
+    bits, where = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    return np.array(list(map(fn, bits.view(column.dtype).tolist())), dtype=object), where
 
 
 def map_distinct(fn, column: np.ndarray) -> np.ndarray:
-    """fn of each value of the column, as an object array: fn is called
-    once per distinct bit pattern, which keeps 0.0 and -0.0 apart."""
-    bits, where = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
-    return np.array(list(map(fn, bits.view(column.dtype).tolist())), dtype=object)[where]
+    """fn of each value of the column, as an object array (see `_distinct`)."""
+    values, where = _distinct(fn, column)
+    return values[where]
 
 
-def _column_cells(name: str, values: np.ndarray) -> np.ndarray:
-    """The column's cell texts. A value no cell text stands for, a code
-    outside the column's range of tokens or a float that is not finite,
-    raises ConfigError naming the column."""
-    if name in _CELL_TOKENS:
-        codes = _CELL_TOKENS[name][1]
-        unwritable = values[(values < codes.min()) | (values > codes.max())]
-    else:
-        unwritable = values[~np.isfinite(values)]
-    if len(unwritable):
-        raise ConfigError([f"column {name}: no sweep CSV cell holds {unwritable[0].item()!r}"])
-    if name in _CELL_TOKENS:
-        return _CELL_TEXT[_COLUMN_TYPES[name]][values.astype(np.intp)]
-    return map_distinct(repr, values)
+def _refuse(name: str, unwritable: np.ndarray):
+    raise ConfigError([f"column {name}: no sweep CSV cell holds {unwritable[0].item()!r}"])
+
+
+def _column_cells(name: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column's distinct cell texts, each followed by its separator,
+    and each value's index among them. Token codes that are not of an
+    integer or bool dtype, a code outside the column's range of tokens or
+    a float that is not finite raises ConfigError naming the column."""
+    if name not in _TOKEN_CELLS:
+        if not np.isfinite(values).all():
+            _refuse(name, values[~np.isfinite(values)])
+        texts, where = _distinct(repr, values)
+        return texts + _SEPARATOR[name], where
+    low, texts = _TOKEN_CELLS[name]
+    if values.dtype.kind not in "biu":
+        raise ConfigError([f"column {name}: token codes must be integers, not {values.dtype}"])
+    if len(values) and (values.min() < low or values.max() >= low + len(texts)):
+        _refuse(name, values[(values < low) | (values >= low + len(texts))])
+    return texts, values.astype(np.intp) - low
+
+
+def _cell_groups(chunk: Records) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The chunk's cells, neighbouring columns merged into one cell while
+    the merged texts number at most a quarter of the chunk's rows: per
+    cell, its distinct texts (the outer concatenation of its columns') and
+    each row's index among them."""
+    groups = []
+    for name in CSV_COLUMNS:
+        texts, where = _column_cells(name, chunk.columns[name])
+        if groups and 4 * len(groups[-1][0]) * len(texts) <= len(chunk):
+            head, head_where = groups.pop()
+            texts, where = np.add.outer(head, texts).ravel(), head_where * len(texts) + where
+        groups.append((texts, where))
+    return groups
 
 
 # The last sweep CSV this process wrote in one chunk, as (its bytes, its
@@ -573,8 +622,9 @@ _written = None
 
 
 def write_records_csv(records, path) -> None:
-    """Write `Records` or a `Stream` as a sweep CSV, one chunk at a time,
-    each column formatted at once.
+    """Write `Records` or a `Stream` as a sweep CSV, one chunk at a time:
+    each column's distinct cells formatted once, merged with their
+    neighbours (`_cell_groups`), and the lines joined `_SLICE` at a time.
 
     A chunk holding a value no cell stands for raises ConfigError (see
     `_column_cells`) before its bytes are written. One chunk of at most
@@ -587,11 +637,14 @@ def write_records_csv(records, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER + b"\n")
         for made, chunk in enumerate(records.chunks(), 1):
-            cells = [_column_cells(name, chunk.columns[name]).tolist() for name in CSV_COLUMNS]
-            cells[-1] = [cell + "\n" for cell in cells[-1]]  # each line ends in its last cell
-            body = bytearray()  # a line at a time: neither a list of lines nor a str is held
-            for line in map(",".join, zip(*cells)):
-                body += line.encode()
+            groups = _cell_groups(chunk)
+            lines = np.empty((min(_SLICE, len(chunk)), len(groups)), dtype=object)
+            body = bytearray()  # a slice of lines at a time: no str of the chunk is held
+            for start in range(0, len(chunk), _SLICE):
+                rows = lines[:len(chunk) - start]
+                for cell, (texts, where) in zip(rows.T, groups):
+                    cell[:] = texts[where[start:start + _SLICE]]
+                body += "".join(rows.ravel().tolist()).encode()
             fh.write(body)
     if made == 1 and len(chunk) <= CHUNK:
         columns = {name: chunk.columns[name].astype(_COLUMN_DTYPES[name]) for name in CSV_COLUMNS}
@@ -611,20 +664,15 @@ _MAX_LINE = 1 << 10
 _HEADER = ",".join(CSV_COLUMNS).encode()
 
 
-def _cell_tokens(name: str, kind: type) -> tuple[np.ndarray, np.ndarray]:
-    """The texts a sweep writes in the column, sorted, and the values they
-    stand for: the writer's `_CELL_TEXT` inverted."""
-    if kind is int:
-        codes = (0, 1) if name == "pi0" else (-1, 0, 1)
-    else:
-        codes = range(len(_CELL_TEXT[kind]))
-    texts, values = zip(*sorted(zip(_CELL_TEXT[kind][list(codes)], codes)))
+def _cell_tokens(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The texts a sweep writes in the token column, sorted, and the values
+    they stand for."""
+    low, texts = _TOKENS[name]
+    texts, values = zip(*sorted((text, low + i) for i, text in enumerate(texts)))
     return np.array(texts, "S"), np.array(values, _COLUMN_DTYPES[name])
 
 
-_CELL_TOKENS = {
-    name: _cell_tokens(name, kind) for name, kind in _COLUMN_TYPES.items() if kind is not float
-}
+_CELL_TOKENS = {name: _cell_tokens(name) for name in _TOKENS}
 # numpy's C text reader makes float cells float64 and the others byte
 # strings one longer than the longest token, so no longer cell matches one
 # cut short.
@@ -636,7 +684,7 @@ _CSV_DTYPE = np.dtype([
 # The bytes of a sweep's cells: a comma, a quote, whitespace, \r or a
 # non-ASCII byte is none of them.
 _WRITTEN_BYTES = bytes(sorted(set(
-    "".join(itertools.chain("0123456789+-.e", *_CELL_TEXT.values())).encode()
+    "".join(itertools.chain("0123456789+-.e", *(texts for _, texts in _TOKENS.values()))).encode()
 )))
 
 

@@ -1001,6 +1001,14 @@ class TestDefaultGridCheck:
         assert main(["tables", "--csv", str(out), "--out", str(tmp_path / "t")]) == 0
         assert grids and default_grid() not in grids
 
+    def test_default_settings_are_built_once(self, grids):
+        records, _, _ = sweep.record_columns(default_grid())
+        assert sweep.is_default_grid(records)
+        grids.clear()
+        assert sweep.is_default_grid(records) and sweep.is_default_grid(records)
+        assert default_grid() not in grids
+        assert not any(c.flags.writeable for c in sweep._default_settings().values())
+
     def test_default_grid_writes_its_reference_delta(self, grids, tmp_path, capsys):
         records, _, _ = sweep.record_columns(default_grid())
         delta = sweep.reference_delta(sweep.aggregate_sign_table(records))

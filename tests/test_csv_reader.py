@@ -686,6 +686,23 @@ def test_a_refused_chunk_writes_no_byte(tmp_path, name, value):
     assert path.read_bytes() == (tmp_path / "head.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(sweep._CELL_TOKENS))
+@pytest.mark.parametrize("value", [0.5, 1.0])
+def test_token_codes_that_are_not_integers_are_refused(tmp_path, name, value):
+    # a float code used to be cut to a whole one: a sign_bt of 0.5 was
+    # written as 0; a float column is refused even where it holds whole numbers
+    records, _, _ = sweep.record_columns(default_grid())
+    head, bad = (Records({n: c[at] for n, c in records.columns.items()}) for at in (slice(97), slice(97, 194)))
+    path = tmp_path / "sweep.csv"
+    write_records_csv(records, path)  # the memo a refused write forgets
+    with pytest.raises(ConfigError) as refused:
+        write_records_csv(SimpleNamespace(chunks=lambda: [head, with_value(bad, name, 5, value)]), path)
+    assert refused.value.problems == [f"column {name}: token codes must be integers, not float64"]
+    assert sweep._written is None
+    write_records_csv(head, tmp_path / "head.csv")
+    assert path.read_bytes() == (tmp_path / "head.csv").read_bytes()
+
+
 def test_each_token_columns_codes_are_one_range():
     # the writer's range check refuses exactly the codes with no text
     for name, (_, codes) in sweep._CELL_TOKENS.items():

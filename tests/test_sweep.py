@@ -4,6 +4,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -584,3 +585,123 @@ class TestCsvReadInBulk:
     def test_random_grids(self, grid):
         with tempfile.TemporaryDirectory() as d:
             self.assert_read_in_bulk(grid, Path(d) / "sweep.csv")
+
+
+# ---------------------------------------------------------------------------
+# The writer against a per-row reference: each line the cells' texts, the
+# floats' repr and the tokens' words, joined by commas. The writer merges
+# neighbouring columns into one cell and joins lines a slice at a time; the
+# bytes must not show either.
+
+# Floats with every repr form: signed zeros, the smallest subnormal, the
+# exponent boundaries of repr (1e-5, 1e16) and values far past them.
+WRITER_FLOATS = (0.0, -0.0, 5e-324, 1e-5, 1e16, 1e22, -1.5e300, 0.1, -2.5, 1 / 3)
+FLOAT_POOLS = st.lists(st.sampled_from(WRITER_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=4)
+
+
+def token_values(name: str, kind: type) -> list:
+    """The values a token column holds: bools, signs (0/1 for pi0) or enum
+    codes."""
+    if kind is bool:
+        return [False, True]
+    if kind is int:
+        return [0, 1] if name == "pi0" else [-1, 0, 1]
+    return list(range(len(kind)))
+
+
+def token_text(kind: type, value) -> str:
+    if kind is bool:
+        return "true" if value else "false"
+    return str(value) if kind is int else list(kind)[value].value
+
+
+def reference_csv(records: Records) -> bytes:
+    """The sweep CSV of the records, a row and a cell at a time."""
+    lines = [",".join(CSV_COLUMNS)]
+    for row in range(len(records)):
+        texts = []
+        for name in CSV_COLUMNS:
+            kind, value = sweep._COLUMN_TYPES[name], records.columns[name][row].item()
+            texts.append(repr(float(value)) if kind is float else token_text(kind, value))
+        lines.append(",".join(texts))
+    return "\n".join(lines).encode() + b"\n"
+
+
+@st.composite
+def writer_records(draw) -> Records:
+    """Records of 1 to 48 rows, each float column drawn from a pool of at
+    most four values, so cells repeat and columns merge; from 3 rows on,
+    every token code appears in its column. Which row holds which value
+    comes from a seeded generator: drawing each cell costs more than the
+    write it tests."""
+    rows = draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    columns = {}
+    for name in CSV_COLUMNS:
+        kind = sweep._COLUMN_TYPES[name]
+        if kind is float:
+            pool = draw(FLOAT_POOLS)
+            values = rng.choice(np.array(pool), rows)
+        else:  # each token once, in some order, then any
+            pool = token_values(name, kind)
+            values = np.concatenate([rng.permutation(pool), rng.choice(pool, rows)])[:rows]
+        columns[name] = values.astype(sweep._COLUMN_DTYPES[name])
+    return Records(columns)
+
+
+def chunked(records: Records, size: int):
+    """The records as a stream of chunks of `size` rows."""
+    chunks = [Records({name: column[at:at + size] for name, column in records.columns.items()})
+              for at in range(0, len(records), size)]
+    return SimpleNamespace(chunks=lambda: chunks)
+
+
+def assert_writes_reference(records: Records, size: int, lines_at_once: int) -> None:
+    want = reference_csv(records)
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "CHUNK", size)
+        mp.setattr(sweep, "_SLICE", lines_at_once)
+        path = Path(d) / "sweep.csv"
+        write_records_csv(chunked(records, size), path)
+        assert path.read_bytes() == want
+        assert sweep._written is None if size < len(records) else sweep._written[0] == want
+
+
+class TestWriterBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(writer_records(), st.data())
+    def test_random_records_in_one_chunk_and_in_many(self, records, data):
+        lines_at_once = data.draw(st.integers(1, 8), label="lines at once")
+        assert_writes_reference(records, len(records), lines_at_once)
+        size = data.draw(st.integers(1, len(records)), label="chunk size")
+        assert_writes_reference(records, size, lines_at_once)
+
+    @staticmethod
+    def records(rows: int) -> Records:
+        # p_x takes two values and pi0 has two tokens: four texts merged
+        columns = dict(record_columns(default_grid())[0].columns)
+        at = np.arange(rows) % 2
+        columns = {name: column[:rows].copy() for name, column in columns.items()}
+        columns["p_x"], columns["pi0"] = np.array([0.2, 0.5])[at], at.astype(np.int8)
+        return Records(columns)
+
+    @pytest.mark.parametrize("rows, merged", [(1, False), (2, False), (3, False),
+                                              (15, False), (16, True)])
+    def test_a_merge_lands_on_the_bound(self, rows, merged):
+        # merged texts number at most a quarter of the chunk's rows: 4 at 16
+        records = self.records(rows)
+        first = sweep._cell_groups(records)[0][0].tolist()
+        if merged:
+            assert first[:2] == [f"0.2,{pi0},{first[0][6:]}" for pi0 in (0, 1)]
+        else:
+            assert first == ["0.2,", "0.5,"][:rows]
+        if rows < 4:  # no two columns merge at all
+            assert len(sweep._cell_groups(records)) == len(CSV_COLUMNS)
+        assert_writes_reference(records, rows, 1 << 10)
+        assert_writes_reference(records, rows, 3)
+
+    def test_default_grid_is_seven_cells_a_line(self, default_records):
+        groups = sweep._cell_groups(default_records)
+        assert [len(texts) for texts, _ in groups][-1] == 2 * 3 * 3 * 2 * 3 * 2 * 2
+        assert len(groups) == 7
