@@ -135,6 +135,19 @@ MUTANTS = (
     ("scenario.py", 'f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}"', "f.name"),
     ("cli.py", "sweep.aggregate_tables(records)",
      "sweep.aggregate_tables(sweep.Records.join(records.chunks()))"),
+    # The figures' coordinate tables: a value near a rounding tie read off
+    # them, the values they do not hold left blank, and the fills formatted
+    # in each panel again; a written figure held while the next is drawn;
+    # the outputs and the grid read in the locale's encoding.
+    ("figures.py", "(abs(s - np.floor(s) - 0.5) > 1e-6) & ", ""),
+    ("figures.py", "    whole[rest] = [_n(v) for v in column[rest].tolist()]\n", ""),
+    ("figures.py", "fills[keep], 0.75)",
+     "map_distinct(lambda c: diverging_color(0.5 + 0.5 * c / c_amp),"
+     " columns[color_field][keep]), 0.75)"),
+    ("cli.py", "fh.write(figures.odds_ratio_panels(recs, *axes, title, manifest))",
+     "svg = figures.odds_ratio_panels(recs, *axes, title, manifest); fh.write(svg)"),
+    ("cli.py", 'open(path, "w", newline="", encoding="utf-8")', 'open(path, "w", newline="")'),
+    ("cli.py", 'open(path, encoding="utf-8")', "open(path)"),
 )
 
 

@@ -42,13 +42,13 @@ def _timestamp() -> str:
 
 
 def _load_object(path: str | None, keys: tuple[str, ...], given=()) -> dict:
-    """The JSON object in the file at `path` (an empty one for None),
+    """The JSON object in the UTF-8 file at `path` (an empty one for None),
     updated with the (key, value) pairs `given`: every one of `keys`, and
     no other."""
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (ValueError, RecursionError) as exc:  # also bad bytes, huge ints, deep nesting
             raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
@@ -69,9 +69,9 @@ def _write_json(fh, payload) -> None:
 
 @contextlib.contextmanager
 def _outputs(outputs: dict, others=()):
-    """Open every output file, given as {role: path}, for writing before the
-    command's work, and yield the handles by role, so that a name that
-    cannot be written fails first. Two outputs that are one file, or an
+    """Open every output file, given as {role: path}, for writing UTF-8 text
+    before the command's work, and yield the handles by role, so that a name
+    that cannot be written fails first. Two outputs that are one file, or an
     output that is one of `others` ((role, path) pairs of the files the
     command reads or writes itself), are refused before any file is opened:
     names of files that exist are one file when their (device, inode) are,
@@ -96,7 +96,7 @@ def _outputs(outputs: dict, others=()):
             handles = {}
             for role, path in outputs.items():
                 new = not os.path.lexists(path)
-                handles[role] = stack.enter_context(open(path, "w", newline=""))
+                handles[role] = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
                 opened.append((path, new))
             yield handles
     except BaseException:  # the handles are closed, so nothing is flushed after this
@@ -410,11 +410,11 @@ def cmd_plot(args) -> int:
                 "subset": "avg-beneficial" if restricted else "all",
                 "points": len(recs),
             }
+            # each document is written and dropped before the next is drawn
             if axes is None:
-                svg = figures.auc_pre_panel(recs, title, manifest)
+                fh.write(figures.auc_pre_panel(recs, title, manifest))
             else:
-                svg = figures.odds_ratio_panels(recs, *axes, title, manifest)
-            fh.write(svg)
+                fh.write(figures.odds_ratio_panels(recs, *axes, title, manifest))
             print(f"wrote {out / name}")
     return EXIT_OK
 

@@ -16,6 +16,10 @@ from .classify import benefit_sign
 from .scenario import OutcomePolarity
 from .sweep import Records, map_distinct
 
+# After `sweep`, which imports numpy itself: numpy imported before `sweep`
+# raised every command's peak RSS by about 1.5 MB (the heap's layout).
+import numpy as np
+
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 _POINT_R = 2.4
 # The largest |log odds| whose odds ratio a legend writes plainly.
@@ -28,6 +32,32 @@ def _n(v: float) -> str:
     """Fixed-precision SVG coordinate, normalized so -0 never appears."""
     s = f"{v:.2f}"
     return "0.00" if s == "-0.00" else s
+
+
+# The texts of the whole pixels and of the hundredths that `_hundredths`
+# picks: no canvas is 1000 pixels wide.
+_WHOLE = np.array([str(i) for i in range(1000)], dtype=object)
+_FRAC = np.array([f".{i:02d}" for i in range(100)], dtype=object)
+
+
+def _hundredths(column: np.ndarray) -> tuple[list[str], list[str]]:
+    """Two texts for each value of the float column that join to its `_n`,
+    with no call and no new string per value: its hundredths
+    k = floor(100 v + 0.5) pick the whole pixels and the hundredths from the
+    tables. On the tables' range 100 v is rounded by far less than 1e-6, so
+    k is exact unless 100 v lies within 1e-6 of a tie; such a value, one
+    whose k is not in the tables and one that is not finite gets `_n` and
+    ""."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 100 v past the float range; inf - inf
+        s = column * 100.0
+        k = np.floor(s + 0.5)
+        table = (abs(s - np.floor(s) - 0.5) > 1e-6) & (k >= 0) & (k < 100 * len(_WHOLE))
+    whole, frac = np.divmod(np.where(table, k, 0).astype(np.intp), 100)
+    whole, frac = _WHOLE[whole], _FRAC[frac]
+    rest = np.flatnonzero(~table)
+    whole[rest] = [_n(v) for v in column[rest].tolist()]
+    frac[rest] = ""
+    return whole.tolist(), frac.tolist()
 
 
 def _hex(rgb) -> str:
@@ -106,15 +136,19 @@ class _Svg:
         self.text(x, y, "AUC change (post − pre)", size=13,
                   extra=f'transform="rotate(-90 {x} {_n(y)})"')
 
-    def circles(self, cxs: list, cys: list, fills: list, opacity: float) -> None:
-        """One point per (cx, cy, fill) of the formatted columns, the points
-        one part joined at once (none without points): six texts a point,
-        the formatted cells between the constant fragments."""
-        if cxs:
+    def circles(self, xs: tuple, ys: tuple, fills: list, opacity: float) -> None:
+        """One point per (x, y, fill) of the formatted columns, the points
+        one part joined at once (none without points): eight texts a point,
+        the formatted cells between the constant fragments, each coordinate
+        as the two texts of `_hundredths`."""
+        if fills:
             end = f'" fill-opacity="{opacity}" stroke="#333" stroke-width="0.25"/>'
-            point = [None, '" cy="', None, f'" r="{_POINT_R}" fill="', None, end + '\n<circle cx="']
-            text = ['<circle cx="'] + point * len(cxs)
-            text[1::6], text[3::6], text[5::6], text[-1] = cxs, cys, fills, end
+            point = [None, None, '" cy="', None, None, f'" r="{_POINT_R}" fill="', None,
+                     end + '\n<circle cx="']
+            text = ['<circle cx="'] + point * len(fills)
+            text[1::8], text[2::8] = xs
+            text[4::8], text[5::8] = ys
+            text[7::8], text[-1] = fills, end
             self.add("".join(text))
 
     def finish(self) -> str:
@@ -151,11 +185,10 @@ def _amplitude(column, empty: float, floor: float) -> float:
     return max(-lo, hi, floor)
 
 
-def _scatter(svg: _Svg, ax: _Axis, ay: _Axis, xs, ys, cs, color, opacity: float) -> None:
-    """One circle per point at (ax(x), ay(y)), filled color(c): each
-    distinct coordinate and color value of the columns is formatted once."""
-    cells = map_distinct(_n, ax(xs)), map_distinct(_n, ay(ys)), map_distinct(color, cs)
-    svg.circles(*(column.tolist() for column in cells), opacity)
+def _scatter(svg: _Svg, ax: _Axis, ay: _Axis, xs, ys, fills, opacity: float) -> None:
+    """One circle per point at (ax(x), ay(y)), filled with the point's text
+    of the object column `fills`."""
+    svg.circles(_hundredths(ax(xs)), _hundredths(ay(ys)), fills.tolist(), opacity)
 
 
 def _odds_label(log_odds: float) -> str:
@@ -206,8 +239,8 @@ def odds_ratio_panels(
     y_amp = _amplitude(columns["auc_delta"], 0.1, 1e-3) * 1.1
     c_amp = _amplitude(columns[color_field], 1.0, 1e-9)
 
-    def color(c):
-        return diverging_color(0.5 + 0.5 * c / c_amp)
+    # each distinct color value is formatted once per figure
+    fills = map_distinct(lambda c: diverging_color(0.5 + 0.5 * c / c_amp), columns[color_field])
 
     margin_l, margin_t, gap = 72, 64, 30
     legend_w = 96
@@ -252,7 +285,7 @@ def odds_ratio_panels(
 
             keep = records.mask(polarity=polarity, pi0=pi0)
             _scatter(svg, ax, ay, columns[x_field][keep], columns["auc_delta"][keep],
-                     columns[color_field][keep], color, 0.75)
+                     fills[keep], 0.75)
 
     svg.text(margin_l + panel_w + gap / 2, height - 22, x_label, size=13)
     svg.y_label(20, margin_t + panel_h + gap / 2)
@@ -313,8 +346,9 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
         svg.text(margin_l - 7, ay(t) + 3, _tick_label(t), size=10, anchor="end")
 
     c = records.columns
-    _scatter(svg, ax, ay, c["auc_pre"], c["auc_delta"], c["harmful_marginal"],
-             lambda harmful: "#d73027" if harmful else "#2c7fb8", 0.6)
+    fills = map_distinct(lambda harmful: "#d73027" if harmful else "#2c7fb8",
+                         c["harmful_marginal"])
+    _scatter(svg, ax, ay, c["auc_pre"], c["auc_delta"], fills, 0.6)
 
     svg.text(margin_l + panel_w / 2, height - 34, "AUC before deployment", size=13)
     svg.y_label(22, margin_t + panel_h / 2)

@@ -6,7 +6,9 @@ from xml.etree import ElementTree
 
 import pytest
 
-from opmdeploy import OutcomePolarity, ScenarioParams, classify, cli, evaluate_scenario, mc, sweep
+from opmdeploy import (
+    OutcomePolarity, ScenarioParams, classify, cli, evaluate_scenario, figures, mc, sweep,
+)
 from opmdeploy.cli import main
 from opmdeploy.errors import OpmDeployError
 from opmdeploy.sweep import default_grid
@@ -444,6 +446,29 @@ class TestPlot:
             body = p.read_text()
             assert body.startswith("<svg ")
             assert "<desc>" in body and "circle" in body
+
+    def test_each_figure_is_dropped_before_the_next_is_drawn(
+        self, sweep_csv, tmp_path, monkeypatch
+    ):
+        # at 10^6 settings a document is hundreds of MB: one held while the
+        # next is drawn raised the peak RSS of `plot` by a fifth
+        drawn, freed = [], []
+
+        class Document(str):
+            def __del__(self):
+                freed.append(self[:4])
+
+        def counted(draw):
+            def call(*args):
+                assert len(freed) == len(drawn), "a written figure is still held"
+                drawn.append(draw.__name__)
+                return Document(draw(*args))
+            return call
+
+        for name in ("odds_ratio_panels", "auc_pre_panel"):
+            monkeypatch.setattr(figures, name, counted(getattr(figures, name)))
+        assert main(["plot", "--csv", str(sweep_csv), "--out", str(tmp_path / "figs")]) == 0
+        assert len(drawn) == len(freed) == 4
 
     def test_a_csv_path_with_markup_characters_gives_well_formed_figures(
         self, sweep_csv, tmp_path

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from unittest import mock
 from xml.etree import ElementTree
 
@@ -8,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from opmdeploy import figures
 from opmdeploy.classify import Verdict, verdict_from_signs
+from opmdeploy.cli import main
 from opmdeploy.figures import (
     _POINT_R,
     _Axis,
     _harmful_auc_sign,
+    _hundredths,
     _n,
     _odds_label,
     auc_pre_panel,
@@ -101,6 +104,58 @@ def test_map_distinct_calls_once_per_bit_pattern():
     assert map_distinct(repr, np.array([])).tolist() == []
 
 
+def assert_hundredths_are_n(values) -> None:
+    column = np.array(values, dtype=float)
+    wholes, fracs = _hundredths(column)
+    assert [w + f for w, f in zip(wholes, fracs, strict=True)] == list(map(_n, column.tolist()))
+
+
+# The table's edge: 999.99 is its last text, 999.995 the first value past it.
+EDGE = (999.99, 999.994, 999.995, np.nextafter(999.995, 0.0), 999.996, 1000.0, 1000.004,
+        1e5, 2.0**52 / 100, 2.0**53, 1e300, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("values", [
+    [0.005, 0.125, 2.675, 1.005, 0.015, 0.0, 0.01, 0.5, 1.0, 72.0, 812.375],
+    [-0.005, -0.004, -0.0, -0.0049999, -0.3, -1.005, -72.0, -1e300],
+    [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308],
+    list(EDGE) + [-v for v in EDGE],
+    [],
+])
+def test_hundredths_are_n_at_the_edge_cases(values):
+    assert_hundredths_are_n(values)
+
+
+def test_hundredths_are_n_on_every_tie():
+    # every x.xx5 up to past the table's edge, and the floats either side
+    ties = (np.arange(110_000) + 0.5) / 100
+    ties = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    assert_hundredths_are_n(np.concatenate([ties, -ties]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-10.0, 1010.0) | st.floats(), max_size=40))
+def test_hundredths_are_n(values):
+    assert_hundredths_are_n(values)
+
+
+def test_default_plot_formats_points_without_a_scalar_call_each(tmp_path, monkeypatch, capsys):
+    # the default grid's 18 480 points: at 4 coordinates and a fill each,
+    # a call per point would be over 36 000 `_n` calls
+    calls = Counter()
+
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(figures, "_n", counted(figures._n))
+    monkeypatch.setattr(figures, "diverging_color", counted(figures.diverging_color))
+    assert main(["plot", "--grid", "default", "--out", str(tmp_path)]) == 0
+    assert calls["_n"] < 2000 and calls["diverging_color"] < 150, calls
+
+
 def per_value_axis(lo, hi, px_lo, px_hi, v):
     """The axis as written for one value at a time: the oracle of `_Axis`."""
     half_lo, half_span = lo / 2, hi / 2 - lo / 2
@@ -124,15 +179,22 @@ def test_axis_maps_a_column_as_each_value(lo, hi, v, px_lo, px_width):
     assert repr(axis(np.array([v, v])).tolist()) == repr([want, want])
 
 
-def per_point_scatter(svg, ax, ay, xs, ys, cs, color, opacity):
+def per_point_scatter(svg, ax, ay, xs, ys, fills, opacity):
     """The per-point loop the column renderer replaced: the oracle of
-    `figures._scatter`."""
-    for x, y, c in zip(xs.tolist(), ys.tolist(), cs.tolist()):
+    `figures._scatter`. Each fill is the color of that one point when
+    `per_value_map` stands in for `map_distinct`."""
+    for x, y, fill in zip(xs.tolist(), ys.tolist(), fills.tolist()):
         svg.add(
             f'<circle cx="{_n(ax(x))}" cy="{_n(ay(y))}" r="{_POINT_R}" '
-            f'fill="{color(c)}" fill-opacity="{opacity}" '
+            f'fill="{fill}" fill-opacity="{opacity}" '
             'stroke="#333" stroke-width="0.25"/>'
         )
+
+
+def per_value_map(fn, column):
+    """fn called on each value in turn: the oracle of `map_distinct`, which
+    the figures call once per figure for the fills of all its points."""
+    return np.array([fn(v) for v in column.tolist()], dtype=object)
 
 
 def figure_bytes(records: Records) -> list[str]:
@@ -162,6 +224,7 @@ def assert_matches_per_point_oracle(records: Records) -> None:
     for svg in columns:
         ElementTree.fromstring(svg)
     with mock.patch.object(figures, "_scatter", per_point_scatter), \
+            mock.patch.object(figures, "map_distinct", per_value_map), \
             mock.patch.object(figures, "_range", per_value_range), \
             mock.patch.object(figures, "_amplitude", per_value_amplitude):
         assert figure_bytes(records) == columns
@@ -170,17 +233,18 @@ def assert_matches_per_point_oracle(records: Records) -> None:
 @pytest.mark.parametrize("opacity", [0.6, 0.75])
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_joined_circles_are_the_per_point_markup(n, opacity):
-    cxs = [_n(72.0 + 3.5 * i) for i in range(n)]
-    cys = [_n(120.25 - i / 3) for i in range(n)]
+    # a tie, a negative and a value past the tables among them
+    xs = np.array([72.0, 0.125, -3.5, 812.375, 1e4][:n])
+    ys = np.array([120.25 - i / 3 for i in range(n)])
     fills = [diverging_color(i / 4) for i in range(n)]
     joined = figures._Svg(100, 80, {}, "t", 12)
-    joined.circles(cxs, cys, fills, opacity)
+    joined.circles(_hundredths(xs), _hundredths(ys), fills, opacity)
     per_point = figures._Svg(100, 80, {}, "t", 12)
     before = len(per_point.parts)
-    for cx, cy, fill in zip(cxs, cys, fills):
+    for x, y, fill in zip(xs.tolist(), ys.tolist(), fills):
         per_point.add(
             '<circle cx="{}" cy="{}" r="2.4" fill="{}" fill-opacity="{}" '
-            'stroke="#333" stroke-width="0.25"/>'.format(cx, cy, fill, opacity)
+            'stroke="#333" stroke-width="0.25"/>'.format(_n(x), _n(y), fill, opacity)
         )
     # one part for the points, none without points
     assert len(joined.parts) == before + min(n, 1)

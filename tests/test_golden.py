@@ -8,6 +8,9 @@ relative path sweep.csv, because each SVG's <desc> embeds the --csv string.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,46 @@ def test_plot_from_grid(tmp_path, monkeypatch, capsys):
         assert len(from_grid) == len(from_csv)
         differ = [i for i, (a, b) in enumerate(zip(from_grid, from_csv)) if a != b]
         assert differ == [1] and from_grid[1].startswith("<desc>"), name
+
+
+# A child process whose locale encodes text as ASCII: the C locale, with
+# Python's coercion of it and its UTF-8 mode both off. Only the panel
+# titles' "·" and the axis title's "−" are not ASCII.
+ASCII_ENV = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+ASCII_MAIN = ("import codecs, locale, sys; from opmdeploy.cli import main; "
+              "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'; "
+              "sys.exit(main())")
+
+
+def run_in_ascii_locale(argv) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(ASCII_ENV, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", ASCII_MAIN, *argv], env=env,
+                          capture_output=True)
+
+
+def test_plot_writes_utf8_under_an_ascii_locale(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(["sweep", "--out", "sweep.csv"], capsys)
+    done = run_in_ascii_locale(["plot", "--csv", "sweep.csv", "--out", "figures"])
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert_golden("plot.stdout", done.stdout)
+    for name in FIGURES:
+        assert_golden(name, (Path("figures") / name).read_bytes())
+
+
+def test_grid_is_read_as_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
+    # read in the locale's encoding, the "·" would make the file invalid JSON
+    monkeypatch.chdir(tmp_path)
+    grid = {
+        "p_x_values": [0.5], "pi0_values": [0], "beta0_values": [0.0],
+        "beta_x_values": [1.0], "beta_t_values": [0.5], "beta_xt_values": [0.0],
+        "polarities": ["undesirable"], "note·": 1,
+    }
+    Path("grid.json").write_text(json.dumps(grid, ensure_ascii=False), encoding="utf-8")
+    done = run_in_ascii_locale(["plot", "--grid", "grid.json", "--out", "figures"])
+    assert done.returncode == 2
+    assert done.stderr == b"config error: note\\xb7: unknown config key\n"
 
 
 def test_plot_builds_no_rows(tmp_path, monkeypatch, capsys):
