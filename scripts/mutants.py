@@ -148,6 +148,15 @@ MUTANTS = (
      "svg = figures.odds_ratio_panels(recs, *axes, title, manifest); fh.write(svg)"),
     ("cli.py", 'open(path, "w", newline="", encoding="utf-8")', 'open(path, "w", newline="")'),
     ("cli.py", 'open(path, encoding="utf-8")', "open(path)"),
+    # One description per output: a key the file repeats taken at its last
+    # value, each token read as the code of the text after it, and the
+    # text's post line and simulate's post closed form read from the pre
+    # block of the JSON payload.
+    ("cli.py", '[f"{k}: given twice" for k, n in Counter(k for k, _ in pairs).items() if n > 1]',
+     "[]"),
+    ("sweep.py", "index + (low - 1)", "index + low"),
+    ("cli.py", "        d = r[which]\n", '        d = r["pre"]\n'),
+    ("cli.py", "closed = closed_form[which]", 'closed = closed_form["pre"]'),
 )
 
 

@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,18 +45,21 @@ def _timestamp() -> str:
 def _load_object(path: str | None, keys: tuple[str, ...], given=()) -> dict:
     """The JSON object in the UTF-8 file at `path` (an empty one for None),
     updated with the (key, value) pairs `given`: every one of `keys`, and
-    no other."""
-    raw = {}
+    no other, none of them twice in the file."""
+    raw, pairs = {}, []
     if path is not None:
+        objects = []  # each JSON object's (key, value) pairs, the outermost last
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=lambda p: objects.append(p) or dict(p))
         except (ValueError, RecursionError) as exc:  # also bad bytes, huge ints, deep nesting
             raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
         if not isinstance(raw, dict):
             raise ConfigError([f"{path}: expected a JSON object"])
+        pairs = objects[-1]
     raw.update(given)
-    problems = [f"{k}: missing" for k in keys if k not in raw]
+    problems = [f"{k}: given twice" for k, n in Counter(k for k, _ in pairs).items() if n > 1]
+    problems += [f"{k}: missing" for k in keys if k not in raw]
     problems += [f"{k}: unknown config key" for k in sorted(set(raw) - set(keys))]
     if problems:
         raise ConfigError(problems)
@@ -155,18 +159,9 @@ def _check_to_json(check) -> dict:
     return block
 
 
-def _dist_block(report: DeploymentReport, which: str) -> dict:
-    dist = report.pre if which == "pre" else report.post
-    disc = (
-        report.discrimination_pre if which == "pre" else report.discrimination_post
-    )
-    return {
-        "mu": list(dist.mu),
-        "p_y1": dist.p_y1,
-        "sens": disc.sens,
-        "spec": disc.spec,
-        "auc": disc.auc,
-    }
+def _dist_block(dist, disc) -> dict:
+    return {"mu": list(dist.mu), "p_y1": dist.p_y1,
+            "sens": disc.sens, "spec": disc.spec, "auc": disc.auc}
 
 
 def _calibration_block(calib) -> dict:
@@ -189,8 +184,8 @@ def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
             "historic": list(report.policy_pre),
             "deployed": list(report.policy_post),
         },
-        "pre": _dist_block(report, "pre"),
-        "post": _dist_block(report, "post"),
+        "pre": _dist_block(report.pre, report.discrimination_pre),
+        "post": _dist_block(report.post, report.discrimination_post),
         "auc_delta": report.auc_delta,
         "auc_sign": report.auc_sign,
         "self_fulfilling": report.self_fulfilling,
@@ -205,9 +200,10 @@ def report_to_json(report: DeploymentReport, config_echo: dict) -> dict:
     }
 
 
-def _print_report(report: DeploymentReport) -> None:
-    p = report.params
-    q = report.po.q
+def _print_report(p: ScenarioParams, r: dict) -> None:
+    """The text report of `report_to_json`'s payload `r` (or of its JSON
+    read back) for the scenario `p`."""
+    q, cate = r["potential_outcomes"]["q"], r["potential_outcomes"]["cate"]
     print(f"scenario: p_x={p.p_x!r} pi0={p.pi0} polarity={p.polarity.value}")
     print(
         f"  betas: beta0={p.beta0!r} beta_x={p.beta_x!r} "
@@ -216,35 +212,37 @@ def _print_report(report: DeploymentReport) -> None:
     print("potential outcomes p(Y_t=1|X=x):")
     for t in (0, 1):
         print(f"  t={t}: x=0 {q[t][0]:.6f}   x=1 {q[t][1]:.6f}")
-    print(f"  effect per group: x=0 {report.po.cate[0]:+.6f}   x=1 {report.po.cate[1]:+.6f}")
-    lam = "none" if report.opm.lam is None else f"{report.opm.lam:.6f}"
-    print(f"fitted predictor: f=({report.opm.f[0]:.6f}, {report.opm.f[1]:.6f})  lambda={lam}")
-    print(f"policies: historic={report.policy_pre}  deployed={report.policy_post}")
+    print(f"  effect per group: x=0 {cate[0]:+.6f}   x=1 {cate[1]:+.6f}")
+    f, lam = r["opm"]["f"], r["opm"]["lambda"]
+    lam = "none" if lam is None else f"{lam:.6f}"
+    print(f"fitted predictor: f=({f[0]:.6f}, {f[1]:.6f})  lambda={lam}")
+    policies = {k: tuple(v) for k, v in r["policies"].items()}
+    print(f"policies: historic={policies['historic']}  deployed={policies['deployed']}")
     for which in ("pre", "post"):
-        d = _dist_block(report, which)
+        d = r[which]
         print(
             f"{which:4}: mu=({d['mu'][0]:.6f}, {d['mu'][1]:.6f})  p(Y=1)={d['p_y1']:.6f}"
             f"  sens={d['sens']:.6f} spec={d['spec']:.6f} auc={d['auc']:.6f}"
         )
     print(
-        f"auc_delta={report.auc_delta:+.6f} (sign {report.auc_sign:+d})  "
-        f"self_fulfilling={str(report.self_fulfilling).lower()}"
+        f"auc_delta={r['auc_delta']:+.6f} (sign {r['auc_sign']:+d})  "
+        f"self_fulfilling={str(r['self_fulfilling']).lower()}"
     )
+    pre, post = r["calibration"]["pre"], r["calibration"]["post"]
     print(
-        f"calibration: pre max_gap={report.calibration_pre.max_gap:.3e} "
-        f"({'yes' if report.calibration_pre.is_calibrated else 'no'})  "
-        f"post max_gap={report.calibration_post.max_gap:.3e} "
-        f"({'yes' if report.calibration_post.is_calibrated else 'no'})"
+        f"calibration: pre max_gap={pre['max_gap']:.3e} "
+        f"({'yes' if pre['is_calibrated'] else 'no'})  "
+        f"post max_gap={post['max_gap']:.3e} "
+        f"({'yes' if post['is_calibrated'] else 'no'})"
     )
-    harm = report.harm
+    harm = r["harm"]
     print(
-        f"harm: shift=({harm.outcome_shift[0]:+.6f}, {harm.outcome_shift[1]:+.6f})  "
-        f"changed_group={harm.changed_group}  harmful_group={list(harm.harmful_group)}  "
-        f"marginal={str(harm.harmful_marginal).lower()}"
+        f"harm: shift=({harm['outcome_shift'][0]:+.6f}, {harm['outcome_shift'][1]:+.6f})  "
+        f"changed_group={harm['changed_group']}  harmful_group={list(harm['harmful_group'])}  "
+        f"marginal={str(harm['harmful_marginal']).lower()}"
     )
-    print(f"verdict: {report.verdict.value}  (sign lookup: {report.verdict.value})")
-    for name, check in report.checks().items():
-        c = _check_to_json(check)
+    print(f"verdict: {r['verdict']}  (sign lookup: {r['sign_verdict']})")
+    for name, c in r["checks"].items():
         if "status" in c:
             print(f"check {name}: {c['status']}  {c['detail']}")
         else:
@@ -254,11 +252,11 @@ def _print_report(report: DeploymentReport) -> None:
 
 def cmd_eval(args) -> int:
     params, raw = _scenario_from_args(args)
-    report = evaluate_scenario(params)
+    payload = report_to_json(evaluate_scenario(params), raw)
     with _outputs({} if args.out is None else {"--out": args.out}) as handles:
-        _print_report(report)
+        _print_report(params, payload)
         if handles:
-            _write_json(handles["--out"], report_to_json(report, raw))
+            _write_json(handles["--out"], payload)
             print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -430,6 +428,7 @@ def _abs_err(a, b):
 def cmd_simulate(args) -> int:
     params, raw = _scenario_from_args(args)
     report = evaluate_scenario(params)
+    closed_form = report_to_json(report, raw)
     cfg = mc.McConfig(
         n_samples=args.samples,
         master_seed=args.seed,
@@ -458,7 +457,7 @@ def cmd_simulate(args) -> int:
                     "policy": list(policy),
                     "mc": payload["mc"],
                 })
-            closed = _dist_block(report, which)
+            closed = closed_form[which]
             payload[which] = {
                 "closed_form": closed,
                 "empirical": {**vars(emp), "insufficient_cases": emp.insufficient_cases},
@@ -473,11 +472,11 @@ def cmd_simulate(args) -> int:
             }
         pre, post = (payload[which]["empirical"]["auc_hat"] for which in policies)
         payload["auc_delta"] = {
-            "closed_form": report.auc_delta,
+            "closed_form": closed_form["auc_delta"],
             "empirical": None if None in (pre, post) else post - pre,
         }
-        payload["self_fulfilling"] = report.self_fulfilling
-        payload["harmful_marginal"] = report.harm.harmful_marginal
+        payload["self_fulfilling"] = closed_form["self_fulfilling"]
+        payload["harmful_marginal"] = closed_form["harm"]["harmful_marginal"]
         text = json.dumps(payload, indent=2)
         print(text)
         for which in policies:

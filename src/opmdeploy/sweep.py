@@ -664,21 +664,12 @@ _MAX_LINE = 1 << 10
 _HEADER = ",".join(CSV_COLUMNS).encode()
 
 
-def _cell_tokens(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The texts a sweep writes in the token column, sorted, and the values
-    they stand for."""
-    low, texts = _TOKENS[name]
-    texts, values = zip(*sorted((text, low + i) for i, text in enumerate(texts)))
-    return np.array(texts, "S"), np.array(values, _COLUMN_DTYPES[name])
-
-
-_CELL_TOKENS = {name: _cell_tokens(name) for name in _TOKENS}
 # numpy's C text reader makes float cells float64 and the others byte
 # strings one longer than the longest token, so no longer cell matches one
 # cut short.
 _CSV_DTYPE = np.dtype([
-    (name, f"S{1 + max(t.itemsize for t, _ in _CELL_TOKENS.values())}"
-     if name in _CELL_TOKENS else np.float64)
+    (name, f"S{1 + max(len(t) for _, texts in _TOKENS.values() for t in texts)}"
+     if name in _TOKENS else np.float64)
     for name in CSV_COLUMNS
 ])
 # The bytes of a sweep's cells: a comma, a quote, whitespace, \r or a
@@ -707,12 +698,14 @@ def _columns(lines: list[bytes]) -> dict[str, np.ndarray] | None:
     columns = {}
     for name in CSV_COLUMNS:
         cells = table[name]
-        if name in _CELL_TOKENS:
-            texts, values = _CELL_TOKENS[name]
-            at = np.searchsorted(texts, cells).clip(max=len(texts) - 1)
-            if not np.array_equal(texts[at], cells):
+        if name in _TOKENS:
+            low, texts = _TOKENS[name]
+            index = np.zeros(len(cells), np.int8)  # 1 + the text's position, 0 for none
+            for i, text in enumerate(texts, 1):
+                index[cells == text.encode()] = i
+            if not index.all():
                 return None
-            columns[name] = values[at]
+            columns[name] = (index + (low - 1)).astype(_COLUMN_DTYPES[name], copy=False)
         elif np.isfinite(cells).all():
             columns[name] = cells.copy()  # a view would hold the whole table
         else:
@@ -731,13 +724,13 @@ def _cell_fault(name: str, cell: bytes) -> str | None:
         except ValueError:
             return f"could not convert string to float: {text!r}"
         return None if math.isfinite(value) else f"expected a finite number, got {text!r}"
-    texts, values = _CELL_TOKENS[name]
-    if cell in texts.tolist():
+    low, texts = _TOKENS[name]
+    if text in texts:
         return None
     if kind is bool:
         return f"expected true/false, got {text!r}"
     if kind is int:
-        return f"expected one of {tuple(sorted(values.tolist()))}, got {text!r}"
+        return f"expected one of {tuple(range(low, low + len(texts)))}, got {text!r}"
     return f"{text!r} is not a valid {kind.__name__}"
 
 

@@ -70,6 +70,19 @@ class TestEval:
         assert payload["harm"]["harmful_marginal"] is True
         assert payload["post"]["auc"] >= payload["pre"]["auc"]
 
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_text_is_rendered_from_the_json_alone(self, tmp_path, capsys, config):
+        # the scenario echoed in the JSON and the payload read back give
+        # eval's text, byte for byte
+        out = tmp_path / "report.json"
+        assert main(["eval", "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        echo = payload["config"]
+        cli._print_report(ScenarioParams(**{**echo, "polarity": OutcomePolarity(echo["polarity"])}),
+                          payload)
+        assert capsys.readouterr().out + f"wrote {out}\n" == stdout
+
     def test_zero_effect_scenario(self, capsys):
         assert main(["eval", "--config", ZERO_EFFECT]) == 0
         text = capsys.readouterr().out
@@ -146,6 +159,20 @@ class TestEval:
         cfg = write_config(tmp_path, typo_key=1.0)
         assert main(["eval", "--config", cfg]) == 2
         assert "typo_key" in capsys.readouterr().err
+
+    def test_only_a_key_the_file_repeats_is_refused(self, tmp_path, capsys):
+        # a flag replaces a value the file gives once, not a repeated one;
+        # a key repeated inside a value is the value's
+        text = Path(RADIOTHERAPY).read_text()
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"beta_t"', '"beta_t": {"a": 1, "a": 2}, "beta_t"'))
+        assert main(["eval", "--config", str(path), "--beta-t", "0.5"]) == 2
+        assert capsys.readouterr().err == "config error: beta_t: given twice\n"
+        path.write_text(text.replace('"beta_t"', '"bt": {"a": 1, "a": 2}, "beta_t"'))
+        assert main(["eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: bt: unknown config key\n"
+        assert main(["eval", "--config", RADIOTHERAPY, "--beta-t", "0.5"]) == 0
+        assert "beta_t=0.5 " in capsys.readouterr().out
 
     def test_non_finite_beta_names_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -900,8 +927,7 @@ class TestChecksOnce:
         report = evaluate_scenario(self.PARAMS)
         for _ in range(3):
             report.checks()
-            cli.report_to_json(report, {})
-            cli._print_report(report)
+            cli._print_report(report.params, cli.report_to_json(report, {}))
         assert sorted(runs) == sorted(self.CHECKERS)
         evaluate_scenario(self.PARAMS).checks()  # another report runs them again
         assert sorted(runs) == sorted(self.CHECKERS * 2)

@@ -280,7 +280,7 @@ def test_no_sweep_line_reaches_the_line_limit():
     # and a three-digit exponent), in every other its longest token
     longest = repr(-2.2250738585072014e-308)
     cells = [
-        longest if kind is float else max(sweep._CELL_TOKENS[name][0].tolist(), key=len).decode()
+        longest if kind is float else max(sweep._TOKENS[name][1], key=len)
         for name, kind in sweep._COLUMN_TYPES.items()
     ]
     assert len(",".join(cells) + "\r\n") <= sweep._MAX_LINE
@@ -686,7 +686,7 @@ def test_a_refused_chunk_writes_no_byte(tmp_path, name, value):
     assert path.read_bytes() == (tmp_path / "head.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(sweep._CELL_TOKENS))
+@pytest.mark.parametrize("name", sorted(sweep._TOKENS))
 @pytest.mark.parametrize("value", [0.5, 1.0])
 def test_token_codes_that_are_not_integers_are_refused(tmp_path, name, value):
     # a float code used to be cut to a whole one: a sign_bt of 0.5 was
@@ -703,11 +703,29 @@ def test_token_codes_that_are_not_integers_are_refused(tmp_path, name, value):
     assert path.read_bytes() == (tmp_path / "head.csv").read_bytes()
 
 
-def test_each_token_columns_codes_are_one_range():
-    # the writer's range check refuses exactly the codes with no text
-    for name, (_, codes) in sweep._CELL_TOKENS.items():
-        codes = sorted(map(int, codes.tolist()))
-        assert codes == list(range(codes[0], codes[-1] + 1)), name
+def test_each_token_reads_back_as_its_code(sweep_csv, tmp_path):
+    # the writer's table is the reader's: its i-th text in a column reads
+    # back as low + i, and a text of the same width it lacks is refused
+    # with the reference's message for the cell
+    lines = sweep_csv.read_bytes().splitlines(keepends=True)[:3]
+    path = tmp_path / "sweep.csv"
+    for name, (low, texts) in sweep._TOKENS.items():
+        column = CSV_COLUMNS.index(name)
+        for i, text in enumerate(texts):
+            set_cell(lines, 1, column, text.encode())
+            (chunk,) = read_csv_chunks(write_lines(path, lines))
+            assert chunk.columns[name].dtype == sweep._COLUMN_DTYPES[name]
+            assert chunk.columns[name][0] == low + i, (name, text)
+
+            other = next(t for b in sweep._WRITTEN_BYTES if (t := text[:-1] + chr(b)) not in texts)
+            set_cell(lines, 1, column, other.encode())
+            assert sweep._columns(lines[1:]) is None
+            with pytest.raises(ValueError) as reference:
+                PARSERS[name](other)
+            with pytest.raises(ConfigError) as refused:
+                list(read_csv_chunks(write_lines(path, lines)))
+            assert refused.value.problems == [f"{path}: line 2, column {name}: {reference.value}"]
+        set_cell(lines, 1, column, text.encode())
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="names a pipe by /proc/self/fd")

@@ -220,6 +220,19 @@ REFUSED_INPUTS = {
                     "beta_x_values": [0.5], "beta_t_values": [0.1, "x"], "beta_xt_values": [0],
                     "polarities": ["desirable", "bogus", 7]}),
     ),
+    # a key the file repeats, which JSON readers resolve to its last value
+    "config-repeated-key": (
+        ["eval", "--config", "config.json", "--out", "r.json"], "config.json",
+        '{"p_x": 0.3, "pi0": 1, "beta0": 0.5, "beta_x": -1.5, "beta_t": 0.3, "beta_xt": 1.0,'
+        ' "polarity": "desirable", "beta_t": -0.3}\n',
+    ),
+    # before the missing and unknown keys
+    "grid-repeated-key": (
+        ["sweep", "--grid", "grid.json", "--out", "s.csv"], "grid.json",
+        '{"p_x_values": [0.5], "pi0_values": [0, 1], "beta0_values": [-0.5],'
+        ' "beta_x_value": [0.5], "beta_t_values": [0.1], "beta_xt_values": [0],'
+        ' "polarities": ["desirable"], "pi0_values": [1]}\n',
+    ),
     "config-bad-values": (
         ["eval", "--config", "config.json", "--out", "r.json"], "config.json",
         json.dumps({"p_x": 1.5, "pi0": 0, "beta0": -0.5, "beta_x": 0.9, "beta_t": 0.3,

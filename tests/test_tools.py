@@ -1,6 +1,7 @@
 """The repository's scripts: the code-line counter, the experiment
 runner and the mutant runner."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -83,6 +84,15 @@ def test_a_directory_without_python_files_exits_nonzero(tmp_path, capsys):
     assert count_code_lines.main(["count", str(tmp_path / "missing")]) != 0
     assert "no .py file" in capsys.readouterr().err
     assert count_code_lines.main(["count", str(tmp_path)]) != 0
+
+
+def test_every_source_parses_as_the_oldest_python_declared():
+    # the requires-python floor, held however new the interpreter is
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    paths = [*(ROOT / "src" / "opmdeploy").rglob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_the_default_root_does_not_depend_on_the_working_directory(tmp_path):
