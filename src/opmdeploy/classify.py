@@ -38,7 +38,7 @@ class CheckStatus(Enum):
 @frozen_record
 class CheckResult:
     status: CheckStatus
-    detail: str = ""
+    detail: str
 
 
 @frozen_record
@@ -128,19 +128,13 @@ def check_uniform_effect_rule(report: "DeploymentReport") -> CheckResult:
 
 @frozen_record
 class SubcaseRow:
-    """One row of the exhaustive policy-change case split: which group's
-    assignment changed, the direction of its outcome shift, and whether that
-    subcase is self-fulfilling."""
+    """One row of the exhaustive policy-change case split: the direction of
+    the changed group's outcome shift, whether that subcase is
+    self-fulfilling, and whether the report's flag agrees."""
 
-    changed_group: int
-    pi0: int
     direction: str  # '=', '<', '>'
     expected_self_fulfilling: bool
-    observed_self_fulfilling: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.expected_self_fulfilling == self.observed_self_fulfilling
+    consistent: bool
 
 
 def classify_shift_subcase(report: "DeploymentReport") -> SubcaseRow:
@@ -154,19 +148,13 @@ def classify_shift_subcase(report: "DeploymentReport") -> SubcaseRow:
     down => AUC up); the '=' subcases change nothing and are trivially
     self-fulfilling.
     """
-    changed = report.harm.changed_group
     pi0 = report.params.pi0
     # The sign of the changed group's outcome shift: granting treatment
     # (pi0=0) moves the outcome with the effect, withdrawing it (pi0=1)
     # against it. "=><"[-1] is "<".
-    s = benefit_sign(1, pi0, effect_sign(report.params, changed))
-    return SubcaseRow(
-        changed_group=changed,
-        pi0=pi0,
-        direction="=><"[s],
-        expected_self_fulfilling=s == 0 or (s > 0) == (pi0 == 0),
-        observed_self_fulfilling=report.self_fulfilling,
-    )
+    s = benefit_sign(1, pi0, effect_sign(report.params, report.harm.changed_group))
+    expected = s == 0 or (s > 0) == (pi0 == 0)
+    return SubcaseRow("=><"[s], expected, expected == report.self_fulfilling)
 
 
 def check_calibration_preservation(report: "DeploymentReport") -> CheckResult:

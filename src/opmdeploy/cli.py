@@ -154,9 +154,7 @@ def _records_from_args(args) -> tuple[sweep.Stream, dict, list]:
 def _check_to_json(check) -> dict:
     if isinstance(check, CheckResult):
         return {"status": check.status.value, "detail": check.detail}
-    block = vars(check).copy()
-    block["consistent"] = check.consistent
-    return block
+    return vars(check).copy()
 
 
 def _dist_block(dist, disc) -> dict:
@@ -241,12 +239,12 @@ def _print_report(p: ScenarioParams, r: dict) -> None:
         f"changed_group={harm['changed_group']}  harmful_group={list(harm['harmful_group'])}  "
         f"marginal={str(harm['harmful_marginal']).lower()}"
     )
-    print(f"verdict: {r['verdict']}  (sign lookup: {r['sign_verdict']})")
+    print(f"verdict: {r['verdict']}")
     for name, c in r["checks"].items():
         if "status" in c:
             print(f"check {name}: {c['status']}  {c['detail']}")
         else:
-            print(f"check {name}: changed_group={c['changed_group']} direction={c['direction']!r} "
+            print(f"check {name}: direction={c['direction']!r} "
                   f"expected_sf={c['expected_self_fulfilling']} consistent={c['consistent']}")
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ConfigError, DegenerateScenario
@@ -148,12 +148,12 @@ def frozen_record(cls):
     dataclass's stores each field with its own. Its signature is the
     dataclass's; equality, hashing, repr, `fields`, `replace`, pickling and
     FrozenInstanceError are the dataclass's own. For the result records
-    built on every call, whose fields have plain defaults or none; a
-    validated input keeps the dataclass's `__init__` and `__post_init__`."""
+    built on every call, whose fields have no defaults; a validated input
+    keeps the dataclass's `__init__` and `__post_init__`."""
     cls = dataclass(frozen=True)(cls)
     given = fields(cls)
-    namespace = {f"_dflt_{f.name}": f.default for f in given if f.default is not MISSING}
-    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}" for f in given)
+    namespace = {}
+    params = ", ".join(f.name for f in given)
     stored = ", ".join(f"{f.name!r}: {f.name}" for f in given)
     exec(f"def __init__(self, {params}):\n"
          f"    object.__setattr__(self, '__dict__', {{{stored}}})", namespace)

@@ -498,10 +498,8 @@ def is_default_grid(records) -> bool:
     if len(records) != DEFAULT_RETAINED:
         return False
     settings = _default_settings()
-    records = Records.join(records.chunks())
-    return all(
-        np.array_equal(records.columns[name], settings[name]) for name in PARAM_FIELDS
-    )
+    columns = Records.join(records.chunks(), PARAM_FIELDS).columns
+    return all(np.array_equal(columns[name], settings[name]) for name in PARAM_FIELDS)
 
 
 @cache

@@ -209,15 +209,18 @@ class TestShiftSubcase:
             p_x=0.5, pi0=0, beta0=-0.5, beta_x=LN25, beta_t=LN25, beta_xt=0.0,
             polarity=DESIRABLE,
         )
-        row = classify_shift_subcase(evaluate_scenario(params))
-        assert (row.pi0, row.direction) == (0, ">")
-        assert row.expected_self_fulfilling and row.consistent
+        report = evaluate_scenario(params)
+        row = classify_shift_subcase(report)
+        assert (report.harm.changed_group, row.direction) == (1, ">")
+        assert row == SubcaseRow(direction=">", expected_self_fulfilling=True, consistent=True)
 
     def test_outcome_down_under_treat_everyone(self):
         # removing a beneficial treatment: shift down, historically treated
-        row = classify_shift_subcase(evaluate_scenario(RADIOTHERAPY))
-        assert (row.pi0, row.direction) == (1, "<")
-        assert row.expected_self_fulfilling and row.consistent
+        assert RADIOTHERAPY.pi0 == 1
+        report = evaluate_scenario(RADIOTHERAPY)
+        row = classify_shift_subcase(report)
+        assert (report.harm.changed_group, row.direction) == (1, "<")
+        assert row == SubcaseRow(direction="<", expected_self_fulfilling=True, consistent=True)
 
     def test_no_outcome_change_trivially_self_fulfilling(self):
         params = ScenarioParams(
@@ -225,8 +228,7 @@ class TestShiftSubcase:
             polarity=DESIRABLE,
         )
         row = classify_shift_subcase(evaluate_scenario(params))
-        assert row.direction == "="
-        assert row.expected_self_fulfilling and row.consistent
+        assert row == SubcaseRow(direction="=", expected_self_fulfilling=True, consistent=True)
 
     # Every (pi0, direction) subcase, from explicit coefficients: with
     # beta_x > 0 and beta_xt = 0 group 1 ranks higher, so treat no one
@@ -250,12 +252,12 @@ class TestShiftSubcase:
         report = evaluate_scenario(params)
         row = classify_shift_subcase(report)
         assert row == SubcaseRow(
-            changed_group=changed,
-            pi0=pi0,
             direction=direction,
             expected_self_fulfilling=expected,
-            observed_self_fulfilling=expected,
+            consistent=True,
         )
+        assert report.harm.changed_group == changed
+        assert report.self_fulfilling is expected
         shift = report.harm.outcome_shift[changed]
         assert (shift > 0, shift < 0) == (direction == ">", direction == "<")
 
@@ -344,9 +346,11 @@ class TestCheckersFail:
     def test_shift_subcase_is_inconsistent_on_a_flipped_flag(self, params):
         r = evaluate_scenario(params)
         row = classify_shift_subcase(replace(r, self_fulfilling=not r.self_fulfilling))
-        assert row.expected_self_fulfilling is r.self_fulfilling
-        assert row.observed_self_fulfilling is not r.self_fulfilling
-        assert not row.consistent
+        assert row == SubcaseRow(
+            direction=classify_shift_subcase(r).direction,
+            expected_self_fulfilling=r.self_fulfilling,
+            consistent=False,
+        )
 
     @pytest.mark.parametrize("params, detail", [
         (NO_EFFECT, "calibrated_pre_and_post=False but inconsequential=True"),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from opmdeploy import mc
-from opmdeploy.classify import CheckResult, CheckStatus, HarmAssessment, SubcaseRow
+from opmdeploy.classify import CheckResult, HarmAssessment, SubcaseRow
 from opmdeploy.metrics import CalibrationLevel, CalibrationReport, DiscriminationMetrics
 from opmdeploy.report import DeploymentReport, evaluate_scenario
 from opmdeploy.scenario import (
@@ -125,11 +125,6 @@ def test_replace_copy_and_pickle_round_trip(cls):
         assert twin_of_record == record and vars(twin_of_record) == vars(record)
     changed = dataclasses.replace(record, **{first: None})
     assert getattr(changed, first) is None and getattr(record, first) == value
-
-
-def test_a_default_is_the_dataclasses():
-    assert CheckResult(CheckStatus.PASS) == CheckResult(CheckStatus.PASS, "")
-    assert CheckResult(status=CheckStatus.PASS).detail == ""
 
 
 def test_checks_memo_lives_in_the_reports_dict():
