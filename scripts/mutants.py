@@ -3,10 +3,11 @@
 
 A mutant is one edit of one module of `src/opmdeploy`: (file, old text,
 new text), where the old text occurs in the file exactly once. Each is
-applied in turn to a temporary copy of the checkout, and the tests run
-there, stopping at the first failure. A mutant is killed when a test
-fails and survives when every selected test passes. The unmutated copy
-runs first and must pass, so that a failure is the mutant's.
+applied to a temporary copy of the checkout, and the tests run there,
+stopping at the first failure; on a host with two CPUs or more, two
+copies take two mutants at once. A mutant is killed when a test fails and
+survives when every selected test passes. The unmutated checkout is tested
+first and must pass, so that a failure is the mutant's.
 
 Usage: python scripts/mutants.py [TEST ...]
 
@@ -29,7 +30,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from queue import SimpleQueue
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "opmdeploy"
@@ -38,13 +41,14 @@ _GUARD = "tests/test_tools.py::test_each_listed_mutant_applies_once"
 _NOT_COPIED = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-out", "*.egg-info"
 )
+# Checkout copies, each testing one mutant at a time.
+_COPIES = min(2, os.cpu_count() or 1)
 
 MUTANTS = (
     # The three consistency checkers made unable to fail.
     ("classify.py", "    if report.self_fulfilling == expected:\n", "    if True:\n"),
     ("classify.py", "    if calibrated_both == condition:\n", "    if True:\n"),
-    ("classify.py", "observed_self_fulfilling=report.self_fulfilling",
-     "observed_self_fulfilling=s == 0 or (s > 0) == (pi0 == 0)"),
+    ("classify.py", "expected == report.self_fulfilling)", "True)"),
     # Killed before any checker test existed: a wider sign band, the
     # smallest calibration gap reported as the largest, and one group's
     # condition taken for both groups'.
@@ -129,10 +133,9 @@ MUTANTS = (
     ("sweep.py", "head_where * len(texts) + where", "head_where + where"),
     ("sweep.py", "range(0, len(chunk), _SLICE)", "range(0, len(chunk), _SLICE + 1)"),
     ("sweep.py", "@cache\ndef _default_settings", "def _default_settings"),
-    # The result records: assignable, or built without their defaults; and
-    # `tables` holding its whole record stream at once.
+    # The result records assignable, and `tables` holding its whole record
+    # stream at once.
     ("scenario.py", "cls = dataclass(frozen=True)(cls)", "cls = dataclass()(cls)"),
-    ("scenario.py", 'f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}"', "f.name"),
     ("cli.py", "sweep.aggregate_tables(records)",
      "sweep.aggregate_tables(sweep.Records.join(records.chunks()))"),
     # The figures' coordinate tables: a value near a rounding tie read off
@@ -157,6 +160,20 @@ MUTANTS = (
     ("sweep.py", "index + (low - 1)", "index + low"),
     ("cli.py", "        d = r[which]\n", '        d = r["pre"]\n'),
     ("cli.py", "closed = closed_form[which]", 'closed = closed_form["pre"]'),
+    # Each check result holding what its checker decided: the subcase's
+    # consistency judged against the harm flag, its expected value under
+    # the other historic policy, a check block whose consistency is always
+    # true, and the text's subcase line printing the expected value as the
+    # consistency; the result records given a default their fields do not
+    # declare; and a setting that differs from the default grid's only in
+    # p_x taken for it.
+    ("classify.py", "expected == report.self_fulfilling)", "expected == report.harm.harmful_marginal)"),
+    ("classify.py", "(s > 0) == (pi0 == 0)", "(s > 0) == (pi0 == 1)"),
+    ("cli.py", "    return vars(check).copy()\n", '    return {**vars(check), "consistent": True}\n'),
+    ("cli.py", "consistent={c['consistent']}", "consistent={c['expected_self_fulfilling']}"),
+    ("scenario.py", 'params = ", ".join(f.name for f in given)',
+     'params = ", ".join(f"{f.name}=None" for f in given)'),
+    ("sweep.py", "settings[name]) for name in PARAM_FIELDS)", "settings[name]) for name in PARAM_FIELDS[1:])"),
 )
 
 
@@ -176,9 +193,27 @@ def _module_tests(name: str) -> list[str]:
     return [str(path)] if (ROOT / path).is_file() else []
 
 
+def _test(copy: Path, mutant, selection: list[str]) -> tuple[int, float]:
+    """pytest's exit code on `copy` with one mutant applied, and the
+    seconds it took; the mutated file is restored after."""
+    name, old, new = mutant
+    path = copy / PACKAGE / name
+    source = path.read_text()
+    path.write_text(source.replace(old, new))
+    began = time.perf_counter()
+    try:
+        first = [] if selection else _module_tests(name)
+        code = _pytest(copy, first) if first else 0
+        if code == 0:
+            code = _pytest(copy, selection)
+    finally:
+        path.write_text(source)
+    return code, time.perf_counter() - began
+
+
 def run(mutants, selection: list[str]) -> int:
-    """Test each mutant on `selection`, printing the outcomes; the exit
-    code of the module docstring."""
+    """Test each mutant on `selection`, printing the outcomes in list
+    order; the exit code of the module docstring."""
     for name, old, _ in mutants:
         if (ROOT / PACKAGE / name).read_text().count(old) != 1:
             print(f"mutants: {old!r} is not in {name} exactly once", file=sys.stderr)
@@ -186,28 +221,32 @@ def run(mutants, selection: list[str]) -> int:
     survived = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "checkout"
-        shutil.copytree(ROOT, copy, ignore=_NOT_COPIED)
+        free = SimpleQueue()  # the copies no mutant is using
+        for i in range(_COPIES):
+            copy = Path(tmp) / f"checkout{i}"
+            shutil.copytree(ROOT, copy, ignore=_NOT_COPIED)
+            free.put(copy)
         if _pytest(copy, selection) != 0:
             print("mutants: the selected tests fail without a mutant", file=sys.stderr)
             return 2
-        for name, old, new in mutants:
-            path = copy / PACKAGE / name
-            source = path.read_text()
-            path.write_text(source.replace(old, new))
-            began = time.perf_counter()
-            first = [] if selection else _module_tests(name)
-            code = _pytest(copy, first) if first else 0
-            if code == 0:
-                code = _pytest(copy, selection)
-            path.write_text(source)
-            if code not in (0, 1):
-                print(f"mutants: pytest exited {code} on {name}: {old!r}", file=sys.stderr)
-                return 2
-            survived += code == 0
-            outcome = "survived" if code == 0 else "killed"
-            print(f"{outcome:8}  {name}: {old.strip()!r} -> {new.strip()!r}"
-                  f"  ({time.perf_counter() - began:.1f} s)")
+
+        def test(mutant):
+            copy = free.get()
+            try:
+                return _test(copy, mutant, selection)
+            finally:
+                free.put(copy)
+
+        with ThreadPoolExecutor(_COPIES) as pool:
+            for (name, old, new), (code, seconds) in zip(mutants, pool.map(test, mutants)):
+                if code not in (0, 1):
+                    pool.shutdown(cancel_futures=True)
+                    print(f"mutants: pytest exited {code} on {name}: {old!r}", file=sys.stderr)
+                    return 2
+                survived += code == 0
+                outcome = "survived" if code == 0 else "killed"
+                print(f"{outcome:8}  {name}: {old.strip()!r} -> {new.strip()!r}"
+                      f"  ({seconds:.1f} s)", flush=True)
     print(f"{len(mutants)} mutants: {len(mutants) - survived} killed, {survived} survived"
           f" in {time.perf_counter() - start:.1f} s")
     return 1 if survived else 0

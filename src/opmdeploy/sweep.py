@@ -520,7 +520,10 @@ def reference_delta(sign_table: dict[tuple[int, int], tuple[int, int]]) -> dict:
     Compares the reference against this table with columns exchanged (the
     orientation difference) and reports every remaining count difference,
     plus the total gap. The reference has twelve more rows than this tool
-    retains, which its published description does not explain.
+    retains: settings with a zero log-odds step, a constant predictor this
+    tool removes as degenerate, that a float test on f(0) == f(1) keeps
+    where rounding separates the two fitted values
+    (`tests/test_reference.py` reproduces the table by emulation).
     """
     cell_deltas = {}
     for cell in SIGN_CELLS:

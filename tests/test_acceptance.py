@@ -119,7 +119,8 @@ def test_criterion_3_uniform_effect_rule_and_sign_counts(grid_reports):
     if table[(-1, -1)] != (0, 1500):
         failures.append(("cell (-1,-1)", table[(-1, -1)]))
     # The full delta map to the printed reference: a column swap plus the
-    # twelve unexplained extra reference rows (8 in (-1,-1), 4 in (1,-1)).
+    # twelve zero-step settings the reference kept (8 in (-1,-1), 4 in
+    # (1,-1); tests/test_reference.py).
     for cell, (sf, nsf) in table.items():
         ref = REFERENCE_SIGN_TABLE[cell]
         expected = {

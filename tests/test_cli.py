@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -11,6 +12,7 @@ from opmdeploy import (
 )
 from opmdeploy.cli import main
 from opmdeploy.errors import OpmDeployError
+from opmdeploy.scenario import PARAM_FIELDS
 from opmdeploy.sweep import default_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -82,6 +84,23 @@ class TestEval:
         cli._print_report(ScenarioParams(**{**echo, "polarity": OutcomePolarity(echo["polarity"])}),
                           payload)
         assert capsys.readouterr().out + f"wrote {out}\n" == stdout
+
+    def test_failed_checks_reach_the_json_and_the_text(self, capsys):
+        # a report whose flag contradicts both theorems that read it: each
+        # check block holds its record's fields and no other key
+        params = ScenarioParams(0.3, 1, 0.5, -1.5, 0.0, 1.0, OutcomePolarity.DESIRABLE)
+        flipped = dataclasses.replace(evaluate_scenario(params), self_fulfilling=False)
+        payload = cli.report_to_json(flipped, {})
+        assert payload["checks"]["shift_subcase"] == {
+            "direction": "<", "expected_self_fulfilling": True, "consistent": False,
+        }
+        detail = "effect signs [0, 1] expected self_fulfilling=True, got False"
+        assert payload["checks"]["uniform_effect_rule"] == {"status": "fail", "detail": detail}
+        cli._print_report(params, payload)
+        assert capsys.readouterr().out.splitlines()[-3:-1] == [
+            f"check uniform_effect_rule: fail  {detail}",
+            "check shift_subcase: direction='<' expected_sf=True consistent=False",
+        ]
 
     def test_zero_effect_scenario(self, capsys):
         assert main(["eval", "--config", ZERO_EFFECT]) == 0
@@ -1059,6 +1078,14 @@ class TestDefaultGridCheck:
         assert sweep.is_default_grid(records) and sweep.is_default_grid(records)
         assert default_grid() not in grids
         assert not any(c.flags.writeable for c in sweep._default_settings().values())
+
+    @pytest.mark.parametrize("name", PARAM_FIELDS)
+    def test_one_setting_changed_is_another_grid(self, name):
+        records, _, _ = sweep.record_columns(default_grid())
+        column = records.columns[name].copy()
+        column[-1] = 1 - column[-1] if name in ("pi0", "polarity") else column[-1] + 0.125
+        assert sweep.is_default_grid(records)
+        assert not sweep.is_default_grid(sweep.Records({**records.columns, name: column}))
 
     def test_default_grid_writes_its_reference_delta(self, grids, tmp_path, capsys):
         records, _, _ = sweep.record_columns(default_grid())

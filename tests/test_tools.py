@@ -5,8 +5,11 @@ import ast
 import hashlib
 import importlib.util
 import json
+import random
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +188,34 @@ def test_a_given_selection_runs_alone(monkeypatch, capsys):
     monkeypatch.setattr(mutants, "_pytest", lambda copy, selection: ran.append(selection) or len(ran) - 1)
     assert mutants.run([DIRECTIONS], ["tests/test_tools.py"]) == 0
     assert ran == [["tests/test_tools.py"]] * 2
+
+
+def test_no_copy_tests_two_mutants_at_once(monkeypatch, capsys):
+    # more copies than cores, each test run of a random length: every
+    # mutant is tested, never two in one copy at once, and the outcomes
+    # print in the list's order
+    monkeypatch.setattr(mutants, "_COPIES", 4)
+    listed = mutants.MUTANTS[:12]
+    lock, busy, runs = threading.Lock(), set(), []
+
+    def pytest_run(copy, selection):
+        with lock:
+            assert copy not in busy
+            busy.add(copy)
+            runs.append(copy)
+        time.sleep(random.uniform(0, 0.01))
+        with lock:
+            busy.remove(copy)
+        return 0 if len(runs) == 1 else 1  # the unmutated copy passes
+
+    monkeypatch.setattr(mutants, "_pytest", pytest_run)
+    assert mutants.run(listed, []) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(set(runs)) == 4
+    assert [line.split("  (")[0] for line in lines[:-1]] == [
+        f"killed    {name}: {old.strip()!r} -> {new.strip()!r}" for name, old, new in listed
+    ]
+    assert lines[-1].startswith("12 mutants: 12 killed, 0 survived")
 
 
 @pytest.mark.parametrize("name, old, new", mutants.MUTANTS,
