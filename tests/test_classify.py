@@ -211,7 +211,7 @@ class TestShiftSubcase:
         )
         report = evaluate_scenario(params)
         row = classify_shift_subcase(report)
-        assert (report.harm.changed_group, row.direction) == (1, ">")
+        assert report.harm.changed_group == 1
         assert row == SubcaseRow(direction=">", expected_self_fulfilling=True, consistent=True)
 
     def test_outcome_down_under_treat_everyone(self):
@@ -219,7 +219,7 @@ class TestShiftSubcase:
         assert RADIOTHERAPY.pi0 == 1
         report = evaluate_scenario(RADIOTHERAPY)
         row = classify_shift_subcase(report)
-        assert (report.harm.changed_group, row.direction) == (1, "<")
+        assert report.harm.changed_group == 1
         assert row == SubcaseRow(direction="<", expected_self_fulfilling=True, consistent=True)
 
     def test_no_outcome_change_trivially_self_fulfilling(self):
