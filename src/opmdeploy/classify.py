@@ -24,9 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Verdict(Enum):
-    HARMFUL = "harmful"
-    BENEFICIAL = "beneficial"
+    """Declared in benefit-sign order: 0, +1, -1."""
+
     NO_CHANGE = "no_change"
+    BENEFICIAL = "beneficial"
+    HARMFUL = "harmful"
 
 
 class CheckStatus(Enum):
@@ -90,7 +92,7 @@ def benefit_sign(favorable_sign, pi0, auc_sign):
 
 
 # The verdict by benefit sign: index -1 is the last entry.
-VERDICT_BY_BENEFIT = (Verdict.NO_CHANGE, Verdict.BENEFICIAL, Verdict.HARMFUL)
+VERDICT_BY_BENEFIT = tuple(Verdict)
 
 
 def verdict_from_signs(

@@ -205,7 +205,6 @@ def _harmful_auc_sign(polarity: OutcomePolarity, pi0: int) -> int:
     return -benefit_sign(polarity.favorable_sign, pi0, 1)
 
 
-_PANEL_ROWS = (OutcomePolarity.UNDESIRABLE, OutcomePolarity.DESIRABLE)
 _POLARITY_TITLE = {
     OutcomePolarity.UNDESIRABLE: "Y=1 undesirable (treat high risk)",
     OutcomePolarity.DESIRABLE: "Y=1 desirable (treat low risk)",
@@ -247,7 +246,7 @@ def odds_ratio_panels(
     panel_w = (width - margin_l - legend_w - gap * 2 - 16) / 2
     panel_h = (height - margin_t - 64 - gap) / 2
 
-    for row, polarity in enumerate(_PANEL_ROWS):
+    for row, polarity in enumerate(OutcomePolarity):
         for col, pi0 in enumerate((0, 1)):
             px = margin_l + col * (panel_w + gap)
             py = margin_t + row * (panel_h + gap)

@@ -61,10 +61,11 @@ def sign_with_band(value):
 class OutcomePolarity(Enum):
     """Whether Y=1 is the preferable outcome (e.g. survival) or the
     undesirable one (e.g. a heart attack). Polarity flips the direction of
-    every harm comparison and nothing else."""
+    every harm comparison and nothing else. Declared in the order of the
+    harm table's rows and the figures' panel rows."""
 
-    DESIRABLE = "desirable"
     UNDESIRABLE = "undesirable"
+    DESIRABLE = "desirable"
 
     @property
     def favorable_sign(self) -> int:

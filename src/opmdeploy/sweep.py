@@ -33,7 +33,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .classify import VERDICT_BY_BENEFIT, Verdict, benefit_sign
+from .classify import Verdict, benefit_sign
 from .errors import ConfigError
 from .metrics import discrimination
 
@@ -212,8 +212,6 @@ _MEMBERS = {OutcomePolarity: _POLARITIES, Verdict: _VERDICTS}
 _NO_CHANGE = _VERDICTS.index(Verdict.NO_CHANGE)
 _HARMFUL = _VERDICTS.index(Verdict.HARMFUL)
 _FAVORABLE_SIGN = np.array([p.favorable_sign for p in _POLARITIES])
-# Verdict code by benefit sign, from the one rule.
-_VERDICT_CODES = np.array([_VERDICTS.index(v) for v in VERDICT_BY_BENEFIT], dtype=np.int8)
 # int8 for the ints and the enum codes
 _COLUMN_DTYPES = {
     name: {float: np.float64, bool: np.bool_}.get(kind, np.int8)
@@ -309,7 +307,9 @@ def record_columns(grid: GridSpec, start: int = 0, stop: int | None = None):
         c = SimpleNamespace(**s)
         po = potential_outcomes(c)
         _, top, _, sign = deployment_signs(c)
-        verdict = _VERDICT_CODES[benefit_sign(_FAVORABLE_SIGN[c.polarity], c.pi0, sign)]
+        # A verdict's code is its benefit sign modulo 3: -1 is the last member,
+        # as in VERDICT_BY_BENEFIT. int8, the dtype the CSV reader gives it.
+        verdict = (benefit_sign(_FAVORABLE_SIGN[c.polarity], c.pi0, sign) % 3).astype(np.int8)
         pre = observed_distribution(po, (c.pi0, c.pi0), c.p_x)
         post = observed_distribution(po, (1 - top, top), c.p_x)
         auc_pre, auc_post = (discrimination(d, top).auc for d in (pre, post))
@@ -415,13 +415,9 @@ def csv_records(path) -> Stream:
 SIGN_CELLS = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
 HARM_ROWS = tuple(
     (pol, pi0, sf)
-    for pol in (OutcomePolarity.UNDESIRABLE, OutcomePolarity.DESIRABLE)
+    for pol in _POLARITIES
     for pi0 in (0, 1)
     for sf in (True, False)
-)
-# The block of HARM_ROWS each polarity code heads.
-_HARM_BLOCK = np.array(
-    [(OutcomePolarity.UNDESIRABLE, OutcomePolarity.DESIRABLE).index(p) for p in _POLARITIES]
 )
 
 
@@ -441,7 +437,7 @@ def aggregate_tables(records):
         not_sf = ~c["self_fulfilling"]
         key = 6 * (c["sign_bt"].astype(np.intp) + 1) + 2 * (c["sign_bt_plus_bxt"] + 1) + not_sf
         sign += np.bincount(key, minlength=len(sign))
-        key = 4 * _HARM_BLOCK[c["polarity"]] + 2 * c["pi0"] + not_sf
+        key = 4 * c["polarity"] + 2 * c["pi0"] + not_sf
         changed = c["verdict"] != _NO_CHANGE
         total += np.bincount(key[changed], minlength=len(total))
         harmed += np.bincount(key[changed & c["harmful_marginal"]], minlength=len(total))
