@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .classify import benefit_sign
 from .scenario import OutcomePolarity
@@ -72,11 +73,12 @@ def diverging_color(t: float) -> str:
     return _hex(a + (b - a) * u for a, b in zip(lo, hi))
 
 
-def _nice_step(span: float, target: int = 5) -> float:
+def _nice_step(half_span: float, target: int = 5) -> float:
     """The first of 1, 2, 2.5, 5 and 10 times the power of ten at or below
     span / target that is at least span / target: that power is above a
-    tenth of span / target, so ten times it always is."""
-    raw = span / target
+    tenth of span / target, so ten times it always is. Given half the span,
+    which is finite for any two floats."""
+    raw = half_span / target * 2
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -84,7 +86,7 @@ def _nice_step(span: float, target: int = 5) -> float:
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    step = _nice_step(hi - lo, target)
+    step = _nice_step(hi / 2 - lo / 2, target)
     first = math.ceil(lo / step) * step
     out = []
     v = first
@@ -185,6 +187,12 @@ def _amplitude(column, empty: float, floor: float) -> float:
     return max(-lo, hi, floor)
 
 
+def _y_amplitude(auc_delta) -> float:
+    """The AUC-change axis's half range: a tenth past the column's largest
+    |value|, and no more than the largest float."""
+    return min(_amplitude(auc_delta, 0.1, 1e-3) * 1.1, sys.float_info.max)
+
+
 def _scatter(svg: _Svg, ax: _Axis, ay: _Axis, xs, ys, fills, opacity: float) -> None:
     """One circle per point at (ax(x), ay(y)), filled with the point's text
     of the object column `fills`."""
@@ -235,7 +243,7 @@ def odds_ratio_panels(
     # Without points the x-range is fixed around an odds ratio of 1.
     x_lo, x_hi = _range(columns[x_field], (0.0, 0.0))
     x_lo, x_hi = x_lo - _X_PAD, x_hi + _X_PAD
-    y_amp = _amplitude(columns["auc_delta"], 0.1, 1e-3) * 1.1
+    y_amp = _y_amplitude(columns["auc_delta"])
     c_amp = _amplitude(columns[color_field], 1.0, 1e-9)
 
     # each distinct color value is formatted once per figure
@@ -320,7 +328,7 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
     panel_w, panel_h = width - margin_l - 36, height - margin_t - 84
     x_lo, x_hi = _range(records.columns["auc_pre"], (0.5, 0.6))
     x_lo, x_hi = min(x_lo, 0.5) - 0.02, max(x_hi, 0.6) + 0.02
-    y_amp = _amplitude(records.columns["auc_delta"], 0.1, 1e-3) * 1.1
+    y_amp = _y_amplitude(records.columns["auc_delta"])
     ax = _Axis(x_lo, x_hi, margin_l, margin_l + panel_w)
     ay = _Axis(-y_amp, y_amp, margin_t + panel_h, margin_t)
 

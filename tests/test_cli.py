@@ -552,6 +552,29 @@ class TestPlot:
         for name in ("fig-bt-vs-diff.svg", "fig-auc-pre-vs-diff.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("cells", [
+        {1: {"auc_delta": "1e308"}},
+        {1: {"auc_delta": "-1.7976931348623157e+308"}},
+        {1: {"auc_pre": "1e308"}, 2: {"auc_pre": "-1e308"}},
+    ])
+    def test_huge_finite_cells_give_well_formed_figures(self, sweep_csv, tmp_path, cells):
+        # an axis span past the float range, or a margin that overflows it
+        lines = sweep_csv.read_text().splitlines()
+        header = lines[0].split(",")
+        for i, values in cells.items():
+            row = lines[i].split(",")
+            for name, text in values.items():
+                row[header.index(name)] = text
+            lines[i] = ",".join(row)
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "figs"
+        assert main(["plot", "--csv", str(csv_path), "--out", str(out)]) == 0
+        figures = sorted(out.glob("*.svg"))
+        assert len(figures) == 4
+        for p in figures:
+            ElementTree.parse(p)
+
     def test_header_only_csv_renders_empty_panels(self, sweep_csv, tmp_path):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text(sweep_csv.read_text().splitlines()[0] + "\n")

@@ -108,12 +108,32 @@ row = (
     b"0.2,0,-0.5,0.09531017980432493,-0.9162907318741551,0.0,desirable,"
     b"-0.1,-0.1,0.6,0.6,0.0,false,-1,-1,false,harmful,false,false"
 )
+# The float cells of `row`, and values for them out to the float range's
+# ends, where a difference or a margin of two cells overflows.
+FLOAT_CELLS = [i for i, cell in enumerate(row.split(b",")) if b"." in cell]
+huge = st.sampled_from([1e308, -1e308, 1.797e308, -1.797e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def huge_rows(draw):
+    """`row` with some of its float cells drawn from `huge`."""
+    cells = row.split(b",")
+    for i in FLOAT_CELLS:
+        if draw(st.booleans()):
+            cells[i] = repr(draw(huge)).encode()
+    return b",".join(cells)
 
 
 @fuzz_settings
-@given(st.lists(st.sampled_from([header, row]) | st.binary(max_size=30), max_size=4))
+@given(st.lists(st.sampled_from([header, row]) | huge_rows() | st.binary(max_size=30), max_size=4))
+# an AUC change whose axis's span, 2.2e308, plot could not compute
+@example([header, row.replace(b",0.0,false,", b",1e308,false,")])
 def test_any_sweep_csv_maps_to_an_exit_code(lines):
-    run(lambda path, d: ["tables", "--csv", path, "--out", f"{d}/tables"], b"\n".join(lines))
+    body = b"\n".join(lines)
+    run(lambda path, d: ["tables", "--csv", path, "--out", f"{d}/tables"], body)
+    run(lambda path, d: ["plot", "--csv", path, "--out", f"{d}/figures"], body)
 
 
 # ---------------------------------------------------------------------------
