@@ -25,6 +25,8 @@ from opmdeploy.scenario import (
     potential_outcomes,
 )
 
+import float_oracle
+
 # The 120-digit oracle costs about 0.5 ms a scenario, so the seeded runs
 # check one scenario in ORACLE_EVERY against it and all of them otherwise.
 SEEDED_N = 20_000
@@ -33,36 +35,17 @@ POLARITIES = list(OutcomePolarity)
 
 
 def oracle(params: ScenarioParams) -> int:
-    """The AUC sign in 120-digit arithmetic, from the model's definition
-    alone: the fitted predictor reproduces the historic conditionals, the
-    deployed policy treats the higher-predicted group, AUC = (sens + spec)/2
-    at that operating point. 0 where the changed group's log-odds effect
-    lies in the 1e-12 zero band."""
-    with mpmath.workdps(120):
-        p_x, b0, bx, bt, bxt = (
-            mpmath.mpf(v)
-            for v in (params.p_x, params.beta0, params.beta_x, params.beta_t, params.beta_xt)
-        )
-        q = [
-            [1 / (1 + mpmath.exp(-(b0 + bx * x + bt * t + bxt * x * t))) for x in (0, 1)]
-            for t in (0, 1)
-        ]
-        f = q[params.pi0]
-        top = 1 if f[1] > f[0] else 0
-        mass = (1 - p_x, p_x)
-
-        def auc(mu):
-            p_y1 = mass[0] * mu[0] + mass[1] * mu[1]
-            sens = mass[top] * mu[top] / p_y1
-            spec = mass[1 - top] * (1 - mu[1 - top]) / (1 - p_y1)
-            return (sens + spec) / 2
-
-        post = [q[1 if x == top else 0][x] for x in (0, 1)]
-        sign = int(mpmath.sign(auc(post) - auc(f)))
+    """The sign of the AUC change in 120-digit arithmetic, from the model's
+    definition alone (`float_oracle.exact_columns`). 0 where the changed
+    group's log-odds effect lies in the 1e-12 zero band."""
+    p = params
+    exact = float_oracle.exact_columns(p.p_x, p.pi0, p.beta0, p.beta_x, p.beta_t, p.beta_xt, dps=120)
+    # a float sum has the exact sum's sign: top is the group exact f ranks higher
+    top = int(params.beta_x + params.beta_xt * params.pi0 > 0)
     changed = top if params.pi0 == 0 else 1 - top
     if abs(params.beta_t + params.beta_xt * changed) <= 1e-12:
         return 0
-    return sign
+    return int(mpmath.sign(exact["auc_delta"]))
 
 
 def assert_decided(params: ScenarioParams, with_oracle: bool) -> bool:
