@@ -174,6 +174,23 @@ MUTANTS = (
     ("scenario.py", 'params = ", ".join(f.name for f in given)',
      'params = ", ".join(f"{f.name}=None" for f in given)'),
     ("sweep.py", "settings[name]) for name in PARAM_FIELDS)", "settings[name]) for name in PARAM_FIELDS[1:])"),
+    # Each enum in the order its tables use: the harm table keyed on the
+    # other polarity, the panel rows reversed, each verdict code shifted by
+    # one, the verdict column left int64, and each enum declared in its old
+    # order; an axis step computed from the whole span, which overflows
+    # past the float range, and the AUC-change axis left uncapped.
+    ("sweep.py", 'key = 4 * c["polarity"] + 2', 'key = 4 * (1 - c["polarity"]) + 2'),
+    ("figures.py", "enumerate(OutcomePolarity)", "enumerate(reversed(OutcomePolarity))"),
+    ("sweep.py", "verdict = (benefit_sign(_FAVORABLE_SIGN[c.polarity], c.pi0, sign) % 3)",
+     "verdict = ((benefit_sign(_FAVORABLE_SIGN[c.polarity], c.pi0, sign) + 1) % 3)"),
+    ("sweep.py", "sign) % 3).astype(np.int8)", "sign) % 3)"),
+    ("scenario.py", '    UNDESIRABLE = "undesirable"\n    DESIRABLE = "desirable"\n',
+     '    DESIRABLE = "desirable"\n    UNDESIRABLE = "undesirable"\n'),
+    ("classify.py", '    NO_CHANGE = "no_change"\n    BENEFICIAL = "beneficial"\n    HARMFUL = "harmful"\n',
+     '    HARMFUL = "harmful"\n    BENEFICIAL = "beneficial"\n    NO_CHANGE = "no_change"\n'),
+    ("figures.py", "raw = half_span / target * 2", "raw = 2 * half_span / target"),
+    ("figures.py", "min(_amplitude(auc_delta, 0.1, 1e-3) * 1.1, sys.float_info.max)",
+     "_amplitude(auc_delta, 0.1, 1e-3) * 1.1"),
 )
 
 

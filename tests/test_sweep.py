@@ -239,6 +239,11 @@ class TestRecordsColumns:
         assert tuple(picked.columns) == names
         assert len(picked) == len(default_records.where(polarity=OutcomePolarity.DESIRABLE, pi0=1))
 
+    def test_the_kernels_enum_codes_have_the_readers_dtype(self, default_records):
+        # the verdict code is computed as an int64 benefit sign modulo 3
+        for name in ("polarity", "verdict"):
+            assert default_records.columns[name].dtype == sweep._COLUMN_DTYPES[name] == np.int8
+
     def test_join_of_no_chunks_gives_empty_columns(self):
         names = ("auc_pre", "verdict", "harmful_marginal")
         joined = Records.join([], names)
