@@ -136,8 +136,8 @@ MUTANTS = (
     # The result records assignable, and `tables` holding its whole record
     # stream at once.
     ("scenario.py", "cls = dataclass(frozen=True)(cls)", "cls = dataclass()(cls)"),
-    ("cli.py", "sweep.aggregate_tables(records)",
-     "sweep.aggregate_tables(sweep.Records.join(records.chunks()))"),
+    ("cli.py", "sign_table, harm_table = sweep.aggregate_tables(records)",
+     "sign_table, harm_table = sweep.aggregate_tables(sweep.Records.join(records.chunks()))"),
     # The figures' coordinate tables: a value near a rounding tie read off
     # them, the values they do not hold left blank, and the fills formatted
     # in each panel again; a written figure held while the next is drawn;
@@ -147,8 +147,8 @@ MUTANTS = (
     ("figures.py", "fills[keep], 0.75)",
      "map_distinct(lambda c: diverging_color(0.5 + 0.5 * c / c_amp),"
      " columns[color_field][keep]), 0.75)"),
-    ("cli.py", "fh.write(figures.odds_ratio_panels(recs, *axes, title, manifest))",
-     "svg = figures.odds_ratio_panels(recs, *axes, title, manifest); fh.write(svg)"),
+    ("figures.py", "files[name].write(odds_ratio_panels(recs, *axes, title, desc))",
+     "svg = odds_ratio_panels(recs, *axes, title, desc); files[name].write(svg)"),
     ("cli.py", 'open(path, "w", newline="", encoding="utf-8")', 'open(path, "w", newline="")'),
     ("cli.py", 'open(path, encoding="utf-8")', "open(path)"),
     # One description per output: a key the file repeats taken at its last
@@ -191,6 +191,10 @@ MUTANTS = (
     ("figures.py", "raw = half_span / target * 2", "raw = 2 * half_span / target"),
     ("figures.py", "min(_amplitude(auc_delta, 0.1, 1e-3) * 1.1, sys.float_info.max)",
      "_amplitude(auc_delta, 0.1, 1e-3) * 1.1"),
+    # The figure set in `figures`: a tick label written whole however long
+    # it is, and a restricted figure drawn from all records.
+    ("figures.py", 'return s if len(s) <= 8 else f"{v:.3g}"', "return s"),
+    ("figures.py", "recs = beneficial if restricted else records", "recs = records"),
 )
 
 

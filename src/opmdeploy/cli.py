@@ -277,7 +277,7 @@ def cmd_sweep(args) -> int:
         }
         manifest = {"tool": _tool_stamp(), **source, "counts": counts, "exclusions": exclusions}
         if sweep.is_default_grid(records):
-            manifest["reference_delta"] = sweep.reference_delta(sweep.aggregate_sign_table(records))
+            manifest["reference_delta"] = sweep.reference_delta(sweep.aggregate_tables(records)[0])
         manifest["timestamp"] = _timestamp()
         _write_json(handles["manifest"], manifest)
     print(
@@ -367,50 +367,13 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------------------
 # plot
 
-# Per figure: file name, whether it is restricted to the avg-beneficial
-# subset, title, and for the odds-ratio figures (x field, color field, x
-# label, color label); None marks the pre-AUC figure.
-_FIGURES = (
-    ("fig-bt-vs-diff.svg", True,
-     "AUC change after deployment (treatment beneficial on average)",
-     ("beta_t", "beta_xt", "treatment odds ratio exp(beta_t)", "exp(beta_xt)")),
-    ("fig-bt-vs-diff-all.svg", False,
-     "AUC change after deployment (all settings)",
-     ("beta_t", "beta_xt", "treatment odds ratio exp(beta_t)", "exp(beta_xt)")),
-    ("fig-bxt-vs-diff.svg", True,
-     "AUC change vs effect heterogeneity (treatment beneficial on average)",
-     ("beta_xt", "beta_t", "interaction odds ratio exp(beta_xt)", "exp(beta_t)")),
-    ("fig-auc-pre-vs-diff.svg", False,
-     "Discrimination before deployment vs change after", None),
-)
-
 
 def cmd_plot(args) -> int:
     records, source, read = _records_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     out = Path(args.out)
-    with _outputs({name: out / name for name, *_ in _FIGURES}, read) as handles:
-        # the chunks are joined, so a grid is evaluated and a file read once,
-        # keeping only the columns the figures read
-        records = sweep.Records.join(records.chunks(), (
-            "beta_t", "beta_xt", "auc_delta", "auc_pre", "harmful_marginal",
-            "polarity", "pi0", "avg_treatment_beneficial",
-        ))
-        beneficial = records.where(avg_treatment_beneficial=True)
-        for (name, restricted, title, axes), fh in zip(_FIGURES, handles.values()):
-            recs = beneficial if restricted else records
-            manifest = {
-                "tool": _tool_stamp(),
-                "figure": name,
-                "source": source,
-                "subset": "avg-beneficial" if restricted else "all",
-                "points": len(recs),
-            }
-            # each document is written and dropped before the next is drawn
-            if axes is None:
-                fh.write(figures.auc_pre_panel(recs, title, manifest))
-            else:
-                fh.write(figures.odds_ratio_panels(recs, *axes, title, manifest))
+    with _outputs({name: out / name for name, *_ in figures.FIGURES}, read) as handles:
+        for name in figures.draw(records, handles, {"tool": _tool_stamp(), "source": source}):
             print(f"wrote {out / name}")
     return EXIT_OK
 

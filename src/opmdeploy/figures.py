@@ -61,16 +61,12 @@ def _hundredths(column: np.ndarray) -> tuple[list[str], list[str]]:
     return whole.tolist(), frac.tolist()
 
 
-def _hex(rgb) -> str:
-    return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
-
-
 def diverging_color(t: float) -> str:
     """Blue -> light gray -> red over t in [0, 1]."""
     t = min(1.0, max(0.0, t))
     blue, mid, red = (33, 102, 172), (224, 224, 224), (178, 24, 43)
     lo, hi, u = (blue, mid, t / 0.5) if t < 0.5 else (mid, red, (t - 0.5) / 0.5)
-    return _hex(a + (b - a) * u for a, b in zip(lo, hi))
+    return "#%02x%02x%02x" % tuple(int(round(a + (b - a) * u)) for a, b in zip(lo, hi))
 
 
 def _nice_step(half_span: float, target: int = 5) -> float:
@@ -97,9 +93,11 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _tick_label(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    return f"{v:.2f}".rstrip("0").rstrip(".")
+    """The value to two decimals, trailing zeros stripped; to three
+    significant digits where that text is longer than 8 characters, which
+    a whole number past 10^8 (an axis out to 1e308) would be."""
+    s = f"{v:.2f}".rstrip("0").rstrip(".")
+    return s if len(s) <= 8 else f"{v:.3g}"
 
 
 _ZERO_LINE = 'stroke="#888" stroke-width="0.8"'
@@ -366,3 +364,49 @@ def auc_pre_panel(records: Records, title: str, manifest: dict) -> str:
     svg.add(f'<circle cx="{margin_l + 110}" cy="{ly - 4}" r="4" fill="#2c7fb8"/>')
     svg.text(margin_l + 120, ly, "not harmful", size=11, anchor="start")
     return svg.finish()
+
+
+# Per figure: file name, whether it is restricted to the avg-beneficial
+# subset, title, and for the odds-ratio figures (x field, color field, x
+# label, color label); None marks the pre-AUC figure.
+FIGURES = (
+    ("fig-bt-vs-diff.svg", True,
+     "AUC change after deployment (treatment beneficial on average)",
+     ("beta_t", "beta_xt", "treatment odds ratio exp(beta_t)", "exp(beta_xt)")),
+    ("fig-bt-vs-diff-all.svg", False,
+     "AUC change after deployment (all settings)",
+     ("beta_t", "beta_xt", "treatment odds ratio exp(beta_t)", "exp(beta_xt)")),
+    ("fig-bxt-vs-diff.svg", True,
+     "AUC change vs effect heterogeneity (treatment beneficial on average)",
+     ("beta_xt", "beta_t", "interaction odds ratio exp(beta_xt)", "exp(beta_t)")),
+    ("fig-auc-pre-vs-diff.svg", False,
+     "Discrimination before deployment vs change after", None),
+)
+# The record columns the figures read.
+COLUMNS = (
+    "beta_t", "beta_xt", "auc_delta", "auc_pre", "harmful_marginal",
+    "polarity", "pi0", "avg_treatment_beneficial",
+)
+
+
+def draw(records, files: dict, manifest: dict):
+    """Write each of `FIGURES` to its text file in `files` (keyed by the
+    figure's name) from the record stream `records`, and yield the name
+    once the document is written. Each `<desc>` is `manifest` with the
+    figure's name, its subset and its number of points."""
+    # the chunks are joined once, so a grid is evaluated and a file read
+    # once, keeping only the columns the figures read
+    records = Records.join(records.chunks(), COLUMNS)
+    beneficial = records.where(avg_treatment_beneficial=True)
+    for name, restricted, title, axes in FIGURES:
+        recs = beneficial if restricted else records
+        desc = {**manifest, "figure": name,
+                "subset": "avg-beneficial" if restricted else "all", "points": len(recs)}
+        # each document is written and dropped before the next is drawn; the
+        # panel functions are looked up here, so a wrapper set on the module
+        # (a tracer) sees every call
+        if axes is None:
+            files[name].write(auc_pre_panel(recs, title, desc))
+        else:
+            files[name].write(odds_ratio_panels(recs, *axes, title, desc))
+        yield name

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -552,13 +553,10 @@ class TestPlot:
         for name in ("fig-bt-vs-diff.svg", "fig-auc-pre-vs-diff.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    @pytest.mark.parametrize("cells", [
-        {1: {"auc_delta": "1e308"}},
-        {1: {"auc_delta": "-1.7976931348623157e+308"}},
-        {1: {"auc_pre": "1e308"}, 2: {"auc_pre": "-1e308"}},
-    ])
-    def test_huge_finite_cells_give_well_formed_figures(self, sweep_csv, tmp_path, cells):
-        # an axis span past the float range, or a margin that overflows it
+    @staticmethod
+    def plot_edited(sweep_csv, tmp_path, cells) -> list:
+        """The SVGs `plot` draws from the sweep CSV with the given cells
+        ({line: {column: text}}) replaced."""
         lines = sweep_csv.read_text().splitlines()
         header = lines[0].split(",")
         for i, values in cells.items():
@@ -570,10 +568,30 @@ class TestPlot:
         csv_path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "figs"
         assert main(["plot", "--csv", str(csv_path), "--out", str(out)]) == 0
-        figures = sorted(out.glob("*.svg"))
+        return sorted(out.glob("*.svg"))
+
+    @pytest.mark.parametrize("cells", [
+        {1: {"auc_delta": "1e308"}},
+        {1: {"auc_delta": "-1.7976931348623157e+308"}},
+        {1: {"auc_pre": "1e308"}, 2: {"auc_pre": "-1e308"}},
+    ])
+    def test_huge_finite_cells_give_well_formed_figures(self, sweep_csv, tmp_path, cells):
+        # an axis span past the float range, or a margin that overflows it
+        figures = self.plot_edited(sweep_csv, tmp_path, cells)
         assert len(figures) == 4
         for p in figures:
             ElementTree.parse(p)
+
+    def test_tick_labels_fit_the_canvas_on_huge_cells(self, sweep_csv, tmp_path):
+        # a whole-number tick of an AUC-change axis out to 1e308 was written
+        # with all its 309 digits
+        cells = {1: {"auc_delta": "1e308"}, 2: {"auc_delta": "-1e308"}}
+        labels = [
+            label for p in self.plot_edited(sweep_csv, tmp_path, cells)
+            for label in re.findall(r'font-size="10"[^>]*>([^<]*)</text>', p.read_text())
+        ]
+        assert "1e+308" in labels and "-1e+308" in labels
+        assert max(map(len, labels)) <= 8
 
     def test_header_only_csv_renders_empty_panels(self, sweep_csv, tmp_path):
         csv_path = tmp_path / "empty.csv"

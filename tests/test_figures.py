@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from collections import Counter
 from unittest import mock
@@ -11,18 +13,29 @@ from opmdeploy import figures
 from opmdeploy.classify import Verdict, verdict_from_signs
 from opmdeploy.cli import main
 from opmdeploy.figures import (
+    FIGURES,
     _POINT_R,
     _Axis,
     _harmful_auc_sign,
     _hundredths,
     _n,
     _odds_label,
+    _tick_label,
     auc_pre_panel,
     diverging_color,
     odds_ratio_panels,
 )
 from opmdeploy.scenario import OutcomePolarity, sign_with_band
-from opmdeploy.sweep import GridSpec, Records, default_grid, map_distinct, record_columns
+from opmdeploy.sweep import (
+    CSV_COLUMNS,
+    GridSpec,
+    Records,
+    csv_records,
+    default_grid,
+    grid_records,
+    map_distinct,
+    record_columns,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +100,23 @@ def test_auc_pre_panel_legend_and_points(records):
 ])
 def test_odds_label_reads_plainly_or_as_exponent(log_odds, label):
     assert _odds_label(log_odds) == label
+
+
+@pytest.mark.parametrize("v, label", [
+    (0.0, "0"),
+    (0.15000000000000002, "0.15"),  # a tick summed from its step
+    (-0.05, "-0.05"),
+    (2.5, "2.5"),
+    (100.0, "100"),
+    (99999999.0, "99999999"),  # the longest text written to two decimals
+    (-1234567.0, "-1234567"),
+    (123456789.0, "1.23e+08"),
+    (-12345.678, "-1.23e+04"),
+    (1e308, "1e+308"),  # a tick of an AUC-change axis out to the float range
+    (-5.000000000000001e307, "-5e+307"),
+])
+def test_tick_label_fits_in_eight_characters_or_three_digits(v, label):
+    assert _tick_label(v) == label
 
 
 def test_map_distinct_calls_once_per_bit_pattern():
@@ -318,3 +348,46 @@ def test_oracle_examples_cover_the_edge_cases():
     svg = odds_ratio_panels(huge, "beta_t", "beta_xt", "x", "c", "t", {})
     assert svg.count("<circle") == len(huge)
     assert "exp(710)" in svg and "exp(-710)" in svg
+
+
+SVG_DESC = "{http://www.w3.org/2000/svg}desc"
+
+
+def drawn(records, manifest: dict) -> dict[str, str]:
+    """The documents `figures.draw` writes to in-memory files, by figure
+    name; it names each figure once, in `FIGURES`' order."""
+    files = {name: io.StringIO() for name, *_ in FIGURES}
+    assert list(figures.draw(records, files, manifest)) == list(files)
+    return {name: fh.getvalue() for name, fh in files.items()}
+
+
+def descs(documents: dict[str, str]) -> dict[str, dict]:
+    """Each well-formed document's `<desc>` manifest."""
+    return {name: json.loads(ElementTree.fromstring(text).find(SVG_DESC).text)
+            for name, text in documents.items()}
+
+
+def test_draw_writes_the_documents_plot_writes(tmp_path):
+    out = tmp_path / "figs"
+    assert main(["plot", "--grid", "default", "--out", str(out)]) == 0
+    plotted = {name: (out / name).read_text(encoding="utf-8") for name, *_ in FIGURES}
+    desc = descs(plotted)["fig-bt-vs-diff.svg"]
+    assert sorted(desc) == ["figure", "points", "source", "subset", "tool"]
+    manifest = {"tool": desc["tool"], "source": desc["source"]}
+    assert drawn(grid_records(default_grid()), manifest) == plotted
+
+
+def test_draw_without_avg_beneficial_settings():
+    grid = one_grid(beta_t_values=[0.0], beta_xt_values=[0.0])
+    found = descs(drawn(grid_records(grid), {"source": "test"}))
+    for name, restricted, *_ in FIGURES:
+        subset = "avg-beneficial" if restricted else "all"
+        assert found[name]["subset"] == subset and found[name]["source"] == "test"
+        assert (found[name]["points"] == 0) == restricted, name
+
+
+def test_draw_from_a_header_only_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n")
+    found = descs(drawn(csv_records(path), {}))
+    assert [desc["points"] for desc in found.values()] == [0, 0, 0, 0]
